@@ -117,9 +117,10 @@ def cmd_verify_map(args) -> int:
     point = _q_point(args)
     if args.input is not None:
         gens = deform.GeneratorSet.from_json(_load_json(args.input))
+        reports = deform.relation_residuals(gens, _rhat_sl_any(gens.modes))
     else:
-        gens = deform.build_deforming_map(args.n)
-    reports = deform.relation_residuals(gens, _rhat_sl_any(gens.modes))
+        gens = deform.build_deforming_map(args.n, check=False)
+        reports = deform.map_relations(gens)
     star = deform.star_compatibility(gens, q_point=point)
     reports.append(star)
     if point is not None:

@@ -187,12 +187,23 @@ def build_deforming_map(n_modes: int, check: bool = True) -> GeneratorSet:
     gens = GeneratorSet(n_modes, tuple(creators), tuple(annihilators),
                         provenance="deforming-map")
     if check:
-        for rep in relation_residuals(gens, _rhat_sl_any(n_modes), Q):
-            if not rep.exact_zero:
-                raise MapConstructionError(
-                    f"deforming map violates {rep.family} relation "
-                    f"{rep.indices}: worst entry {rep.worst_entry()}", rep)
+        map_relations(gens)
     return gens
+
+
+def map_relations(gens: GeneratorSet) -> list[RelationReport]:
+    """The relation reports of a built deforming map, all exact zero.
+
+    Raises :class:`MapConstructionError` naming the first nonzero report,
+    so a caller that needs the reports anyway checks each relation once.
+    """
+    reports = relation_residuals(gens, _rhat_sl_any(gens.modes), Q)
+    for rep in reports:
+        if not rep.exact_zero:
+            raise MapConstructionError(
+                f"deforming map violates {rep.family} relation "
+                f"{rep.indices}: worst entry {rep.worst_entry()}", rep)
+    return reports
 
 
 def build_inverse_map(n_modes: int, deformed: GeneratorSet) -> GeneratorSet:

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, read_entry
 from .scalar import ONE, ZERO, parse_rational, q_power
 
 _DEFAULT_MAX_DIM = 4096  # Fock dimension 2^12
@@ -62,14 +62,15 @@ class FockOperator(SparseMatrix):
     @classmethod
     def from_json(cls, doc: dict) -> "FockOperator":
         n = int(doc["n_modes"])
-        op = cls(n)
-        if int(doc.get("dim", 1 << n)) != (1 << n):
+        dim = 1 << n
+        if int(doc.get("dim", dim)) != dim:
             raise ValueError("dim field does not match n_modes")
-        rows = [dict() for _ in range(1 << n)]
-        for r, c, text in doc["entries"]:
+        rows = [dict() for _ in range(dim)]
+        for entry in doc["entries"]:
+            r, c, text = read_entry(entry, dim)
             v = parse_rational(text)
             if not v.is_zero:
-                rows[int(r)][int(c)] = v
+                rows[r][c] = v
         return cls(n, rows)
 
 

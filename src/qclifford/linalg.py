@@ -25,6 +25,17 @@ def _as_scalar(value) -> RationalFunction:
     raise TypeError(f"cannot scale by {type(value).__name__}")
 
 
+def read_entry(entry, dim: int) -> tuple[int, int, str]:
+    """(row, column, text) of one ``[r, c, text]`` JSON matrix entry,
+    rejecting an index outside the dim x dim matrix."""
+    r, c, text = entry
+    r, c = int(r), int(c)
+    if not (0 <= r < dim and 0 <= c < dim):
+        raise ValueError(f"entry {[r, c, text]} lies outside the "
+                         f"{dim} x {dim} matrix")
+    return r, c, text
+
+
 class SparseMatrix:
     """Square sparse matrix over Q(q).
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import SparseMatrix, _as_scalar, rank as exact_rank
+from .linalg import SparseMatrix, _as_scalar, rank as exact_rank, read_entry
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, ZERO, parse_rational, q_power
 
@@ -152,8 +152,9 @@ class RMatrix:
         n = int(doc["n"])
         dim = int(doc.get("dim", n * n))
         entries = [[ZERO] * dim for _ in range(dim)]
-        for r, c, text in doc["entries"]:
-            entries[int(r)][int(c)] = parse_rational(text)
+        for entry in doc["entries"]:
+            r, c, text = read_entry(entry, dim)
+            entries[r][c] = parse_rational(text)
         return cls(n, entries, str(doc.get("kind", "user-supplied")), dim=dim)
 
     def __repr__(self):

@@ -79,16 +79,22 @@ class Poly:
 
     @property
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = _int_gcd(g, abs(c))
-        return g
+        return _int_gcd(*self.coeffs)
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by q^k (k >= 0)."""
-        if self.is_zero:
-            return self
-        return Poly((0,) * k + self.coeffs)
+    @property
+    def order(self) -> int:
+        """Index of the lowest nonzero coefficient (the power of q dividing
+        the polynomial); -1 for the zero polynomial."""
+        for k, c in enumerate(self.coeffs):
+            if c:
+                return k
+        return -1
+
+    @property
+    def is_monomial(self) -> bool:
+        """True for c*q^k with c != 0."""
+        cs = self.coeffs
+        return bool(cs) and cs.count(0) == len(cs) - 1
 
     def __neg__(self):
         return Poly(tuple(-c for c in self.coeffs))
@@ -110,6 +116,10 @@ class Poly:
             return Poly(tuple(c * other for c in self.coeffs))
         if self.is_zero or other.is_zero:
             return Poly()
+        if self.coeffs == (1,):
+            return other
+        if other.coeffs == (1,):
+            return self
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -133,34 +143,53 @@ class Poly:
         return result
 
     def div_exact(self, other: "Poly") -> "Poly":
-        """Exact division; raises if the remainder does not vanish."""
+        """Exact division; raises if the remainder does not vanish.
+
+        Integer long division by the divisor's leading coefficient: when
+        the quotient over Q has integer coefficients every step divides
+        exactly, so a nonzero step remainder already proves that other
+        does not divide self in Z[q].
+        """
         if other.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return Poly()
-        rem = [Fraction(c) for c in self.coeffs]
-        dd, dn = other.degree, [Fraction(c) for c in other.coeffs]
+        rem = list(self.coeffs)
+        dd, lead = other.degree, other.lc
         qd = len(rem) - 1 - dd
         if qd < 0:
             raise ValueError(f"{other} does not divide {self}")
-        quot = [Fraction(0)] * (qd + 1)
+        lower = [(j, d) for j, d in enumerate(other.coeffs[:dd]) if d]
+        quot = [0] * (qd + 1)
         for k in range(qd, -1, -1):
-            c = rem[k + dd] / dn[dd]
+            c, r = divmod(rem[k + dd], lead)
+            if r:
+                raise ValueError(f"{other} does not divide {self}")
             quot[k] = c
             if c:
-                for j in range(dd + 1):
-                    rem[k + j] -= c * dn[j]
-        if any(rem) or any(c.denominator != 1 for c in quot):
+                for j, d in lower:
+                    rem[k + j] -= c * d
+        if any(rem[:dd]):
             raise ValueError(f"{other} does not divide {self}")
-        return Poly(tuple(int(c) for c in quot))
+        return Poly(quot)
 
     def pseudo_rem(self, other: "Poly") -> "Poly":
-        """Pseudo-remainder of self by other (for the primitive PRS gcd)."""
-        r = self
-        d, lg = other.degree, other.lc
-        while not r.is_zero and r.degree >= d:
-            r = r * lg - other.shift(r.degree - d) * r.lc
-        return r
+        """Pseudo-remainder of self by other (for the primitive PRS gcd).
+
+        Each step replaces r by lc(other)*r - lc(r)*q^(deg r - d)*other,
+        d = deg other, working on a plain coefficient list.
+        """
+        r = list(self.coeffs)
+        dn = other.coeffs
+        d, lg = len(dn) - 1, dn[-1]
+        while r and len(r) - 1 >= d:
+            lead, k = r[-1], len(r) - 1 - d
+            r = [c * lg for c in r]
+            for j, x in enumerate(dn):
+                r[k + j] -= x * lead
+            while r and not r[-1]:
+                r.pop()
+        return Poly(r)
 
     def primitive(self) -> "Poly":
         c = self.content
@@ -170,9 +199,19 @@ class Poly:
 
     @staticmethod
     def gcd(a: "Poly", b: "Poly") -> "Poly":
-        """Gcd in Z[q], canonicalized with a positive leading coefficient."""
+        """Gcd in Z[q], canonicalized with a positive leading coefficient.
+
+        When one argument is a monomial c*q^k and the other a nonzero f,
+        the gcd is gcd(|c|, content f) * q^min(k, ord f), read off without
+        running the remainder sequence.
+        """
         if a.is_zero and b.is_zero:
             return Poly()
+        if b.is_monomial and not a.is_zero:
+            a, b = b, a
+        if a.is_monomial and not b.is_zero:
+            k = min(a.degree, b.order)
+            return Poly((0,) * k + (_int_gcd(a.lc, b.content),))
         cont = _int_gcd(a.content, b.content)
         f, g = a.primitive(), b.primitive()
         while not g.is_zero:
@@ -286,10 +325,16 @@ class RationalFunction:
         return self.num.degree <= 0 and self.den.degree <= 0
 
     # -- field operations ---------------------------------------------------
+    # values are immutable and canonical, so a zero operand can hand back
+    # an existing value instead of building an equal one
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num.coeffs:
+            return self
+        if not self.num.coeffs:
+            return other
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
@@ -312,6 +357,10 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.num.coeffs:
+            return self
+        if not other.num.coeffs:
+            return other
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -454,48 +503,6 @@ def gamma_ratio(m: int) -> RationalFunction:
         num = num * k
         den = den * q_number(k, qq)
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# h-series display
-# ---------------------------------------------------------------------------
-
-def _recenter_at_one(p: Poly) -> list[int]:
-    """Coefficients of p(1 + h) as a polynomial in h (Horner recentering)."""
-    out: list[int] = []
-    for coeff in reversed(p.coeffs):
-        # out <- out * (1 + h) + coeff
-        shifted = [0] + out
-        out = [a + b for a, b in
-               zip(shifted, out + [0])]
-        out[0] += coeff
-    return out
-
-
-def h_expansion(f: RationalFunction, order: int) -> list[Fraction]:
-    """Truncated power series of f in h = q - 1 (a display utility only;
-    all verification stays in exact rational-function arithmetic).
-
-    Returns [c_0, ..., c_order] with f = sum c_k h^k + O(h^(order+1)).
-    Raises :class:`PoleError` when f has a pole at q = 1 (the canonical
-    form guarantees numerator and denominator share no q - 1 factor).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    num = _recenter_at_one(f.num)
-    den = _recenter_at_one(f.den)
-    if den[0] == 0:
-        raise PoleError(f.den, 1)
-    num += [0] * (order + 1 - len(num))
-    den += [0] * (order + 1 - len(den))
-    lead = Fraction(den[0])
-    coeffs: list[Fraction] = []
-    for k in range(order + 1):
-        value = Fraction(num[k])
-        for i, c in enumerate(coeffs):
-            value -= c * den[k - i]
-        coeffs.append(value / lead)
-    return coeffs
 
 
 # ---------------------------------------------------------------------------

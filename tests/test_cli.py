@@ -1,5 +1,6 @@
 import json
 
+from qclifford import deform
 from qclifford.cli import main
 from qclifford.deform import build_deforming_map, undeformed_set
 from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
@@ -44,6 +45,37 @@ class TestVerifyMap:
         code, doc, _ = run_json(capsys, "verify-map", "--input", str(path))
         assert code == 1
         assert doc["summary"]["failed"] > 0
+
+    def test_out_of_range_index_exits_two(self, capsys, tmp_path):
+        doc = build_deforming_map(2).to_json()
+        doc["creators"][0]["entries"].append([0, -1, "q"])
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2
+        assert "[0, -1, 'q']" in err
+
+    def test_each_relation_checked_once(self, capsys, monkeypatch):
+        calls = []
+        original = deform.relation_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].modes)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deform, "relation_residuals", counted)
+        code, doc, _ = run_json(capsys, "verify-map", "--n", "3")
+        assert code == 0 and doc["summary"]["total"] == 3 * 9 + 1
+        assert calls == [3]
+
+    def test_wrong_dressing_still_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(deform, "deformation_weights",
+                            lambda n, i: [1 if j > i else 0
+                                          for j in range(1, n + 1)])
+        code, out, err = run(capsys, "verify-map", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "deforming map violates" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

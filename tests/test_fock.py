@@ -186,6 +186,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             FockOperator.from_json(doc)
 
+    @pytest.mark.parametrize("r, c", [(0, -1), (-1, 0), (4, 0), (0, 4)])
+    def test_out_of_range_index_rejected(self, r, c):
+        doc = {"n_modes": 2, "dim": 4, "entries": [[r, c, "q"]]}
+        with pytest.raises(ValueError, match=rf"entry \[{r}, {c}, 'q'\]"):
+            FockOperator.from_json(doc)
+
     def test_subst_gives_constant_entries(self):
         op = q_exponent((0, -1)).subst(Fraction(2))
         assert op.get(1, 1) == parse_rational("(1)/(2)")

@@ -139,3 +139,9 @@ class TestSerialization:
         m = RMatrix.from_json(doc)
         assert m.kind == "user-supplied"
         assert m.block(1, 1, 1, 1) == Q
+
+    @pytest.mark.parametrize("r, c", [(0, -1), (-1, 0), (4, 0), (0, 4)])
+    def test_out_of_range_index_rejected(self, r, c):
+        doc = {"n": 2, "entries": [[r, c, "q"]]}
+        with pytest.raises(ValueError, match=rf"entry \[{r}, {c}, 'q'\]"):
+            RMatrix.from_json(doc)

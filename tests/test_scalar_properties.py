@@ -1,0 +1,124 @@
+"""Property tests of the scalar fast paths against sympy as an oracle.
+
+``Poly.gcd`` answers a monomial argument without the remainder sequence,
+``Poly.div_exact`` divides in integers only, and ``RationalFunction``
+addition and multiplication hand back an existing value when an operand
+is zero.  Each must agree with the general definition on every input.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qclifford.scalar import Poly, RationalFunction  # noqa: E402
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+coefficient = st.integers(min_value=-30, max_value=30)
+polys = st.lists(coefficient, max_size=7).map(Poly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero)
+monomials = st.builds(
+    lambda c, k: Poly((0,) * k + (c,)),
+    coefficient.filter(bool), st.integers(min_value=0, max_value=6))
+rationals = st.builds(RationalFunction, polys, nonzero_polys)
+
+_q = sympy.Symbol("q")
+
+
+def to_sympy(p: Poly):
+    return sympy.Poly(list(reversed(p.coeffs)) or [0], _q, domain="ZZ")
+
+
+def from_sympy(p) -> Poly:
+    return Poly(tuple(int(c) for c in reversed(p.all_coeffs())))
+
+
+def sympy_gcd(a: Poly, b: Poly) -> Poly:
+    g = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)))
+    return -g if g.lc < 0 else g
+
+
+class TestGcd:
+    @SETTINGS
+    @given(monomials, polys)
+    def test_monomial_against_general(self, m, f):
+        assert Poly.gcd(m, f) == sympy_gcd(m, f)
+        assert Poly.gcd(f, m) == sympy_gcd(m, f)
+
+    @SETTINGS
+    @given(polys, polys)
+    def test_general_pairs(self, a, b):
+        assert Poly.gcd(a, b) == sympy_gcd(a, b)
+
+    @SETTINGS
+    @given(polys, polys, nonzero_polys)
+    def test_common_factor_found(self, a, b, common):
+        g = Poly.gcd(a * common, b * common)
+        assert g == sympy_gcd(a * common, b * common)
+
+
+class TestDivExact:
+    @SETTINGS
+    @given(polys, nonzero_polys)
+    def test_product_divides_back(self, a, b):
+        assert (a * b).div_exact(b) == a
+
+    @SETTINGS
+    @given(polys, nonzero_polys)
+    def test_raises_exactly_when_not_divisible(self, a, b):
+        quot, rem = to_sympy(a).to_field().div(to_sympy(b).to_field())
+        divisible = rem.is_zero and all(sympy.Rational(c).q == 1
+                                        for c in quot.all_coeffs())
+        if divisible:
+            assert a.div_exact(b) == from_sympy(quot)
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                a.div_exact(b)
+
+    @SETTINGS
+    @given(polys, nonzero_polys, nonzero_polys)
+    def test_near_multiples_rejected(self, a, b, r):
+        # a*b + r with deg r < deg b is divisible by b only when r is zero
+        low = Poly(r.coeffs[:b.degree])
+        if low.is_zero:
+            return
+        with pytest.raises(ValueError, match="does not divide"):
+            (a * b + low).div_exact(b)
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
+            Poly((1, 2)).div_exact(Poly())
+
+
+def canonical_zero():
+    return RationalFunction(Poly())
+
+
+def assert_same_value(got: RationalFunction, fresh: RationalFunction):
+    assert (got.num.coeffs, got.den.coeffs) == (fresh.num.coeffs, fresh.den.coeffs)
+
+
+class TestZeroShortcuts:
+    @SETTINGS
+    @given(rationals)
+    def test_add_zero(self, x):
+        z = canonical_zero()
+        fresh = RationalFunction(x.num * z.den + z.num * x.den, x.den * z.den)
+        assert_same_value(x + z, fresh)
+        assert_same_value(z + x, fresh)
+        assert_same_value(x + 0, fresh)
+        assert_same_value(0 + x, fresh)
+
+    @SETTINGS
+    @given(rationals)
+    def test_mul_zero(self, x):
+        z = canonical_zero()
+        fresh = RationalFunction(x.num * z.num, x.den * z.den)
+        assert_same_value(x * z, fresh)
+        assert_same_value(z * x, fresh)
+        assert_same_value(x * 0, fresh)
+        assert_same_value(0 * x, fresh)
+        assert fresh.den.coeffs == (1,)
