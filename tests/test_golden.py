@@ -30,6 +30,7 @@ CASES = {
     "verify-map-n2": ["verify-map", "--n", "2"],
     "verify-map-n4": ["verify-map", "--n", "4"],
     "poincare-n3": ["poincare", "--n", "3"],
+    "poincare-n4": ["poincare", "--n", "4"],
     "rmatrix-sl-n3": ["rmatrix", "--algebra", "sl", "--n", "3"],
     "rmatrix-sp-input": ["rmatrix", "--algebra", "sp",
                          "--input", "sp_input_braid_sl2.json"],
