@@ -25,22 +25,25 @@ which the constructor verifies against the full relation system before
 returning (it fails loudly on any convention drift).  The inverse map
 reconstructs the undeformed generators as polynomials in the deformed
 ones, and the Poincare-series check computes the exact rank of all 4^N
-ordered monomials over Q(q).
+ordered monomials over Q(q).  Each monomial is built as a creator-subset
+product times an annihilator-subset product, every subset product
+extending the product of its prefix by one generator, and the rank is
+decided by the echelon certificate of :func:`linalg.rank` (distinct
+leading columns), with Bareiss elimination when leading columns collide.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import invert_sparse, rank as exact_rank, rank_numeric
+from .linalg import invert_sparse, rank as exact_rank
 from .report import RelationReport
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
-from .scalar import ONE, Q, RationalFunction
+from .scalar import ONE, PoleError, Q, RationalFunction
 
 
 @dataclass
@@ -206,6 +209,24 @@ def map_relations(gens: GeneratorSet) -> list[RelationReport]:
     return reports
 
 
+def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
+    """The relation reports recomputed over Q after the substitution q := point.
+
+    The point goes into the generators and the braid matrix before any
+    product is formed, so the residuals are an independent check of the
+    exact ones.  A pole at the point, of a generator entry or of the
+    relation coefficients (which carry q^-1), raises :class:`PoleError`
+    naming the vanishing denominator.
+    """
+    point = Fraction(point)
+    sampled = gens.subst(point)
+    if point == 0:
+        raise PoleError(Q, point)
+    rhat = _rhat_sl_any(gens.modes).subst(point)
+    return relation_residuals(sampled, rhat,
+                              RationalFunction.from_fraction(point))
+
+
 def build_inverse_map(n_modes: int, deformed: GeneratorSet) -> GeneratorSet:
     """Reconstruct the undeformed generators from the deformed ones.
 
@@ -267,61 +288,57 @@ def conjugate_realization(gens: GeneratorSet, alpha: FockOperator) -> GeneratorS
 # Poincare series
 # ---------------------------------------------------------------------------
 
-_EXACT_MODE_LIMIT = 3
-_NUMERIC_MODE_LIMIT = 6
-_SAMPLER_SEED = 20240801
+_EXACT_MODE_LIMIT = 6
+
+
+def _subset_products(generators, subsets) -> dict:
+    """Product of the generators named by each ascending subset.
+
+    Subsets arrive with every prefix before its extensions, so each
+    product is its prefix's product times one generator; the empty
+    subset maps to None (the identity, never multiplied).
+    """
+    products: dict = {(): None}
+    for subset in subsets:
+        if subset:
+            prefix = products[subset[:-1]]
+            last = generators[subset[-1] - 1]
+            products[subset] = last if prefix is None else prefix * last
+    return products
 
 
 def _monomial_rows(gens: GeneratorSet):
     """Each ordered monomial in the given generators, flattened to a row."""
-    dim = 1 << gens.modes
-    for cre, ann in ordered_monomials(gens.modes):
-        op = fock.identity(gens.modes)
-        for i in cre:
-            op = op * gens.creators[i - 1]
-        for i in ann:
-            op = op * gens.annihilators[i - 1]
-        yield {r * dim + c: v for r, c, v in op.iter_entries()}
+    n = gens.modes
+    dim = 1 << n
+    monomials = ordered_monomials(n)
+    subsets = [ann for cre, ann in monomials if not cre]  # all, prefixes first
+    cre_products = _subset_products(gens.creators, subsets)
+    ann_products = _subset_products(gens.annihilators, subsets)
+    for cre, ann in monomials:
+        left, right = cre_products[cre], ann_products[ann]
+        if left is None:
+            op = fock.identity(n) if right is None else right
+        else:
+            op = left if right is None else left * right
+        yield {r * dim + c: v for r, row in enumerate(op.rows)
+               for c, v in row.items()}
 
 
-def sample_points(count: int = 3) -> list[Fraction]:
-    """Deterministic generic sample values of q in (1/2, 2)."""
-    rng = random.Random(_SAMPLER_SEED)
-    points = []
-    while len(points) < count:
-        f = Fraction(rng.randint(9, 31), 16)
-        if f != 1 and f not in points:
-            points.append(f)
-    return points
-
-
-def poincare_rank(gens: GeneratorSet, mode: str | None = None) -> tuple[int, int]:
+def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     """(rank of the 4^N ordered monomials, expected value 4^N).
 
-    Exact mode eliminates over Q(q) with fraction-free arithmetic and is
-    allowed up to 3 modes; numeric mode substitutes q at three generic
-    rational sample points and keeps the best rank (allowed up to 6
-    modes).  Rank deficiency is a result, not an error.
+    The rank is exact over Q(q) and allowed up to 6 modes.  The ordered
+    monomials of a faithful set have pairwise distinct leading columns,
+    so the echelon certificate decides full rank without elimination; a
+    degenerate set falls back to fraction-free elimination.  Rank
+    deficiency is a result, not an error.
     """
     n = gens.modes
-    expected = 4 ** n
-    if mode is None:
-        mode = "exact" if n <= _EXACT_MODE_LIMIT else "numeric"
-    if mode == "exact":
-        if n > _EXACT_MODE_LIMIT:
-            raise ValueError(f"exact mode supports at most {_EXACT_MODE_LIMIT} modes")
-        return exact_rank(_monomial_rows(gens)), expected
-    if mode != "numeric":
-        raise ValueError(f"unknown mode {mode!r}")
-    if n > _NUMERIC_MODE_LIMIT:
-        raise ValueError(f"numeric mode supports at most {_NUMERIC_MODE_LIMIT} modes")
-    best = 0
-    for point in sample_points():
-        sampled = gens.subst(point)
-        rows = ({idx: v.eval_at(point) for idx, v in row.items()}
-                for row in _monomial_rows(sampled))
-        best = max(best, rank_numeric(rows))
-    return best, expected
+    if n > _EXACT_MODE_LIMIT:
+        raise ValueError(
+            f"the Poincare rank supports at most {_EXACT_MODE_LIMIT} modes")
+    return exact_rank(_monomial_rows(gens)), 4 ** n
 
 
 # ---------------------------------------------------------------------------

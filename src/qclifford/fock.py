@@ -19,17 +19,21 @@ rewriter.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
-from .linalg import SparseMatrix, read_entry
+from .linalg import SparseMatrix, dim_guard_error, max_dim, read_entry
 from .scalar import ONE, ZERO, parse_rational, q_power
 
-_DEFAULT_MAX_DIM = 4096  # Fock dimension 2^12
 
+def _fock_dim(n_modes: int) -> int:
+    """2^n_modes once the mode count passes the dimension guard.
 
-def _max_dim() -> int:
-    return int(os.environ.get("QCLIFFORD_MAX_DIM", _DEFAULT_MAX_DIM))
+    The count is compared before any shift, so a huge count in untrusted
+    input allocates nothing.
+    """
+    if not 1 <= n_modes <= max(max_dim(), 1).bit_length() - 1:
+        raise dim_guard_error(f"n_modes = {n_modes}")
+    return 1 << n_modes
 
 
 class FockOperator(SparseMatrix):
@@ -62,7 +66,7 @@ class FockOperator(SparseMatrix):
     @classmethod
     def from_json(cls, doc: dict) -> "FockOperator":
         n = int(doc["n_modes"])
-        dim = 1 << n
+        dim = _fock_dim(n)
         if int(doc.get("dim", dim)) != dim:
             raise ValueError("dim field does not match n_modes")
         rows = [dict() for _ in range(dim)]
@@ -94,11 +98,7 @@ def build_generators(n_modes: int) -> list[tuple[FockOperator, FockOperator]]:
     state with mode i occupied, with sign (-1)^(number of occupied modes
     before i); the annihilator is the transpose.
     """
-    dim = 1 << n_modes
-    if n_modes < 1 or dim > _max_dim():
-        raise ValueError(
-            f"n_modes = {n_modes} outside the supported range "
-            f"(dimension guard {_max_dim()}, override with QCLIFFORD_MAX_DIM)")
+    dim = _fock_dim(n_modes)
     pairs = []
     minus_one = -ONE
     for i in range(1, n_modes + 1):

@@ -2,14 +2,18 @@
 
 Provides the shared :class:`SparseMatrix` container (dict-of-columns per
 row, zero entries never stored) plus rank and inversion routines.  The
-symbolic rank uses one-step fraction-free (Bareiss) elimination on
-denominator-cleared rows, which keeps every intermediate value a
-polynomial and every division exact; the sampled-q rank works over plain
-:class:`fractions.Fraction` entries.
+rank over Q(q) is decided by an echelon certificate first: nonzero rows
+whose leading (lowest) columns are pairwise distinct are linearly
+independent over any field, so their count is the rank.  When leading
+columns collide it falls back to one-step fraction-free (Bareiss)
+elimination on denominator-cleared rows, which keeps every intermediate
+value a polynomial and every division exact.  :func:`rank_numeric` is the
+same field elimination over plain :class:`fractions.Fraction` entries.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from .scalar import ONE, Poly, RationalFunction, ZERO
@@ -23,6 +27,21 @@ def _as_scalar(value) -> RationalFunction:
     if isinstance(value, Fraction):
         return RationalFunction.from_fraction(value)
     raise TypeError(f"cannot scale by {type(value).__name__}")
+
+
+_DEFAULT_MAX_DIM = 4096  # Fock dimension 2^12
+
+
+def max_dim() -> int:
+    """Largest matrix dimension that is built or read (QCLIFFORD_MAX_DIM)."""
+    return int(os.environ.get("QCLIFFORD_MAX_DIM", _DEFAULT_MAX_DIM))
+
+
+def dim_guard_error(what: str) -> ValueError:
+    """The error for a size that fails the :func:`max_dim` guard."""
+    limit = max_dim()
+    return ValueError(f"{what} outside the supported range "
+                      f"(dimension guard {limit}, override with QCLIFFORD_MAX_DIM)")
 
 
 def read_entry(entry, dim: int) -> tuple[int, int, str]:
@@ -210,12 +229,21 @@ def rank(rows, ncols: int | None = None) -> int:
     """Exact rank of a collection of sparse rows over Q(q).
 
     ``rows`` is an iterable of dicts mapping column index to
-    RationalFunction.  Uses fraction-free elimination: rows are cleared to
+    RationalFunction.  If the leading columns of the nonzero rows are
+    pairwise distinct, the rows are independent (sorted by leading column
+    they form an echelon matrix) and their count is returned at once.
+    Otherwise fraction-free elimination runs: rows are cleared to
     polynomial entries, then Bareiss updates keep all intermediates in
     Z[q] with exact divisions only.
     """
-    active = [_clear_denominators(dict(r)) for r in rows]
-    active = [r for r in active if r]
+    nonzero = []
+    for r in rows:
+        row = {c: v for c, v in r.items() if not v.is_zero}
+        if row:
+            nonzero.append(row)
+    if len({min(row) for row in nonzero}) == len(nonzero):
+        return len(nonzero)
+    active = [_clear_denominators(r) for r in nonzero]
     rank_count = 0
     prev_pivot = Poly.const(1)
     while active:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import SparseMatrix, _as_scalar, rank as exact_rank, read_entry
+from .linalg import (SparseMatrix, _as_scalar, dim_guard_error, max_dim,
+                     rank as exact_rank, read_entry)
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, ZERO, parse_rational, q_power
 
@@ -151,6 +152,8 @@ class RMatrix:
     def from_json(cls, doc: dict) -> "RMatrix":
         n = int(doc["n"])
         dim = int(doc.get("dim", n * n))
+        if not 1 <= dim <= max_dim():
+            raise dim_guard_error(f"dim = {dim}")
         entries = [[ZERO] * dim for _ in range(dim)]
         for entry in doc["entries"]:
             r, c, text = read_entry(entry, dim)

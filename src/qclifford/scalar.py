@@ -509,6 +509,10 @@ def gamma_ratio(m: int) -> RationalFunction:
 # text form
 # ---------------------------------------------------------------------------
 
+#: widest exponent range (highest minus lowest power, 0 included) that one
+#: side of a text fraction may span; the dense coefficient tuple grows with it
+_MAX_EXPONENT_SPAN = 10_000
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(q)|(\^)|(\*)|(\+)|(-)|(/)|(\()|(\)))")
 
 
@@ -610,6 +614,8 @@ def _parse_laurent(tokens) -> RationalFunction:
         terms[exp] = terms.get(exp, 0) + sign * coeff
     low = min(terms) if terms else 0
     shift = -low if low < 0 else 0
+    if terms and max(max(terms), 0) + shift > _MAX_EXPONENT_SPAN:
+        raise ValueError(f"exponents span more than {_MAX_EXPONENT_SPAN} powers of q")
     coeffs = [0] * (max(terms) + shift + 1 if terms else 1)
     for e, c in terms.items():
         coeffs[e + shift] = c

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qclifford import deform
 from qclifford.cli import main
 from qclifford.deform import build_deforming_map, undeformed_set
@@ -32,6 +34,24 @@ class TestVerifyMap:
                                 "--q-numeric", "1.3")
         assert code == 0
         assert all(rel["numeric_max_abs"] == 0.0 for rel in doc["relations"])
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_pole_at_numeric_point_exits_two(self, capsys, n):
+        # q = 0 is a pole of the dressing q^-1 (N = 2) and of the relation
+        # coefficients P_q = q^-1 Rhat (every N)
+        code, out, err = run(capsys, "verify-map", "--n", n,
+                             "--q-numeric", "0")
+        assert code == 2 and out == ""
+        assert "denominator q vanishes at q = 0" in err
+
+    def test_numeric_residuals_recomputed_at_the_point(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(undeformed_set(2).to_json()))
+        code, doc, _ = run_json(capsys, "verify-map", "--input", str(path),
+                                "--q-numeric", "2")
+        assert code == 1
+        for rel in doc["relations"]:
+            assert (rel["numeric_max_abs"] == 0.0) == rel["exact_zero"]
 
     def test_user_generator_set_input(self, capsys, tmp_path):
         path = tmp_path / "gens.json"
@@ -77,6 +97,14 @@ class TestVerifyMap:
         assert out == ""
         assert "deforming map violates" in err
 
+    def test_huge_mode_count_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        op = {"n_modes": 10 ** 9, "entries": []}
+        path.write_text(json.dumps({"modes": 1, "creators": [op],
+                                    "annihilators": [op]}))
+        code, _, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and "n_modes = 1000000000" in err
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -112,6 +140,13 @@ class TestRMatrixCommand:
         assert doc["relations"][0]["exact_zero"] is False
         assert doc["projector"]["kind"] == "projector-sp"
 
+    def test_huge_braid_dimension_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps({"n": 2, "dim": 10 ** 9, "entries": []}))
+        code, _, err = run(capsys, "rmatrix", "--algebra", "sp",
+                           "--input", str(path))
+        assert code == 2 and "dim = 1000000000" in err
+
     def test_sp_requires_input(self, capsys):
         code, _, err = run(capsys, "rmatrix", "--algebra", "sp")
         assert code == 2 and "--input" in err
@@ -123,6 +158,17 @@ class TestPoincareCommand:
         assert code == 0
         assert doc["poincare"]["undeformed"] == {"rank": 16, "expected": 16}
         assert doc["poincare"]["deformed"] == {"rank": 16, "expected": 16}
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_exact_at_five_and_six_modes(self, capsys, n):
+        code, doc, _ = run_json(capsys, "poincare", "--n", str(n))
+        full = {"rank": 4 ** n, "expected": 4 ** n}
+        assert code == 0
+        assert doc["poincare"] == {"undeformed": full, "deformed": full}
+
+    def test_mode_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "poincare", "--n", "2", "--mode", "exact")
+        assert code == 2
 
 
 class TestCovarianceCommand:

@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford import fock
+from qclifford import deform, fock
 from qclifford.deform import (GeneratorSet, MapConstructionError,
                               build_deforming_map, build_inverse_map,
                               conjugate_realization, poincare_rank,
                               relation_residuals, star_compatibility,
                               undeformed_set)
 from qclifford.fock import build_generators, identity, q_exponent
+from qclifford.linalg import rank_numeric
 from qclifford.rmatrix import _rhat_sl_any, build_permutation, build_rhat_sl
 from qclifford.scalar import ONE, Q, q_power
 
@@ -148,7 +149,7 @@ class TestConjugation:
 
 
 class TestPoincare:
-    @pytest.mark.parametrize("n,expected", [(2, 16), (3, 64)])
+    @pytest.mark.parametrize("n,expected", [(2, 16), (3, 64), (4, 256)])
     def test_full_rank_both_sets(self, n, expected):
         for gens in (undeformed_set(n), build_deforming_map(n)):
             rank, want = poincare_rank(gens)
@@ -161,22 +162,38 @@ class TestPoincare:
         rank, expected = poincare_rank(crippled)
         assert (rank, expected) == (8, 16)
 
-    def test_numeric_mode_agrees(self, lastf2):
-        assert poincare_rank(lastf2, mode="numeric") == (16, 16)
+    def test_prefix_products_match_plain_words(self):
+        gens = build_deforming_map(3)
+        pairs = list(zip(gens.creators, gens.annihilators))
+        keys = fock.ordered_monomials(3)
+        rows = list(deform._monomial_rows(gens))
+        assert len(rows) == len(keys) == 64
+        for (cre, ann), row in zip(keys, rows):
+            op = fock.word_to_operator([*cre, *(-i for i in ann)], pairs)
+            assert row == {r * 8 + c: v for r, c, v in op.iter_entries()}
 
-    def test_numeric_mode_four_modes(self):
-        rank, expected = poincare_rank(build_deforming_map(4), mode="numeric")
-        assert (rank, expected) == (256, 256)
+    def test_colliding_leads_fall_back_to_elimination(self, lastf2):
+        # Adag_1 := Adag_2 makes monomials repeat, so leading columns collide
+        doubled = GeneratorSet(
+            2, (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators,
+            provenance="user")
+        rows = list(deform._monomial_rows(doubled))
+        leads = [min(row) for row in rows if row]
+        assert len(set(leads)) < len(leads)
+        sampled = max(
+            rank_numeric([{c: v.eval_at(pt) for c, v in row.items()}
+                          for row in rows])
+            for pt in (Fraction(5, 7), Fraction(9, 4), Fraction(13, 10)))
+        assert poincare_rank(doubled) == (sampled, 16)
+        assert sampled < 16
 
     def test_rank_invariant_under_conjugation(self, lastf2):
         conj = conjugate_realization(lastf2, q_exponent((1, 0)))
         assert poincare_rank(conj) == (16, 16)
 
-    def test_mode_guards(self, lastf2):
-        with pytest.raises(ValueError):
-            poincare_rank(build_deforming_map(4), mode="exact")
-        with pytest.raises(ValueError):
-            poincare_rank(lastf2, mode="bogus")
+    def test_mode_guards(self):
+        with pytest.raises(ValueError, match="at most 6 modes"):
+            poincare_rank(undeformed_set(7))
 
 
 class TestStarCompatibility:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -191,6 +192,18 @@ class TestSerialization:
         doc = {"n_modes": 2, "dim": 4, "entries": [[r, c, "q"]]}
         with pytest.raises(ValueError, match=rf"entry \[{r}, {c}, 'q'\]"):
             FockOperator.from_json(doc)
+
+    @pytest.mark.parametrize("n_modes", [0, -1, 13, 10 ** 9])
+    def test_mode_count_guarded_before_allocating(self, n_modes):
+        doc = {"n_modes": n_modes, "entries": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension guard"):
+                FockOperator.from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_subst_gives_constant_entries(self):
         op = q_exponent((0, -1)).subst(Fraction(2))

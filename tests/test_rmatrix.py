@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,18 @@ class TestSerialization:
         m = RMatrix.from_json(doc)
         assert m.kind == "user-supplied"
         assert m.block(1, 1, 1, 1) == Q
+
+    @pytest.mark.parametrize("doc", [{"n": 2, "dim": 0}, {"n": 2, "dim": 4097},
+                                     {"n": 2, "dim": 10 ** 9}, {"n": 10 ** 6}])
+    def test_dimension_guarded_before_allocating(self, doc):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension guard"):
+                RMatrix.from_json({**doc, "entries": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("r, c", [(0, -1), (-1, 0), (4, 0), (0, 4)])
     def test_out_of_range_index_rejected(self, r, c):

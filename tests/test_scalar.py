@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -156,6 +157,19 @@ class TestTextForm:
         for bad in ("", "q +", "q q", "(q", "1//2", "q^^2"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+    def test_exponent_span_bounded_before_allocating(self):
+        assert rf("q^10000") == q_power(10000)
+        tracemalloc.start()
+        try:
+            for bad in ("q^10001", "q^-5001 + q^5000", "q^1000000000",
+                        "(1)/(q^-1000000000)"):
+                with pytest.raises(ValueError, match="span more than 10000"):
+                    parse_rational(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_parse_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
