@@ -162,6 +162,13 @@ class TestPoincare:
         rank, expected = poincare_rank(crippled)
         assert (rank, expected) == (8, 16)
 
+    def test_numeric_mode_agrees(self, lastf2):
+        # the rank at a sampled q agrees with the exact echelon certificate
+        rows = list(deform._monomial_rows(lastf2))
+        sampled = rank_numeric([{c: v.eval_at(Fraction(5, 7))
+                                 for c, v in row.items()} for row in rows])
+        assert poincare_rank(lastf2) == (sampled, 16) == (16, 16)
+
     def test_prefix_products_match_plain_words(self):
         gens = build_deforming_map(3)
         pairs = list(zip(gens.creators, gens.annihilators))
