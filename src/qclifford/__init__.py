@@ -9,11 +9,10 @@ invariant identities) by structural zero tests over the exact field Q(q).
 
 __version__ = "0.1.0"
 
-from .scalar import (ONE, PoleError, Poly, Q, QInteger, RationalFunction,
-                     ZERO, eval_at, gamma_ratio, parse_rational, q_number,
-                     q_power)
+from .scalar import (ONE, PoleError, Poly, Q, RationalFunction, ZERO,
+                     gamma_ratio, parse_rational, q_number, q_power)
 from .fock import (FockOperator, NormalPolynomial, build_generators, identity,
-                   normal_form, number_op, q_exponent, star)
+                   normal_form, number_op, q_exponent)
 from .rmatrix import (RMatrix, build_permutation, build_rhat_sl, check_braid,
                       check_hecke, projector_sl, projector_sp)
 from .deform import (GeneratorSet, MapConstructionError, build_deforming_map,

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import fock
-from .deform import GeneratorSet, build_deforming_map, undeformed_set
-from .linalg import invert_dense
+from .deform import (GeneratorSet, build_deforming_map, relation_report,
+                     undeformed_set)
+from .linalg import invert_sparse
 from .report import RelationReport, summarize
 from .rmatrix import RMatrix, _rhat_sl_any, build_permutation
 from .scalar import ONE, Q, RationalFunction
@@ -71,11 +72,6 @@ class ChainSpec:
         return (alpha - 1) * self.n_modes + i
 
 
-def _inverse_rmatrix(rhat: RMatrix) -> RMatrix:
-    inv = invert_dense([list(row) for row in rhat.entries])
-    return RMatrix(rhat.n, inv, kind=f"{rhat.kind}-inverse", dim=rhat.dim)
-
-
 def chain_residuals(spec: ChainSpec, gens: GeneratorSet,
                     q_scalar: RationalFunction = Q) -> list[RelationReport]:
     """One report per (alpha, beta, i, j) with alpha <= beta per family."""
@@ -87,66 +83,52 @@ def chain_residuals(spec: ChainSpec, gens: GeneratorSet,
     ann = {(a, i): gens.annihilators[spec.flat(a, i) - 1]
            for a in range(1, m + 1) for i in range(1, n + 1)}
     rn = spec.rhat_n
-    rm_inv = None
-    if spec.variant == "RM-braided-mixed":
-        rm_inv = _inverse_rmatrix(spec.rhat_m)
-    ident = fock.identity(gens.modes)
-    qinv = q_scalar ** -1
-    mode_range = range(1, n + 1)
+    q_rn = rn.scale(q_scalar)
+    zero, minus_one = fock.zero(gens.modes), -fock.identity(gens.modes)
+    mode_pairs = list(product(range(1, n + 1), repeat=2))
     copy_pairs = [(a, b) for a in range(1, m + 1) for b in range(a, m + 1)]
     reports = []
     for alpha, beta in copy_pairs:
-        for i, j in product(mode_range, repeat=2):
-            res = cre[alpha, i] * cre[beta, j]
-            for h, k in product(mode_range, repeat=2):
-                coeff = rn.block(h, k, i, j)
-                if not coeff.is_zero:
-                    res = res + (cre[beta, h] * cre[alpha, k]).scale(
-                        q_scalar * coeff)
-            reports.append(RelationReport(
-                family="chain-creator", indices=(alpha, beta, i, j),
-                relation=f"C[{alpha}{i}] C[{beta}{j}] "
-                         f"+ q Rn[(hk),({i}{j})] C[{beta}h] C[{alpha}k] = 0",
-                residual=res, exact_zero=res.is_zero))
+        for i, j in mode_pairs:
+            reports.append(relation_report(
+                "chain-creator", (alpha, beta, i, j),
+                f"C[{alpha}{i}] C[{beta}{j}] "
+                f"+ q Rn[(hk),({i}{j})] C[{beta}h] C[{alpha}k] = 0", zero,
+                [(ONE, cre[alpha, i], cre[beta, j])]
+                + [(q_rn.block(h, k, i, j), cre[beta, h], cre[alpha, k])
+                   for h, k in mode_pairs]))
     for alpha, beta in copy_pairs:
-        for i, j in product(mode_range, repeat=2):
-            res = ann[alpha, j] * ann[beta, i]
-            for h, k in product(mode_range, repeat=2):
-                coeff = rn.block(i, j, h, k)
-                if not coeff.is_zero:
-                    res = res + (ann[beta, k] * ann[alpha, h]).scale(
-                        q_scalar * coeff)
-            reports.append(RelationReport(
-                family="chain-annihilator", indices=(alpha, beta, i, j),
-                relation=f"A[{alpha}{j}] A[{beta}{i}] "
-                         f"+ q Rn[({i}{j}),(hk)] A[{beta}k] A[{alpha}h] = 0",
-                residual=res, exact_zero=res.is_zero))
+        for i, j in mode_pairs:
+            reports.append(relation_report(
+                "chain-annihilator", (alpha, beta, i, j),
+                f"A[{alpha}{j}] A[{beta}{i}] "
+                f"+ q Rn[({i}{j}),(hk)] A[{beta}k] A[{alpha}h] = 0", zero,
+                [(ONE, ann[alpha, j], ann[beta, i])]
+                + [(q_rn.block(i, j, h, k), ann[beta, k], ann[alpha, h])
+                   for h, k in mode_pairs]))
+    if spec.variant == "diagonal-mixed":
+        qinv_rn = rn.scale(q_scalar ** -1)
+
+        def mixed_terms(alpha, beta, i, j):
+            return [(qinv_rn.block(i, h, j, k), cre[beta, h], ann[alpha, k])
+                    for h, k in mode_pairs]
+    else:
+        rm_inv = invert_sparse(spec.rhat_m)
+
+        def mixed_terms(alpha, beta, i, j):
+            return [(rm_inv.block(alpha, gamma, beta, delta)
+                     * rn.block(i, h, j, k), cre[gamma, h], ann[delta, k])
+                    for gamma, delta in product(range(1, m + 1), repeat=2)
+                    for h, k in mode_pairs]
     for alpha, beta in copy_pairs:
-        for i, j in product(mode_range, repeat=2):
-            res = ann[alpha, i] * cre[beta, j]
-            if spec.variant == "diagonal-mixed":
-                for h, k in product(mode_range, repeat=2):
-                    coeff = rn.block(i, h, j, k)
-                    if not coeff.is_zero:
-                        res = res + (cre[beta, h] * ann[alpha, k]).scale(
-                            qinv * coeff)
-            else:
-                for gamma, delta in product(range(1, m + 1), repeat=2):
-                    copy_coeff = rm_inv.block(alpha, gamma, beta, delta)
-                    if copy_coeff.is_zero:
-                        continue
-                    for h, k in product(mode_range, repeat=2):
-                        coeff = rn.block(i, h, j, k)
-                        if not coeff.is_zero:
-                            res = res + (cre[gamma, h] * ann[delta, k]).scale(
-                                copy_coeff * coeff)
-            if i == j and alpha == beta:
-                res = res - ident
-            reports.append(RelationReport(
-                family="chain-mixed", indices=(alpha, beta, i, j),
-                relation=f"A[{alpha}{i}] C[{beta}{j}] + braided reorder "
-                         f"= delta_{i}{j} delta_{alpha}{beta}",
-                residual=res, exact_zero=res.is_zero))
+        for i, j in mode_pairs:
+            reports.append(relation_report(
+                "chain-mixed", (alpha, beta, i, j),
+                f"A[{alpha}{i}] C[{beta}{j}] + braided reorder "
+                f"= delta_{i}{j} delta_{alpha}{beta}",
+                minus_one if i == j and alpha == beta else zero,
+                [(ONE, ann[alpha, i], cre[beta, j])]
+                + mixed_terms(alpha, beta, i, j)))
     return reports
 
 

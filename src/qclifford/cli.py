@@ -10,7 +10,9 @@ symmetrizer) always exit 0 with findings.
 All checks are symbolic; ``--q-numeric`` adds an exact substitution at a
 rational point (decimals like 1.3 are read exactly) on top.  ``verify-map``
 substitutes the point into the generators first and recomputes every
-relation from them, so a pole at the point exits 2.
+relation from them, so a pole at the point exits 2; ``covariance`` and
+``invariants`` substitute it into the generators too, so a pole of theirs
+exits 2 as well.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def _q_point(args) -> Fraction | None:
     return Fraction(args.q_numeric)
 
 
+def _check_pole(gens: deform.GeneratorSet, point: Fraction | None) -> None:
+    """Substitute the point into the generators, so that a pole of theirs
+    raises :class:`PoleError` before any numeric value is reported."""
+    if point is not None:
+        gens.subst(point)
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -115,6 +124,8 @@ def cmd_rmatrix(args) -> int:
 
 
 def cmd_verify_map(args) -> int:
+    if args.input is None and args.n is None:
+        args.n = 2
     doc = _document(args, "verify-map")
     point = _q_point(args)
     if args.input is not None:
@@ -151,11 +162,12 @@ def cmd_covariance(args) -> int:
     if args.n != 2:
         raise ValueError("covariance checking is built for --n 2")
     doc = _document(args, "covariance")
+    point = _q_point(args)
     data = hopf.deformed_js()
     gens = deform.build_deforming_map(2)
+    _check_pole(gens, point)
     reports = hopf.check_covariance(gens, data)
     reports += hopf.check_module_algebra(data, gens)
-    point = _q_point(args)
     if point is not None:
         for rep in reports:
             rep.numeric_max_abs = rep.residual.max_abs(point)
@@ -176,6 +188,7 @@ def cmd_invariants(args) -> int:
     data = hopf.deformed_js()
     plain = deform.undeformed_set(2)
     dressed = deform.build_deforming_map(2)
+    _check_pole(dressed, point)
     i1 = hopf.invariant_number(plain, "I1")
     i1q = hopf.invariant_number(dressed, "I1_q")
     reports = []
@@ -252,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rmatrix)
 
     p = sub.add_parser("verify-map", help="check the deforming map relations")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=None,
+                   help="mode count of the built-in map (default 2)")
     p.add_argument("--input", default=None,
                    help="JSON file with a user-supplied generator set")
     common(p)

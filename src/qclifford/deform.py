@@ -15,6 +15,9 @@ anticommutation relations.  For two modes the mixed relation with i = j
 
 with the exponent -2 coming out of the exact contraction of q^-1 Rhat;
 the tests pin this coefficient and reject the q^-1 - 1 alternative.
+Each relation, here and in the chain families, is one residual
+start + sum coeff X Y built by :func:`relation_report` from a table of
+coefficients.
 
 The deforming map dresses each undeformed generator with a diagonal
 q-exponent over the later modes,
@@ -114,6 +117,24 @@ class MapConstructionError(ValueError):
 # relation residuals
 # ---------------------------------------------------------------------------
 
+def relation_report(family: str, indices: tuple, relation: str, start,
+                    terms) -> RelationReport:
+    """The report on the residual start + sum coeff X Y over (coeff, X, Y).
+
+    ``start`` is the zero operator, or minus the identity for a relation
+    with a delta term.  Zero coefficients are skipped, and a product
+    with a unit coefficient is added unscaled.
+    """
+    res = start
+    for coeff, x, y in terms:
+        if coeff.is_zero:
+            continue
+        prod = x * y
+        res = res + (prod if coeff.is_one else prod.scale(coeff))
+    return RelationReport(family=family, indices=indices, relation=relation,
+                          residual=res, exact_zero=res.is_zero)
+
+
 def relation_residuals(gens: GeneratorSet, rhat: RMatrix,
                        q_scalar: RationalFunction = Q) -> list[RelationReport]:
     """One report per index pair for each of the three relation families."""
@@ -123,41 +144,29 @@ def relation_residuals(gens: GeneratorSet, rhat: RMatrix,
     pplus = projector_sl(rhat, q_scalar)
     pq = rhat.scale(q_scalar ** -1)
     cre, ann = gens.creators, gens.annihilators
-    ident = fock.identity(n)
+    zero, minus_one = fock.zero(n), -fock.identity(n)
+    pairs = list(product(range(1, n + 1), repeat=2))
     reports = []
-    for i, j in product(range(1, n + 1), repeat=2):
-        res = fock.zero(n)
-        for h, k in product(range(1, n + 1), repeat=2):
-            coeff = pplus.block(h, k, i, j)
-            if not coeff.is_zero:
-                res = res + (cre[h - 1] * cre[k - 1]).scale(coeff)
-        reports.append(RelationReport(
-            family="creator-creator", indices=(i, j),
-            relation=f"sum_hk P+_q[(hk),({i}{j})] Adag_h Adag_k = 0",
-            residual=res, exact_zero=res.is_zero))
-    for i, j in product(range(1, n + 1), repeat=2):
-        res = fock.zero(n)
-        for h, k in product(range(1, n + 1), repeat=2):
-            coeff = pplus.block(i, j, h, k)
-            if not coeff.is_zero:
-                res = res + (ann[k - 1] * ann[h - 1]).scale(coeff)
-        reports.append(RelationReport(
-            family="annihilator-annihilator", indices=(i, j),
-            relation=f"sum_hk P+_q[({i}{j}),(hk)] A^k A^h = 0",
-            residual=res, exact_zero=res.is_zero))
-    for i, j in product(range(1, n + 1), repeat=2):
-        res = ann[i - 1] * cre[j - 1]
-        for h, k in product(range(1, n + 1), repeat=2):
-            coeff = pq.block(i, h, j, k)
-            if not coeff.is_zero:
-                res = res + (cre[h - 1] * ann[k - 1]).scale(coeff)
-        if i == j:
-            res = res - ident
-        reports.append(RelationReport(
-            family="mixed", indices=(i, j),
-            relation=f"A^{i} Adag_{j} + sum_hk P_q[({i}h),({j}k)] Adag_h A^k "
-                     f"= delta_{i}{j}",
-            residual=res, exact_zero=res.is_zero))
+    for i, j in pairs:
+        reports.append(relation_report(
+            "creator-creator", (i, j),
+            f"sum_hk P+_q[(hk),({i}{j})] Adag_h Adag_k = 0", zero,
+            [(pplus.block(h, k, i, j), cre[h - 1], cre[k - 1])
+             for h, k in pairs]))
+    for i, j in pairs:
+        reports.append(relation_report(
+            "annihilator-annihilator", (i, j),
+            f"sum_hk P+_q[({i}{j}),(hk)] A^k A^h = 0", zero,
+            [(pplus.block(i, j, h, k), ann[k - 1], ann[h - 1])
+             for h, k in pairs]))
+    for i, j in pairs:
+        reports.append(relation_report(
+            "mixed", (i, j),
+            f"A^{i} Adag_{j} + sum_hk P_q[({i}h),({j}k)] Adag_h A^k "
+            f"= delta_{i}{j}", minus_one if i == j else zero,
+            [(ONE, ann[i - 1], cre[j - 1])]
+            + [(pq.block(i, h, j, k), cre[h - 1], ann[k - 1])
+               for h, k in pairs]))
     return reports
 
 

@@ -18,11 +18,10 @@ rewriter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .linalg import SparseMatrix, dim_guard_error, max_dim, read_entry
-from .scalar import ONE, ZERO, parse_rational, q_power
+from .linalg import SparseMatrix, dim_guard_error, max_dim, read_rows
+from .scalar import ONE, ZERO, q_power
 
 
 def _fock_dim(n_modes: int) -> int:
@@ -69,13 +68,7 @@ class FockOperator(SparseMatrix):
         dim = _fock_dim(n)
         if int(doc.get("dim", dim)) != dim:
             raise ValueError("dim field does not match n_modes")
-        rows = [dict() for _ in range(dim)]
-        for entry in doc["entries"]:
-            r, c, text = read_entry(entry, dim)
-            v = parse_rational(text)
-            if not v.is_zero:
-                rows[r][c] = v
-        return cls(n, rows)
+        return cls(n, read_rows(doc["entries"], dim))
 
 
 def identity(n_modes: int) -> FockOperator:
@@ -140,10 +133,6 @@ def q_exponent(weights) -> FockOperator:
                    if _mode_bit(n_modes, state, i))
         rows.append({state: q_power(expo)})
     return FockOperator(n_modes, rows)
-
-
-def star(op: FockOperator) -> FockOperator:
-    return op.star()
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +257,3 @@ def ordered_monomials(n_modes: int):
     for mask in range(1 << n_modes):
         subsets.append(tuple(m for k, m in enumerate(modes) if mask >> k & 1))
     return [(cre, ann) for cre in subsets for ann in subsets]
-
-
-def dump_operator(op: FockOperator) -> str:
-    return json.dumps(op.to_json())
-
-
-def load_operator(text: str) -> FockOperator:
-    return FockOperator.from_json(json.loads(text))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .scalar import ONE, Poly, RationalFunction, ZERO
+from .scalar import ONE, Poly, RationalFunction, ZERO, parse_rational
 
 
 def _as_scalar(value) -> RationalFunction:
@@ -44,15 +44,25 @@ def dim_guard_error(what: str) -> ValueError:
                       f"(dimension guard {limit}, override with QCLIFFORD_MAX_DIM)")
 
 
-def read_entry(entry, dim: int) -> tuple[int, int, str]:
-    """(row, column, text) of one ``[r, c, text]`` JSON matrix entry,
-    rejecting an index outside the dim x dim matrix."""
-    r, c, text = entry
-    r, c = int(r), int(c)
-    if not (0 <= r < dim and 0 <= c < dim):
-        raise ValueError(f"entry {[r, c, text]} lies outside the "
-                         f"{dim} x {dim} matrix")
-    return r, c, text
+def read_rows(entries, dim: int) -> list[dict]:
+    """Sparse rows of a dim x dim matrix from ``[r, c, text]`` JSON entries.
+
+    An index outside the matrix is rejected; a later entry for the same
+    position replaces an earlier one, and a zero value is not stored.
+    """
+    rows: list[dict] = [{} for _ in range(dim)]
+    for entry in entries:
+        r, c, text = entry
+        r, c = int(r), int(c)
+        if not (0 <= r < dim and 0 <= c < dim):
+            raise ValueError(f"entry {[r, c, text]} lies outside the "
+                             f"{dim} x {dim} matrix")
+        value = parse_rational(text)
+        if value.is_zero:
+            rows[r].pop(c, None)
+        else:
+            rows[r][c] = value
+    return rows
 
 
 class SparseMatrix:
@@ -171,18 +181,6 @@ class SparseMatrix:
                      tuple(tuple(sorted(row.items())) for row in self.rows)))
 
     # -- evaluation -----------------------------------------------------------
-    def eval_entries(self, point):
-        """Substitute a numeric q into every entry; exact on rationals."""
-        rows = []
-        for row in self.rows:
-            out = {}
-            for c, v in row.items():
-                val = v.eval_at(point)
-                if val != 0:
-                    out[c] = val
-            rows.append(out)
-        return rows
-
     def subst(self, point: Fraction) -> "SparseMatrix":
         """Exact substitution q := point, returned over constant scalars."""
         rows = []

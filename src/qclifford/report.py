@@ -42,10 +42,11 @@ CONVENTIONS = {
 class RelationReport:
     """Outcome of one relation check.
 
-    ``residual`` is the full residual matrix (a FockOperator, RMatrix or
-    SparseMatrix); ``exact_zero`` holds iff every entry is the canonical
-    zero.  ``numeric_max_abs`` is filled only when a numeric spot check
-    at some q was requested.
+    ``residual`` is the full residual matrix: a FockOperator, an RMatrix
+    (a SparseMatrix with block indices) or a plain SparseMatrix.
+    ``exact_zero`` holds iff every entry is the canonical zero.
+    ``numeric_max_abs`` is filled only when a numeric spot check at some
+    q was requested.
     """
 
     family: str

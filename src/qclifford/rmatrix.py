@@ -1,9 +1,10 @@
 """Braid matrices, the permutation matrix, and q-symmetrizers.
 
 The sl(N) braid matrix acts on the N^2-dimensional tensor square of the
-defining representation and is stored densely.  The index pair (i, j),
-1-based, flattens to (i-1)*N + j (row-major); an entry written with
-upper indices (ij) and lower indices (hk) sits at row (ij), column (hk).
+defining representation and is a :class:`SparseMatrix` with block
+indices.  The index pair (i, j), 1-based, flattens to (i-1)*N + j
+(row-major); an entry written with upper indices (ij) and lower indices
+(hk) sits at row (ij), column (hk).
 
 Validity is never assumed: the Hecke identity
 (Rhat - q)(Rhat + q^-1) = 0 and the braid identity on the cube of the
@@ -18,127 +19,40 @@ the symmetric projector (1 + P)/2 at q = 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .linalg import (SparseMatrix, _as_scalar, dim_guard_error, max_dim,
-                     rank as exact_rank, read_entry)
+from .linalg import SparseMatrix, dim_guard_error, max_dim, read_rows
 from .report import RelationReport
-from .scalar import ONE, Q, RationalFunction, ZERO, parse_rational, q_power
+from .scalar import ONE, Q, RationalFunction, q_power
 
 
-class RMatrix:
-    """Dense dim x dim matrix over Q(q) with a block dimension tag.
+class RMatrix(SparseMatrix):
+    """Sparse dim x dim matrix over Q(q) with a block dimension tag.
 
     For the catalogued kinds dim = n^2 (tensor square of an n-dimensional
-    space); residual matrices produced by the braid check live on the
-    cube and carry dim = n^3.
+    space), and :meth:`block` reads an entry by its two index pairs.
     """
 
-    __slots__ = ("n", "dim", "kind", "entries")
+    __slots__ = ("n", "kind")
 
-    def __init__(self, n: int, entries, kind: str = "user-supplied", dim=None):
+    # the shared sparse product, bound on this class so that products of
+    # braid-type matrices can be timed apart from Fock-space ones
+    __mul__ = SparseMatrix.__mul__
+
+    def __init__(self, n: int, rows=None, kind: str = "user-supplied", dim=None):
+        super().__init__(n * n if dim is None else dim, rows)
         self.n = n
-        self.dim = n * n if dim is None else dim
         self.kind = kind
-        entries = tuple(tuple(row) for row in entries)
-        if len(entries) != self.dim or any(len(r) != self.dim for r in entries):
-            raise ValueError(f"entries must form a {self.dim} x {self.dim} matrix")
-        self.entries = entries
 
-    # -- index helpers -------------------------------------------------------
-    def flat(self, i: int, j: int) -> int:
-        return (i - 1) * self.n + (j - 1)
+    def _clone(self, rows):
+        return RMatrix(self.n, rows, self.kind, dim=self.dim)
 
     def block(self, i: int, j: int, h: int, k: int) -> RationalFunction:
         """Entry with upper (row) pair (i, j) and lower (column) pair (h, k)."""
-        return self.entries[self.flat(i, j)][self.flat(h, k)]
-
-    # -- arithmetic -----------------------------------------------------------
-    def _wrap(self, entries, kind=None):
-        return RMatrix(self.n, entries, kind or self.kind, dim=self.dim)
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return self._wrap([[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return self._wrap([[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)])
-
-    def __mul__(self, other):
-        if not isinstance(other, RMatrix):
-            return NotImplemented
-        self._check(other)
-        dim = self.dim
-        out = [[ZERO] * dim for _ in range(dim)]
-        for r in range(dim):
-            row = self.entries[r]
-            for k in range(dim):
-                v = row[k]
-                if v.is_zero:
-                    continue
-                orow = other.entries[k]
-                for c in range(dim):
-                    if not orow[c].is_zero:
-                        out[r][c] = out[r][c] + v * orow[c]
-        return self._wrap(out)
-
-    def scale(self, factor) -> "RMatrix":
-        factor = _as_scalar(factor)
-        return self._wrap([[v * factor for v in row] for row in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, RMatrix):
-            return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.dim, self.entries))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(v.is_zero for row in self.entries for v in row)
-
-    def iter_entries(self):
-        for r, row in enumerate(self.entries):
-            for c, v in enumerate(row):
-                if not v.is_zero:
-                    yield r, c, v
-
-    def first_nonzero(self):
-        for item in self.iter_entries():
-            return item
-        return None
+        n = self.n
+        return self.get((i - 1) * n + (j - 1), (h - 1) * n + (k - 1))
 
     def identity_like(self) -> "RMatrix":
-        return self._wrap([[ONE if r == c else ZERO for c in range(self.dim)]
-                           for r in range(self.dim)], kind="identity")
-
-    def subst(self, point: Fraction) -> "RMatrix":
-        """Exact substitution q := point."""
-        point = Fraction(point)
-        return self._wrap(
-            [[RationalFunction.from_fraction(v.eval_at(point)) for v in row]
-             for row in self.entries])
-
-    def max_abs(self, point) -> float:
-        worst = 0.0
-        for row in self.entries:
-            for v in row:
-                if not v.is_zero:
-                    worst = max(worst, abs(complex(v.eval_at(point))))
-        return worst
-
-    def rank(self) -> int:
-        rows = [{c: v for c, v in enumerate(row) if not v.is_zero}
-                for row in self.entries]
-        return exact_rank(rows)
+        return RMatrix(self.n, [{r: ONE} for r in range(self.dim)],
+                       kind="identity", dim=self.dim)
 
     def to_json(self) -> dict:
         return {
@@ -154,11 +68,8 @@ class RMatrix:
         dim = int(doc.get("dim", n * n))
         if not 1 <= dim <= max_dim():
             raise dim_guard_error(f"dim = {dim}")
-        entries = [[ZERO] * dim for _ in range(dim)]
-        for entry in doc["entries"]:
-            r, c, text = read_entry(entry, dim)
-            entries[r][c] = parse_rational(text)
-        return cls(n, entries, str(doc.get("kind", "user-supplied")), dim=dim)
+        return cls(n, read_rows(doc["entries"], dim),
+                   str(doc.get("kind", "user-supplied")), dim=dim)
 
     def __repr__(self):
         return f"<RMatrix n={self.n} dim={self.dim} kind={self.kind}>"
@@ -168,49 +79,34 @@ class RMatrix:
 # builders
 # ---------------------------------------------------------------------------
 
-def _rhat_sl_entries(n: int):
-    dim = n * n
-    entries = [[ZERO] * dim for _ in range(dim)]
-    omega = Q - q_power(-1)
-
-    def flat(i, j):
-        return (i - 1) * n + (j - 1)
-
-    for i in range(1, n + 1):
-        entries[flat(i, i)][flat(i, i)] = Q
-        for j in range(1, n + 1):
-            if i != j:
-                entries[flat(i, j)][flat(j, i)] = ONE
-            if i < j:
-                entries[flat(i, j)][flat(i, j)] = omega
-    return entries
-
-
 def build_rhat_sl(n: int) -> RMatrix:
     """The sl(N) braid matrix: q on (ii, ii), 1 on (ij, ji) for i != j,
     and q - q^-1 on (ij, ij) for i < j."""
     if n < 2:
         raise ValueError("build_rhat_sl expects n >= 2")
-    return RMatrix(n, _rhat_sl_entries(n), kind="braid-sl")
+    return _rhat_sl_any(n)
 
 
 def _rhat_sl_any(n: int) -> RMatrix:
     """Internal variant allowing n = 1 (a single q on the 1 x 1 square)."""
-    if n == 1:
-        return RMatrix(1, [[Q]], kind="braid-sl")
-    return build_rhat_sl(n)
+    if n < 1:
+        raise ValueError("the sl braid matrix expects n >= 1")
+    omega = Q - q_power(-1)
+    rows: list[dict] = [{} for _ in range(n * n)]
+    for i in range(n):
+        rows[i * n + i][i * n + i] = Q
+        for j in range(i + 1, n):
+            rows[i * n + j] = {i * n + j: omega, j * n + i: ONE}
+            rows[j * n + i] = {i * n + j: ONE}
+    return RMatrix(n, rows, kind="braid-sl")
 
 
 def build_permutation(n: int) -> RMatrix:
     """The permutation matrix P with P^{ij}_{hk} = delta^i_k delta^j_h."""
     if n < 1:
         raise ValueError("build_permutation expects n >= 1")
-    dim = n * n
-    entries = [[ZERO] * dim for _ in range(dim)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            entries[(i - 1) * n + (j - 1)][(j - 1) * n + (i - 1)] = ONE
-    return RMatrix(n, entries, kind="permutation")
+    return RMatrix(n, [{j * n + i: ONE} for i in range(n) for j in range(n)],
+                   kind="permutation")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +170,7 @@ def projector_sl(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RMatrix:
         raise ValueError("input is not an sl-type braid matrix")
     qinv = q_scalar ** -1
     p = (rhat + rhat.identity_like().scale(qinv)).scale((q_scalar + qinv) ** -1)
-    return RMatrix(rhat.n, p.entries, kind="projector-sl", dim=rhat.dim)
+    return RMatrix(rhat.n, p.rows, kind="projector-sl", dim=rhat.dim)
 
 
 def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
@@ -294,7 +190,7 @@ def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
              + rhat.scale(q_power(-1 - n) + q_power(-1))
              + ident.scale(q_power(-2 - n)))
     p = numer.scale(denom ** -1)
-    p = RMatrix(n, p.entries, kind="projector-sp", dim=rhat.dim)
+    p = RMatrix(n, p.rows, kind="projector-sp", dim=rhat.dim)
     residual = p * p - p
     idempotency = RelationReport(
         family="sp-idempotency",

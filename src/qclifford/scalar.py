@@ -21,7 +21,6 @@ grammar (plus negative exponents such as ``q^-2`` for convenience).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -455,26 +454,9 @@ def q_power(k: int) -> RationalFunction:
     return Q ** k
 
 
-def eval_at(f: RationalFunction, point):
-    """Function form of :meth:`RationalFunction.eval_at`."""
-    return f.eval_at(point)
-
-
 # ---------------------------------------------------------------------------
 # q-combinatorics
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QInteger:
-    """The basic deformed integer (m)_p = 1 + p + ... + p^(m-1)."""
-
-    m: int
-    base: RationalFunction
-
-    @property
-    def value(self) -> RationalFunction:
-        return q_number(self.m, self.base)
-
 
 def q_number(m: int, base: RationalFunction) -> RationalFunction:
     """(m)_base = sum of base^k for k < m; reduces to m at base = 1."""

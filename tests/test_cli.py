@@ -59,6 +59,14 @@ class TestVerifyMap:
         code, doc, _ = run_json(capsys, "verify-map", "--input", str(path))
         assert code == 0 and doc["summary"]["failed"] == 0
 
+    def test_input_command_echo_has_no_mode_count(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(build_deforming_map(2).to_json()))
+        _, doc, _ = run_json(capsys, "verify-map", "--input", str(path))
+        assert not any(item.startswith("n=") for item in doc["command"])
+        _, doc, _ = run_json(capsys, "verify-map")
+        assert "n=2" in doc["command"]
+
     def test_failing_input_exits_one(self, capsys, tmp_path):
         path = tmp_path / "gens.json"
         path.write_text(json.dumps(undeformed_set(2).to_json()))
@@ -191,6 +199,14 @@ class TestInvariantsCommand:
         assert code == 0
         assert doc["summary"]["failed"] == 0
         assert all(rel["numeric_max_abs"] < 1e-12 for rel in doc["relations"])
+
+
+@pytest.mark.parametrize("command", ["covariance", "invariants"])
+def test_pole_of_the_generators_exits_two(capsys, command):
+    # q = 0 is a pole of the dressing q^-1 of the deformed generators
+    code, out, err = run(capsys, command, "--n", "2", "--q-numeric", "0")
+    assert code == 2 and out == ""
+    assert "denominator q vanishes at q = 0" in err
 
 
 class TestChainCommand:

@@ -5,11 +5,10 @@ from itertools import product
 
 import pytest
 
-from qclifford import fock
 from qclifford.deform import poincare_rank, undeformed_set
 from qclifford.fock import (FockOperator, NormalPolynomial, build_generators,
                             identity, normal_form, number_op, q_exponent,
-                            star, word_to_operator)
+                            word_to_operator)
 from qclifford.scalar import ONE, Q, parse_rational, q_power
 
 
@@ -111,12 +110,12 @@ class TestQExponent:
 class TestStar:
     def test_star_swaps_creator_annihilator(self):
         for creator, annihilator in build_generators(2):
-            assert star(annihilator) == creator
+            assert annihilator.star() == creator
 
     def test_involution(self):
         gens = build_generators(2)
         x = gens[0][0] * gens[1][1] + gens[1][0].scale(Q)
-        assert star(star(x)) == x
+        assert x.star().star() == x
 
     def test_antihomomorphism_on_random_words(self):
         rng = random.Random(4242)
@@ -124,7 +123,7 @@ class TestStar:
         flat = [op for pair in gens for op in pair]
         for _ in range(15):
             x, y = rng.choice(flat), rng.choice(flat)
-            assert star(x * y) == star(y) * star(x)
+            assert (x * y).star() == y.star() * x.star()
 
 
 class TestNormalForm:
@@ -177,10 +176,6 @@ class TestSerialization:
         doc = op.to_json()
         assert doc["dim"] == 4
         assert FockOperator.from_json(doc) == op
-
-    def test_dump_load_text(self):
-        op = build_generators(2)[1][0].scale(Q - q_power(-1))
-        assert fock.load_operator(fock.dump_operator(op)) == op
 
     def test_dim_mismatch_rejected(self):
         doc = {"n_modes": 2, "dim": 5, "entries": []}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qclifford.linalg import rank
 from qclifford.rmatrix import (RMatrix, build_permutation, build_rhat_sl,
                                check_braid, check_hecke, projector_sl,
                                projector_sp)
@@ -19,7 +20,8 @@ class TestBraidMatrix:
             [ZERO, ONE, ZERO, ZERO],
             [ZERO, ZERO, ZERO, Q],
         ]
-        assert [list(row) for row in r.entries] == expected
+        assert [[r.get(row, col) for col in range(4)]
+                for row in range(4)] == expected
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_classical_limit_is_permutation(self, n):
@@ -36,7 +38,7 @@ class TestBraidMatrix:
     def test_entry_alphabet(self):
         allowed = {ZERO, ONE, Q, Q - q_power(-1)}
         for n in (2, 3, 4):
-            entries = {v for row in build_rhat_sl(n).entries for v in row}
+            entries = {v for _, _, v in build_rhat_sl(n).iter_entries()}
             assert entries <= allowed
 
     def test_minimum_size(self):
@@ -63,9 +65,10 @@ class TestPermutation:
         assert check_braid(ident).exact_zero
 
     def test_random_non_braid_matrix_fails(self):
-        entries = [[parse_rational(str((r * 7 + c * 3) % 5))
-                    for c in range(4)] for r in range(4)]
-        wild = RMatrix(2, entries, kind="user-supplied")
+        rows = [{c: parse_rational(str((r * 7 + c * 3) % 5))
+                 for c in range(4) if (r * 7 + c * 3) % 5}
+                for r in range(4)]
+        wild = RMatrix(2, rows, kind="user-supplied")
         assert not check_braid(wild).exact_zero
 
 
@@ -83,7 +86,7 @@ class TestSymmetrizer:
         assert projector_sl(build_rhat_sl(n)).subst(1) == classical
 
     def test_rank_of_q_symmetric_subspace(self):
-        assert projector_sl(build_rhat_sl(2)).rank() == 3
+        assert rank(projector_sl(build_rhat_sl(2)).rows) == 3
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_spectral_decomposition(self, n):
@@ -118,13 +121,11 @@ class TestSpSymmetrizer:
         # q-eigenspace by (q + q^-1-n)/(q - q^-1-n); recorded as a finding.
         n = 2
         eigs = [Q, -q_power(-1), -q_power(-1 - n), Q]
-        entries = [[eigs[r] if r == c else ZERO for c in range(4)]
-                   for r in range(4)]
-        p, finding = projector_sp(RMatrix(n, entries))
+        p, finding = projector_sp(RMatrix(n, [{r: e} for r, e in enumerate(eigs)]))
         assert not finding.exact_zero
-        assert p.entries[1][1].is_zero and p.entries[2][2].is_zero
+        assert p.get(1, 1).is_zero and p.get(2, 2).is_zero
         expected = (Q + q_power(-1 - n)) / (Q - q_power(-1 - n))
-        assert p.entries[0][0] == expected
+        assert p.get(0, 0) == expected
         # the scale factor is singular at q = 1, so no classical limit exists
         with pytest.raises(PoleError):
             p.subst(Fraction(1))
@@ -152,6 +153,25 @@ class TestSerialization:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_largest_empty_matrix_stays_small(self):
+        # dim 4096 passes the guard; the rows are sparse, so an empty
+        # entry list allocates no dim x dim table
+        tracemalloc.start()
+        try:
+            m = RMatrix.from_json({"n": 64, "dim": 4096, "entries": []})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.dim == 4096 and m.is_zero
+        assert peak < 1 << 20
+
+    def test_explicit_zero_entry_not_stored(self):
+        doc = {"n": 2, "entries": [[0, 0, "q"], [1, 2, "0"], [3, 3, "q - q"]]}
+        m = RMatrix.from_json(doc)
+        assert m == RMatrix.from_json({"n": 2, "entries": [[0, 0, "q"]]})
+        assert m.nnz() == 1
+        assert m.to_json()["entries"] == [[0, 0, "q"]]
 
     @pytest.mark.parametrize("r, c", [(0, -1), (-1, 0), (4, 0), (0, 4)])
     def test_out_of_range_index_rejected(self, r, c):

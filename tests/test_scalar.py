@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.scalar import (ONE, PoleError, Poly, Q, QInteger,
-                              RationalFunction, ZERO, eval_at, gamma_ratio,
-                              parse_rational, q_number, q_power)
+from qclifford.scalar import (ONE, PoleError, Poly, Q, RationalFunction, ZERO,
+                              gamma_ratio, parse_rational, q_number, q_power)
 
 
 def rf(text):
@@ -84,9 +83,8 @@ class TestQCombinatorics:
         with pytest.raises(ValueError):
             q_number(-1, Q)
 
-    def test_qinteger_wrapper(self):
-        assert QInteger(3, Q * Q).value == rf("q^4 + q^2 + 1")
-        assert QInteger(4, ONE).value == rf("4")
+    def test_q_number_at_base_one_is_the_integer(self):
+        assert q_number(4, ONE) == rf("4")
 
     def test_gamma_ratio_small_values(self):
         assert gamma_ratio(0) == ONE
@@ -119,7 +117,7 @@ class TestEvaluation:
             f.eval_at(1j)
 
     def test_gamma_ratio_classical_spot(self):
-        assert eval_at(gamma_ratio(2), 1) == 1
+        assert gamma_ratio(2).eval_at(1) == 1
 
     def test_eval_commutes_with_field_ops(self):
         rng = random.Random(777)
