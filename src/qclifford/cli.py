@@ -130,6 +130,9 @@ def cmd_verify_map(args) -> int:
     point = _q_point(args)
     if args.input is not None:
         gens = deform.GeneratorSet.from_json(_load_json(args.input))
+        if args.n is not None and args.n != gens.modes:
+            raise ValueError(f"--n {args.n} does not match the {gens.modes} "
+                             f"modes of {args.input}")
         reports = deform.relation_residuals(gens, _rhat_sl_any(gens.modes))
     else:
         gens = deform.build_deforming_map(args.n, check=False)
@@ -266,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-map", help="check the deforming map relations")
     p.add_argument("--n", type=int, default=None,
-                   help="mode count of the built-in map (default 2)")
+                   help="mode count of the built-in map (default 2); with "
+                        "--input it must match the file's modes")
     p.add_argument("--input", default=None,
                    help="JSON file with a user-supplied generator set")
     common(p)

@@ -43,7 +43,7 @@ from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import invert_sparse, rank as exact_rank
+from .linalg import invert_sparse, product_sum, rank as exact_rank
 from .report import RelationReport
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
@@ -122,15 +122,11 @@ def relation_report(family: str, indices: tuple, relation: str, start,
     """The report on the residual start + sum coeff X Y over (coeff, X, Y).
 
     ``start`` is the zero operator, or minus the identity for a relation
-    with a delta term.  Zero coefficients are skipped, and a product
-    with a unit coefficient is added unscaled.
+    with a delta term.  The residual comes from :func:`linalg.product_sum`,
+    which forms no product matrix and reduces each entry once, so it is
+    the exact zero iff the relation holds over Q(q).
     """
-    res = start
-    for coeff, x, y in terms:
-        if coeff.is_zero:
-            continue
-        prod = x * y
-        res = res + (prod if coeff.is_one else prod.scale(coeff))
+    res = product_sum(start, terms)
     return RelationReport(family=family, indices=indices, relation=relation,
                           residual=res, exact_zero=res.is_zero)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd as _int_gcd
 
 from .scalar import ONE, Poly, RationalFunction, ZERO, parse_rational
 
@@ -98,21 +99,12 @@ class SparseMatrix:
             for c in sorted(row):
                 yield r, c, row[c]
 
-    def column(self, c: int) -> dict:
-        return {r: row[c] for r, row in enumerate(self.rows) if c in row}
-
     @property
     def is_zero(self) -> bool:
         return all(not row for row in self.rows)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
-
-    def trace(self) -> RationalFunction:
-        total = ZERO
-        for r in range(self.dim):
-            total = total + self.rows[r].get(r, ZERO)
-        return total
 
     # -- arithmetic -----------------------------------------------------------
     def _check_dim(self, other):
@@ -208,6 +200,73 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"<{type(self).__name__} dim={self.dim} nnz={self.nnz()}>"
+
+
+# ---------------------------------------------------------------------------
+# fused sum of products
+# ---------------------------------------------------------------------------
+
+def _add_fraction(entry: list, num: Poly, den: Poly) -> None:
+    """entry := entry + num/den on an unreduced [num, den] pair.
+
+    Equal denominators add numerators; two monomials c*q^k meet over
+    lcm(c) * q^max(k); any other pair is cross-multiplied.
+    """
+    n0, d0 = entry
+    if d0.coeffs == den.coeffs:
+        entry[0] = n0 + num
+    elif d0.is_monomial and den.is_monomial:
+        k0, k1 = d0.degree, den.degree
+        c0, c1 = d0.lc, den.lc
+        lcm = c0 * c1 // _int_gcd(c0, c1)
+        k = max(k0, k1)
+        entry[0] = _shift(n0, k - k0, lcm // c0) + _shift(num, k - k1, lcm // c1)
+        entry[1] = Poly((0,) * k + (lcm,))
+    else:
+        entry[0] = n0 * den + num * d0
+        entry[1] = d0 * den
+
+
+def _shift(p: Poly, k: int, m: int) -> Poly:
+    """m * q^k * p."""
+    return Poly((0,) * k + tuple(c * m for c in p.coeffs))
+
+
+def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
+    """start + sum coeff * X * Y over (coeff, X, Y), as the class of start.
+
+    No intermediate matrix is built: each output entry is an unreduced
+    [num, den] pair of polynomials to which every product
+    coeff * X[r, k] * Y[k, c] is added (see :func:`_add_fraction`), and
+    it becomes a canonical :class:`RationalFunction` once, at the end.
+    An entry whose numerator cancels to zero is the exact zero and is
+    dropped at once, without a gcd; every other pair has a nonzero
+    numerator.  Canonical forms in Q(q) are unique, so the result equals
+    the one built by matrix products, scalings and sums.
+    """
+    dim = start.dim
+    acc = [{c: [v.num, v.den] for c, v in row.items()} for row in start.rows]
+    for coeff, x, y in terms:
+        if coeff.is_zero:
+            continue
+        if x.dim != dim or y.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {x.dim} x {y.dim}")
+        cn, cd = coeff.num, coeff.den
+        yrows = y.rows
+        for out, xrow in zip(acc, x.rows):
+            for k, xv in xrow.items():
+                xn, xd = cn * xv.num, cd * xv.den
+                for c, yv in yrows[k].items():
+                    num, den = xn * yv.num, xd * yv.den
+                    entry = out.get(c)
+                    if entry is None:
+                        out[c] = [num, den]
+                        continue
+                    _add_fraction(entry, num, den)
+                    if entry[0].is_zero:
+                        del out[c]
+    return start._clone([{c: RationalFunction(num, den)
+                          for c, (num, den) in row.items()} for row in acc])
 
 
 # ---------------------------------------------------------------------------

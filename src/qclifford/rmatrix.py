@@ -27,8 +27,8 @@ from .scalar import ONE, Q, RationalFunction, q_power
 class RMatrix(SparseMatrix):
     """Sparse dim x dim matrix over Q(q) with a block dimension tag.
 
-    For the catalogued kinds dim = n^2 (tensor square of an n-dimensional
-    space), and :meth:`block` reads an entry by its two index pairs.
+    dim = n^2 (the tensor square of an n-dimensional space), and
+    :meth:`block` reads an entry by its two index pairs.
     """
 
     __slots__ = ("n", "kind")
@@ -37,13 +37,13 @@ class RMatrix(SparseMatrix):
     # braid-type matrices can be timed apart from Fock-space ones
     __mul__ = SparseMatrix.__mul__
 
-    def __init__(self, n: int, rows=None, kind: str = "user-supplied", dim=None):
-        super().__init__(n * n if dim is None else dim, rows)
+    def __init__(self, n: int, rows=None, kind: str = "user-supplied"):
+        super().__init__(n * n, rows)
         self.n = n
         self.kind = kind
 
     def _clone(self, rows):
-        return RMatrix(self.n, rows, self.kind, dim=self.dim)
+        return RMatrix(self.n, rows, self.kind)
 
     def block(self, i: int, j: int, h: int, k: int) -> RationalFunction:
         """Entry with upper (row) pair (i, j) and lower (column) pair (h, k)."""
@@ -52,7 +52,7 @@ class RMatrix(SparseMatrix):
 
     def identity_like(self) -> "RMatrix":
         return RMatrix(self.n, [{r: ONE} for r in range(self.dim)],
-                       kind="identity", dim=self.dim)
+                       kind="identity")
 
     def to_json(self) -> dict:
         return {
@@ -65,11 +65,15 @@ class RMatrix(SparseMatrix):
     @classmethod
     def from_json(cls, doc: dict) -> "RMatrix":
         n = int(doc["n"])
+        if n < 1:
+            raise ValueError(f"n = {n} is not a positive block dimension")
         dim = int(doc.get("dim", n * n))
         if not 1 <= dim <= max_dim():
             raise dim_guard_error(f"dim = {dim}")
+        if dim != n * n:
+            raise ValueError(f"dim = {dim} is not n^2 = {n * n} for n = {n}")
         return cls(n, read_rows(doc["entries"], dim),
-                   str(doc.get("kind", "user-supplied")), dim=dim)
+                   str(doc.get("kind", "user-supplied")))
 
     def __repr__(self):
         return f"<RMatrix n={self.n} dim={self.dim} kind={self.kind}>"
@@ -170,7 +174,7 @@ def projector_sl(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RMatrix:
         raise ValueError("input is not an sl-type braid matrix")
     qinv = q_scalar ** -1
     p = (rhat + rhat.identity_like().scale(qinv)).scale((q_scalar + qinv) ** -1)
-    return RMatrix(rhat.n, p.rows, kind="projector-sl", dim=rhat.dim)
+    return RMatrix(rhat.n, p.rows, kind="projector-sl")
 
 
 def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
@@ -190,7 +194,7 @@ def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
              + rhat.scale(q_power(-1 - n) + q_power(-1))
              + ident.scale(q_power(-2 - n)))
     p = numer.scale(denom ** -1)
-    p = RMatrix(n, p.rows, kind="projector-sp", dim=rhat.dim)
+    p = RMatrix(n, p.rows, kind="projector-sp")
     residual = p * p - p
     idempotency = RelationReport(
         family="sp-idempotency",

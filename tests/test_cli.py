@@ -67,6 +67,18 @@ class TestVerifyMap:
         _, doc, _ = run_json(capsys, "verify-map")
         assert "n=2" in doc["command"]
 
+    def test_mode_count_must_match_the_input(self, capsys, tmp_path):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(build_deforming_map(2).to_json()))
+        code, out, err = run(capsys, "verify-map", "--n", "3",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert "--n 3 does not match the 2 modes" in err
+        code, doc, _ = run_json(capsys, "verify-map", "--n", "2",
+                                "--input", str(path))
+        assert code == 0 and doc["summary"]["total"] == 3 * 4 + 1
+        assert "n=2" in doc["command"]
+
     def test_failing_input_exits_one(self, capsys, tmp_path):
         path = tmp_path / "gens.json"
         path.write_text(json.dumps(undeformed_set(2).to_json()))
@@ -154,6 +166,15 @@ class TestRMatrixCommand:
         code, _, err = run(capsys, "rmatrix", "--algebra", "sp",
                            "--input", str(path))
         assert code == 2 and "dim = 1000000000" in err
+
+    def test_braid_dimension_not_n_squared_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps({"n": 2, "dim": 5,
+                                    "entries": [[4, 4, "q"]]}))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert "dim = 5 is not n^2 = 4 for n = 2" in err
 
     def test_sp_requires_input(self, capsys):
         code, _, err = run(capsys, "rmatrix", "--algebra", "sp")

@@ -1,9 +1,14 @@
-"""Property tests of ``linalg.rank`` against sympy as an oracle.
+"""Property tests of ``linalg.rank`` and ``linalg.product_sum``.
 
 ``rank`` returns the count of the nonzero rows at once when their leading
 columns are pairwise distinct (an echelon certificate) and runs Bareiss
 elimination otherwise.  Both paths must agree with the rank over Q(q)
 that sympy computes in the field of fractions.
+
+``product_sum`` adds every product coeff * X[r, k] * Y[k, c] into an
+unreduced numerator/denominator pair and reduces each entry once; it
+must equal start + sum (X * Y).scale(coeff) formed with the matrix
+operations, entry for entry in canonical form, with no stored zero.
 """
 
 import pytest
@@ -11,10 +16,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from qclifford.linalg import rank  # noqa: E402
+from qclifford.fock import FockOperator, identity, zero  # noqa: E402
+from qclifford.linalg import product_sum, rank  # noqa: E402
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -76,3 +82,82 @@ def test_rank_with_colliding_leads(case, data, x, y):
     expected = sympy_rank(ncols, rows)
     assert expected == sympy_rank(ncols, extended)
     assert rank(extended) == expected == rank(rows)
+
+
+#: Laurent monomials and generic denominators, so that products of
+#: entries meet over equal, monomial and non-monomial denominators
+OPERATOR_PALETTE = (ONE, -ONE, Q, q_power(-1), -q_power(-2),
+                    parse_rational("2*q^-3"), parse_rational("(q + 1)/(2*q)"),
+                    parse_rational("(1)/(3*q^2)"), Q + ONE,
+                    parse_rational("(1)/(2*q + 3)"),
+                    parse_rational("(q^2 - 1)/(2*q + 3)"),
+                    parse_rational("(q)/(q^2 + q + 1)"),
+                    parse_rational("(3*q^2)/(q - 2)"))
+COEFFICIENTS = (ZERO, ONE, -ONE, *OPERATOR_PALETTE[2:])
+
+
+@st.composite
+def operators(draw, n_modes):
+    dim = 1 << n_modes
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                  st.sampled_from(OPERATOR_PALETTE)), max_size=2 * dim))
+    rows = [{} for _ in range(dim)]
+    for r, c, v in cells:
+        rows[r][c] = v
+    return FockOperator(n_modes, rows)
+
+
+@st.composite
+def product_sums(draw):
+    n_modes = draw(st.sampled_from((2, 3)))  # 4 x 4 or 8 x 8
+    start = draw(st.sampled_from((zero(n_modes), -identity(n_modes))))
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(COEFFICIENTS), operators(n_modes),
+                  operators(n_modes)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        # a term and its negative cancel to the exact zero entry by entry
+        coeff, x, y = draw(st.sampled_from(terms))
+        terms += [(-coeff, x, y)]
+    return start, terms
+
+
+def by_matrix_ops(start, terms):
+    total = start
+    for coeff, x, y in terms:
+        total = total + (x * y).scale(coeff)
+    return total
+
+
+def assert_same_residual(got, expected):
+    assert type(got) is type(expected)
+    assert got == expected
+    assert got.is_zero == expected.is_zero
+    assert all(not v.is_zero for row in got.rows for v in row.values())
+
+
+def _one_entry(value):
+    return FockOperator(2, [{0: value}, {}, {}, {}])
+
+
+#: two monomial denominators with coprime coefficients meet in entry (0, 0)
+MONOMIAL_MEETING = (zero(2), [
+    (ONE, _one_entry(parse_rational("(q + 1)/(2*q)")), identity(2)),
+    (Q, _one_entry(parse_rational("(1)/(3*q^3)")), identity(2))])
+
+
+@SETTINGS
+@given(product_sums())
+@example(MONOMIAL_MEETING)
+def test_product_sum_matches_matrix_ops(case):
+    start, terms = case
+    assert_same_residual(product_sum(start, terms), by_matrix_ops(start, terms))
+
+
+@SETTINGS
+@given(st.sampled_from(COEFFICIENTS[1:]), operators(3), operators(3))
+def test_product_sum_cancels_to_the_exact_zero(coeff, x, y):
+    terms = [(coeff, x, y), (-coeff, x, y)]
+    got = product_sum(zero(3), terms)
+    assert_same_residual(got, by_matrix_ops(zero(3), terms))
+    assert got.is_zero

@@ -154,6 +154,18 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("n, dim", [(2, 5), (2, 9), (3, 4), (2, 4096)])
+    def test_dim_must_be_n_squared(self, n, dim):
+        message = rf"dim = {dim} is not n\^2 = {n * n} for n = {n}"
+        with pytest.raises(ValueError, match=message):
+            RMatrix.from_json({"n": n, "dim": dim,
+                               "entries": [[dim - 1, dim - 1, "q"]]})
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_block_dimension_must_be_positive(self, n):
+        with pytest.raises(ValueError, match=f"n = {n} is not a positive"):
+            RMatrix.from_json({"n": n, "dim": 4, "entries": []})
+
     def test_largest_empty_matrix_stays_small(self):
         # dim 4096 passes the guard; the rows are sparse, so an empty
         # entry list allocates no dim x dim table
