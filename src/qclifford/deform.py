@@ -16,8 +16,12 @@ anticommutation relations.  For two modes the mixed relation with i = j
 with the exponent -2 coming out of the exact contraction of q^-1 Rhat;
 the tests pin this coefficient and reject the q^-1 - 1 alternative.
 Each relation, here and in the chain families, is one residual
-start + sum coeff X Y built by :func:`relation_report` from a table of
-coefficients.
+start + sum coeff X Y over a table of (coeff, X, Y) terms, with start
+the zero operator or minus the identity.  :func:`relation_report` hands
+the table to :func:`linalg.product_sum`, which forms no product matrix:
+every residual entry is summed as an unreduced fraction and reduced once.
+Canonical forms in Q(q) are unique, so the residual, its exact-zero flag
+and its worst entry are those the matrix products would give.
 
 The deforming map dresses each undeformed generator with a diagonal
 q-exponent over the later modes,
@@ -122,9 +126,9 @@ def relation_report(family: str, indices: tuple, relation: str, start,
     """The report on the residual start + sum coeff X Y over (coeff, X, Y).
 
     ``start`` is the zero operator, or minus the identity for a relation
-    with a delta term.  The residual comes from :func:`linalg.product_sum`,
-    which forms no product matrix and reduces each entry once, so it is
-    the exact zero iff the relation holds over Q(q).
+    with a delta term; zero coefficients contribute nothing.  The
+    residual is built by :func:`linalg.product_sum` with one reduction
+    per entry, and ``exact_zero`` holds iff the relation holds over Q(q).
     """
     res = product_sum(start, terms)
     return RelationReport(family=family, indices=indices, relation=relation,

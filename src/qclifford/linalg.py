@@ -220,7 +220,8 @@ def _add_fraction(entry: list, num: Poly, den: Poly) -> None:
         c0, c1 = d0.lc, den.lc
         lcm = c0 * c1 // _int_gcd(c0, c1)
         k = max(k0, k1)
-        entry[0] = _shift(n0, k - k0, lcm // c0) + _shift(num, k - k1, lcm // c1)
+        entry[0] = (_shift(n0, k - k0, lcm // c0)
+                    + _shift(num, k - k1, lcm // c1))
         entry[1] = Poly((0,) * k + (lcm,))
     else:
         entry[0] = n0 * den + num * d0
