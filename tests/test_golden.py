@@ -37,6 +37,8 @@ CASES = {
     "covariance-n2": ["covariance", "--n", "2"],
     "invariants-n2-q1.3": ["invariants", "--n", "2", "--q-numeric", "1.3"],
     "chain-experiment-m2n2": ["chain-experiment", "--m", "2", "--n", "2"],
+    "chain-experiment-m2n2-rm": ["chain-experiment", "--m", "2", "--n", "2",
+                                 "--variant", "RM-braided-mixed"],
     "chain-experiment-m2n2-scaled": [
         "chain-experiment", "--m", "2", "--n", "2", "--scales",
         "(2*q^2 + q + 3)/(q + 2),(q^2 + 3)/(3*q + 1)"],
