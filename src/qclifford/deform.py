@@ -343,11 +343,16 @@ def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     degenerate set falls back to fraction-free elimination.  Rank
     deficiency is a result, not an error.
     """
-    n = gens.modes
+    check_rank_modes(gens.modes)
+    return exact_rank(_monomial_rows(gens)), 4 ** gens.modes
+
+
+def check_rank_modes(n: int) -> None:
+    """Raise ``ValueError`` for a mode count the Poincare rank refuses,
+    so a caller can refuse before it builds anything."""
     if n > _EXACT_MODE_LIMIT:
         raise ValueError(
             f"the Poincare rank supports at most {_EXACT_MODE_LIMIT} modes")
-    return exact_rank(_monomial_rows(gens)), 4 ** n
 
 
 # ---------------------------------------------------------------------------

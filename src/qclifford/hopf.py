@@ -100,12 +100,6 @@ class HopfAlgebraData:
             mat = _mul2(mat, self.rho[name])
         return mat
 
-    def counit_word(self, word) -> RationalFunction:
-        value = ONE
-        for name in word:
-            value = value * self.counit[name]
-        return value
-
     def antipode_word(self, word):
         """S applied as an antihomomorphism: (sign, word)."""
         sign = 1
@@ -433,7 +427,7 @@ def degree_two_invariant_basis(n_modes: int = 2):
     invariant, and the antisymmetric pair creator/annihilator bilinears.
     """
     plain = undeformed_set(n_modes)
-    dressed = build_deforming_map(n_modes)
+    dressed = build_deforming_map(n_modes, check=False)
 
     def basis(gens: GeneratorSet, tag: str):
         eps = {(1, 2): ONE, (2, 1): -ONE}

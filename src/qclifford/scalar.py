@@ -315,14 +315,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_one(self) -> bool:
-        return self.num.coeffs == (1,) and self.den.coeffs == (1,)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree <= 0
-
     # -- field operations ---------------------------------------------------
     # values are immutable and canonical, so a zero operand can hand back
     # an existing value instead of building an equal one

@@ -1,6 +1,6 @@
 import pytest
 
-from qclifford import fock
+from qclifford import chain, deform, fock
 from qclifford.chain import (ChainSpec, VARIANTS, chain_residuals,
                              classical_chain_check, lexicographic_experiment,
                              relabel_copies, scale_copies)
@@ -153,6 +153,35 @@ class TestLexicographicExperiment:
         gens = build_deforming_map(4)
         with pytest.raises(ValueError, match="permutation"):
             relabel_copies(gens, 2, 2, [1, 1])
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        ({}, 2 * 27 + 2 * 27),      # orderings once, mixed once per variant
+        ({"variants": ("RM-braided-mixed",)}, 3 * 27),
+    ])
+    def test_each_relation_evaluated_once(self, monkeypatch, kwargs,
+                                          expected):
+        calls = []
+
+        def counted(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args[0])
+                return original(*args, **kwargs)
+            return wrapper
+
+        # the map check would reach relation_report through deform
+        for module in (chain, deform):
+            monkeypatch.setattr(module, "relation_report",
+                                counted(module.relation_report))
+        lexicographic_experiment(2, 3, **kwargs)
+        assert len(calls) == expected
+        assert not any(family in {"creator-creator", "mixed"}
+                       for family in calls)
+
+    def test_ordering_families_shared_by_both_variants(self, findings):
+        diag, braided = (findings["variants"][v]["families"] for v in VARIANTS)
+        for family in ("chain-creator", "chain-annihilator"):
+            assert diag[family] == braided[family]
+        assert diag["chain-mixed"] != braided["chain-mixed"]
 
     def test_experiment_guard(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from qclifford import deform
+from qclifford import deform, fock
 from qclifford.cli import main
-from qclifford.deform import build_deforming_map, undeformed_set
+from qclifford.deform import (MapConstructionError, build_deforming_map,
+                              undeformed_set)
 from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
 
 
@@ -199,6 +200,17 @@ class TestPoincareCommand:
         code, _, _ = run(capsys, "poincare", "--n", "2", "--mode", "exact")
         assert code == 2
 
+    def test_too_many_modes_refused_before_building(self, capsys, monkeypatch):
+        def spy(n):
+            raise AssertionError(f"generators built for {n} modes")
+
+        # deform calls the builder through its own imported name
+        monkeypatch.setattr(fock, "build_generators", spy)
+        monkeypatch.setattr(deform, "build_generators", spy)
+        code, out, err = run(capsys, "poincare", "--n", "9")
+        assert code == 2 and out == ""
+        assert "the Poincare rank supports at most 6 modes" in err
+
 
 class TestCovarianceCommand:
     def test_two_modes(self, capsys):
@@ -248,6 +260,34 @@ class TestChainCommand:
         assert code == 0
         assert list(doc["experiment"]["variants"]) == ["diagonal-mixed"]
         assert doc["experiment"]["scales"] == ["1", "q"]
+
+
+class TestUncheckedMap:
+    @pytest.mark.parametrize("argv", [
+        ("chain-experiment", "--m", "2", "--n", "2"),
+        ("covariance", "--n", "2"),
+        ("invariants", "--n", "2"),
+    ])
+    def test_no_unreported_relation_pass(self, capsys, monkeypatch, argv):
+        calls = []
+        original = deform.relation_residuals
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].modes)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deform, "relation_residuals", counted)
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert calls == []
+
+    def test_library_default_still_checks_the_map(self, monkeypatch):
+        monkeypatch.setattr(deform, "deformation_weights",
+                            lambda n, i: [-2 if j > i else 0
+                                          for j in range(1, n + 1)])
+        with pytest.raises(MapConstructionError, match="violates"):
+            build_deforming_map(2)
+        build_deforming_map(2, check=False)  # unchecked builds still return
 
 
 class TestEvalCommand:

@@ -4,6 +4,8 @@
 ``Poly.div_exact`` divides in integers only, and ``RationalFunction``
 addition and multiplication hand back an existing value when an operand
 is zero.  Each must agree with the general definition on every input.
+Random ``RationalFunction`` values also survive the text round trip and
+satisfy the field axioms, with equality meaning equal canonical forms.
 """
 
 import pytest
@@ -13,9 +15,11 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qclifford.scalar import Poly, RationalFunction  # noqa: E402
+from qclifford.scalar import (ONE, ZERO, Poly, RationalFunction,  # noqa: E402
+                              parse_rational)
 
 SETTINGS = settings(max_examples=200, deadline=None)
+FIELD_SETTINGS = settings(max_examples=100, deadline=None)
 
 coefficient = st.integers(min_value=-30, max_value=30)
 polys = st.lists(coefficient, max_size=7).map(Poly)
@@ -122,3 +126,50 @@ class TestZeroShortcuts:
         assert_same_value(x * 0, fresh)
         assert_same_value(0 * x, fresh)
         assert fresh.den.coeffs == (1,)
+
+
+nonzero_rationals = rationals.filter(lambda x: not x.is_zero)
+
+
+class TestTextRoundTrip:
+    @SETTINGS
+    @given(rationals)
+    def test_parse_inverts_str(self, x):
+        assert parse_rational(str(x)) == x
+
+    @SETTINGS
+    @given(rationals)
+    def test_negation_round_trips(self, x):
+        assert parse_rational(str(-x)) == -x
+
+
+class TestFieldAxioms:
+    @FIELD_SETTINGS
+    @given(rationals, rationals, rationals)
+    def test_associativity(self, x, y, z):
+        assert (x + y) + z == x + (y + z)
+        assert (x * y) * z == x * (y * z)
+
+    @FIELD_SETTINGS
+    @given(rationals, rationals)
+    def test_commutativity(self, x, y):
+        assert x + y == y + x
+        assert x * y == y * x
+
+    @FIELD_SETTINGS
+    @given(rationals, rationals, rationals)
+    def test_distributivity(self, x, y, z):
+        assert x * (y + z) == x * y + x * z
+
+    @FIELD_SETTINGS
+    @given(rationals)
+    def test_identities_and_additive_inverse(self, x):
+        assert x + ZERO == x and x * ONE == x
+        assert x + (-x) == ZERO
+        assert x - x == ZERO
+
+    @FIELD_SETTINGS
+    @given(nonzero_rationals, rationals)
+    def test_multiplicative_inverse(self, x, y):
+        assert x * x ** -1 == ONE
+        assert (y / x) * x == y
