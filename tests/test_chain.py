@@ -163,9 +163,9 @@ class TestLexicographicExperiment:
         calls = []
 
         def counted(original):
-            def wrapper(*args, **kwargs):
-                calls.append(args[0])
-                return original(*args, **kwargs)
+            def wrapper(family, *rest):
+                calls.append(family)
+                return original(family, *rest)
             return wrapper
 
         # the map check would reach relation_report through deform
