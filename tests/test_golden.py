@@ -25,7 +25,12 @@ from qclifford.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: case name -> argv; the sp input is a fixture beside the reports
+#: case name -> argv; the sp braid matrix and the broken N = 3 generator set
+#: are input fixtures beside the reports.  The generator set is the
+#: deforming map with the mode-1 creator scaled by (q^2 + 3)/(3*q + 1), the
+#: mode-2 annihilator scaled by (2*q^2 + q + 3)/(q + 2) (not the inverse)
+#: and an extra entry q at (2, 2) of the mode-1 annihilator, so that worst
+#: entries sit off (0, 0) and one lies in a row holding two entries.
 CASES = {
     "verify-map-n2": ["verify-map", "--n", "2"],
     "verify-map-n4": ["verify-map", "--n", "4"],
@@ -42,6 +47,8 @@ CASES = {
     "chain-experiment-m2n2-scaled": [
         "chain-experiment", "--m", "2", "--n", "2", "--scales",
         "(2*q^2 + q + 3)/(q + 2),(q^2 + 3)/(3*q + 1)"],
+    "verify-map-input-broken": ["verify-map", "--input",
+                                "verify_map_input_broken_n3.json"],
     "eval-q1.3": ["eval", "(q^3 - 3*q + 2)/(q^2 - 1)", "--q-numeric", "1.3"],
 }
 
