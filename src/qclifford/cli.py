@@ -322,6 +322,11 @@ def main(argv=None) -> int:
     except PoleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        # a value at --q-numeric too large for a float is bad input
+        print(f"error: a numeric value is outside the float range ({exc})",
+              file=sys.stderr)
+        return 2
     except (ValueError, ZeroDivisionError, OSError,
             KeyError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

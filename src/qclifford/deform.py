@@ -18,10 +18,14 @@ the tests pin this coefficient and reject the q^-1 - 1 alternative.
 Each relation, here and in the chain families, is one residual
 start + sum coeff X Y over a table of (coeff, X, Y) terms, with start
 the zero operator or minus the identity.  :func:`relation_report` hands
-the table to :func:`linalg.product_sum`, which forms no product matrix:
-every residual entry is summed as an unreduced fraction and reduced once.
-Canonical forms in Q(q) are unique, so the residual, its exact-zero flag
-and its worst entry are those the matrix products would give.
+the table to :func:`linalg.product_sum_rows`, which forms no product
+matrix: every residual entry is summed as an unreduced fraction, and an
+entry whose numerator cancels is dropped.  The relation holds iff no
+entry survives, and the report reduces only what it prints, the first
+surviving entry in row-major order; the full canonical residual is built
+only when it is read.  Canonical forms in Q(q) are unique, so the
+residual, its exact-zero flag and its worst entry are those the matrix
+products would give.
 
 The deforming map dresses each undeformed generator with a diagonal
 q-exponent over the later modes,
@@ -43,11 +47,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import invert_sparse, product_sum, rank as exact_rank
+from .linalg import (first_entry, invert_sparse, product_sum_rows,
+                     rank as exact_rank, reduce_rows)
 from .report import RelationReport
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
@@ -126,13 +132,16 @@ def relation_report(family: str, indices: tuple, relation: str, start,
     """The report on the residual start + sum coeff X Y over (coeff, X, Y).
 
     ``start`` is the zero operator, or minus the identity for a relation
-    with a delta term; zero coefficients contribute nothing.  The
-    residual is built by :func:`linalg.product_sum` with one reduction
-    per entry, and ``exact_zero`` holds iff the relation holds over Q(q).
+    with a delta term; zero coefficients contribute nothing.  The entries
+    are summed unreduced by :func:`linalg.product_sum_rows`: ``exact_zero``
+    holds iff none survives, which is iff the relation holds over Q(q),
+    and only the first surviving entry, the worst entry, is reduced.  The
+    canonical residual is built from the kept rows when it is first read.
     """
-    res = product_sum(start, terms)
-    return RelationReport(family=family, indices=indices, relation=relation,
-                          residual=res, exact_zero=res.is_zero)
+    rows = product_sum_rows(start, terms)
+    return RelationReport.deferred(family, indices, relation,
+                                   first_entry(rows),
+                                   partial(reduce_rows, start, rows))
 
 
 def relation_residuals(gens: GeneratorSet, rhat: RMatrix,

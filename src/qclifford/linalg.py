@@ -168,10 +168,6 @@ class SparseMatrix:
         return self.dim == other.dim and all(
             a == b for a, b in zip(self.rows, other.rows))
 
-    def __hash__(self):
-        return hash((self.dim,
-                     tuple(tuple(sorted(row.items())) for row in self.rows)))
-
     # -- evaluation -----------------------------------------------------------
     def subst(self, point: Fraction) -> "SparseMatrix":
         """Exact substitution q := point, returned over constant scalars."""
@@ -206,26 +202,22 @@ class SparseMatrix:
 # fused sum of products
 # ---------------------------------------------------------------------------
 
-def _add_fraction(entry: list, num: Poly, den: Poly) -> None:
-    """entry := entry + num/den on an unreduced [num, den] pair.
+def _add_fraction(n0: Poly, d0: Poly, num: Poly, den: Poly) -> tuple:
+    """The unreduced pair n0/d0 + num/den.
 
     Equal denominators add numerators; two monomials c*q^k meet over
     lcm(c) * q^max(k); any other pair is cross-multiplied.
     """
-    n0, d0 = entry
     if d0.coeffs == den.coeffs:
-        entry[0] = n0 + num
-    elif d0.is_monomial and den.is_monomial:
+        return n0 + num, d0
+    if d0.is_monomial and den.is_monomial:
         k0, k1 = d0.degree, den.degree
         c0, c1 = d0.lc, den.lc
         lcm = c0 * c1 // _int_gcd(c0, c1)
         k = max(k0, k1)
-        entry[0] = (_shift(n0, k - k0, lcm // c0)
-                    + _shift(num, k - k1, lcm // c1))
-        entry[1] = Poly((0,) * k + (lcm,))
-    else:
-        entry[0] = n0 * den + num * d0
-        entry[1] = d0 * den
+        return (_shift(n0, k - k0, lcm // c0) + _shift(num, k - k1, lcm // c1),
+                Poly((0,) * k + (lcm,)))
+    return n0 * den + num * d0, d0 * den
 
 
 def _shift(p: Poly, k: int, m: int) -> Poly:
@@ -233,20 +225,19 @@ def _shift(p: Poly, k: int, m: int) -> Poly:
     return Poly((0,) * k + tuple(c * m for c in p.coeffs))
 
 
-def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
-    """start + sum coeff * X * Y over (coeff, X, Y), as the class of start.
+def product_sum_rows(start: SparseMatrix, terms) -> dict[int, dict]:
+    """The nonzero rows of start + sum coeff * X * Y over (coeff, X, Y),
+    unreduced and keyed by ascending row index.
 
     No intermediate matrix is built: each output entry is an unreduced
-    [num, den] pair of polynomials to which every product
-    coeff * X[r, k] * Y[k, c] is added (see :func:`_add_fraction`), and
-    it becomes a canonical :class:`RationalFunction` once, at the end.
-    An entry whose numerator cancels to zero is the exact zero and is
-    dropped at once, without a gcd; every other pair has a nonzero
-    numerator.  Canonical forms in Q(q) are unique, so the result equals
-    the one built by matrix products, scalings and sums.
+    (num, den) pair of polynomials to which every product
+    coeff * X[r, k] * Y[k, c] is added (see :func:`_add_fraction`).  An
+    entry whose numerator cancels to zero is the exact zero and is dropped
+    at once, without a gcd; every kept pair has a nonzero numerator over a
+    nonzero denominator, so the sum is zero iff no row is kept.
     """
     dim = start.dim
-    acc = [{c: [v.num, v.den] for c, v in row.items()} for row in start.rows]
+    acc = [{c: (v.num, v.den) for c, v in row.items()} for row in start.rows]
     for coeff, x, y in terms:
         if coeff.is_zero:
             continue
@@ -261,13 +252,45 @@ def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
                     num, den = xn * yv.num, xd * yv.den
                     entry = out.get(c)
                     if entry is None:
-                        out[c] = [num, den]
+                        out[c] = num, den
                         continue
-                    _add_fraction(entry, num, den)
+                    entry = _add_fraction(*entry, num, den)
                     if entry[0].is_zero:
                         del out[c]
+                    else:
+                        out[c] = entry
+    return {r: row for r, row in enumerate(acc) if row}
+
+
+def first_entry(rows: dict[int, dict]):
+    """(row, col, value) of the first entry of :func:`product_sum_rows`.
+
+    The entry is the one :meth:`SparseMatrix.first_nonzero` names, at the
+    minimum column of the first kept row, and only it is reduced; None
+    when no row is kept.
+    """
+    for r, row in rows.items():
+        c = min(row)
+        return r, c, RationalFunction(*row[c])
+    return None
+
+
+def reduce_rows(start: SparseMatrix, rows: dict[int, dict]) -> SparseMatrix:
+    """The rows of :func:`product_sum_rows` as a matrix of canonical
+    entries, of the class of start."""
     return start._clone([{c: RationalFunction(num, den)
-                          for c, (num, den) in row.items()} for row in acc])
+                          for c, (num, den) in rows.get(r, {}).items()}
+                         for r in range(start.dim)])
+
+
+def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
+    """start + sum coeff * X * Y over (coeff, X, Y), as the class of start.
+
+    The rows of :func:`product_sum_rows` with every entry reduced once.
+    Canonical forms in Q(q) are unique, so the result equals the one built
+    by matrix products, scalings and sums.
+    """
+    return reduce_rows(start, product_sum_rows(start, terms))
 
 
 # ---------------------------------------------------------------------------

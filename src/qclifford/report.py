@@ -9,8 +9,6 @@ comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 #: Fixed choices that make every emitted number bit-exact reproducible.
 #: Embedded verbatim in every report so independent runs can be diffed.
@@ -38,28 +36,54 @@ CONVENTIONS = {
 }
 
 
-@dataclass
 class RelationReport:
     """Outcome of one relation check.
 
-    ``residual`` is the full residual matrix: a FockOperator, an RMatrix
-    (a SparseMatrix with block indices) or a plain SparseMatrix.
+    ``residual`` is the residual matrix: a FockOperator, an RMatrix (a
+    SparseMatrix with block indices) or a plain SparseMatrix.  A report
+    made by :meth:`deferred` builds it the first time it is read.
     ``exact_zero`` holds iff every entry is the canonical zero.
     ``numeric_max_abs`` is filled only when a numeric spot check at some
     q was requested.
     """
 
-    family: str
-    indices: tuple
-    relation: str
-    residual: object
-    exact_zero: bool
-    numeric_max_abs: float | None = None
+    __slots__ = ("family", "indices", "relation", "exact_zero",
+                 "numeric_max_abs", "_residual", "_build", "_first")
+
+    def __init__(self, family: str, indices: tuple, relation: str, residual,
+                 exact_zero: bool, numeric_max_abs: float | None = None):
+        self.family = family
+        self.indices = indices
+        self.relation = relation
+        self.exact_zero = exact_zero
+        self.numeric_max_abs = numeric_max_abs
+        self._residual = residual
+        self._build = None
+        self._first = None
+
+    @classmethod
+    def deferred(cls, family: str, indices: tuple, relation: str, first,
+                 build) -> "RelationReport":
+        """A report whose residual is ``build()``, made on its first read.
+
+        ``first`` is the residual's first nonzero entry in row-major order,
+        ``(row, col, value)``, or None for the zero residual; it is all
+        that :meth:`to_json` reads.
+        """
+        report = cls(family, indices, relation, None, first is None)
+        report._first, report._build = first, build
+        return report
+
+    @property
+    def residual(self):
+        if self._build is not None:
+            self._residual, self._build = self._build(), None
+        return self._residual
 
     def worst_entry(self) -> str:
         if self.exact_zero:
             return "0"
-        first = self.residual.first_nonzero()
+        first = self._first or self.residual.first_nonzero()
         if first is None:
             return "0"
         r, c, v = first

@@ -1,13 +1,15 @@
+import sys
+
 import pytest
 
-from qclifford import chain, deform, fock
+from qclifford import chain, deform, fock, linalg
 from qclifford.chain import (ChainSpec, VARIANTS, chain_residuals,
                              classical_chain_check, lexicographic_experiment,
                              relabel_copies, scale_copies)
 from qclifford.deform import (GeneratorSet, build_deforming_map,
                               relation_residuals, undeformed_set)
 from qclifford.rmatrix import build_permutation, build_rhat_sl
-from qclifford.scalar import ONE, Q
+from qclifford.scalar import ONE, Q, RationalFunction, parse_rational
 
 
 class TestSpecValidation:
@@ -176,6 +178,31 @@ class TestLexicographicExperiment:
         assert len(calls) == expected
         assert not any(family in {"creator-creator", "mixed"}
                        for family in calls)
+
+    def test_kernel_reduces_one_entry_per_failing_report(self, monkeypatch):
+        reductions = []
+        init = RationalFunction.__init__
+
+        def counted(self, *args):
+            # the kernel reduces an entry by building it in linalg
+            if sys._getframe(1).f_globals["__name__"] == linalg.__name__:
+                reductions.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(RationalFunction, "__init__", counted)
+        scales = [parse_rational("(2*q^2 + q + 3)/(q + 2)"),
+                  parse_rational("(q^2 + 3)/(3*q + 1)")]
+        findings = lexicographic_experiment(2, 2, scales=scales)
+        reports = {id(rep): rep for data in findings["variants"].values()
+                   for rep in data["reports"]}.values()
+        for rep in reports:
+            rep.to_json()
+        failing = [rep for rep in reports if not rep.exact_zero]
+        assert failing
+        assert len(reductions) == len(failing)
+        for rep in failing:  # the reduced entry is the residual's first
+            r, c, v = rep.residual.first_nonzero()
+            assert rep.worst_entry() == f"{v} at ({r}, {c})"
 
     def test_ordering_families_shared_by_both_variants(self, findings):
         diag, braided = (findings["variants"][v]["families"] for v in VARIANTS)

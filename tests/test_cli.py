@@ -7,6 +7,7 @@ from qclifford.cli import main
 from qclifford.deform import (MapConstructionError, build_deforming_map,
                               undeformed_set)
 from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
+from qclifford.scalar import Q
 
 
 def run(capsys, *argv):
@@ -86,6 +87,17 @@ class TestVerifyMap:
         code, doc, _ = run_json(capsys, "verify-map", "--input", str(path))
         assert code == 1
         assert doc["summary"]["failed"] > 0
+
+    def test_float_overflow_at_numeric_point_exits_two(self, capsys, tmp_path):
+        gens = build_deforming_map(2)
+        # a creator scaled by q leaves residual entries that grow with q
+        gens.creators = (gens.creators[0].scale(Q), gens.creators[1])
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(gens.to_json()))
+        code, out, err = run(capsys, "verify-map", "--input", str(path),
+                             "--q-numeric", "1e400")
+        assert code == 2 and out == ""
+        assert "outside the float range" in err
 
     def test_out_of_range_index_exits_two(self, capsys, tmp_path):
         doc = build_deforming_map(2).to_json()
@@ -307,6 +319,11 @@ class TestEvalCommand:
         code, _, err = run(capsys, "eval", "(1)/(q - 1)", "--q-numeric", "1")
         assert code == 2
         assert "q - 1" in err
+
+    def test_float_overflow_exits_two(self, capsys):
+        code, out, err = run(capsys, "eval", "q^2", "--q-numeric", "1e200")
+        assert code == 2 and out == ""
+        assert "outside the float range" in err
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "q +")

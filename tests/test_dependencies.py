@@ -1,0 +1,38 @@
+"""The runtime dependency list stays empty.
+
+``pyproject.toml`` declares no dependencies, and every module of the
+package imports only its own modules (package-relative imports) and the
+standard library, read from the source with :mod:`ast`.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qclifford"
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert doc["project"]["dependencies"] == []
+
+
+def absolute_imports(path: Path):
+    """Top-level names of the modules a source file imports absolutely."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_imports_only_the_standard_library(path):
+    outside = set(absolute_imports(path)) - sys.stdlib_module_names
+    assert not outside

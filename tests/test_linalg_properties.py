@@ -9,6 +9,9 @@ that sympy computes in the field of fractions.
 unreduced numerator/denominator pair and reduces each entry once; it
 must equal start + sum (X * Y).scale(coeff) formed with the matrix
 operations, entry for entry in canonical form, with no stored zero.
+``deform.relation_report`` reduces only the first surviving entry and
+builds the residual when it is read; its exact-zero flag, worst entry and
+residual must be those of the matrix-operations residual.
 """
 
 import pytest
@@ -19,8 +22,10 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from qclifford.deform import relation_report  # noqa: E402
 from qclifford.fock import FockOperator, identity, zero  # noqa: E402
 from qclifford.linalg import product_sum, rank  # noqa: E402
+from qclifford.report import RelationReport  # noqa: E402
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -161,3 +166,17 @@ def test_product_sum_cancels_to_the_exact_zero(coeff, x, y):
     got = product_sum(zero(3), terms)
     assert_same_residual(got, by_matrix_ops(zero(3), terms))
     assert got.is_zero
+
+
+@SETTINGS
+@given(product_sums())
+@example(MONOMIAL_MEETING)
+def test_relation_report_matches_matrix_ops(case):
+    start, terms = case
+    expected = by_matrix_ops(start, terms)
+    oracle = RelationReport("f", (), "", expected, expected.is_zero)
+    report = relation_report("f", (), "", start, terms)
+    assert report.exact_zero == expected.is_zero
+    assert report.worst_entry() == oracle.worst_entry()
+    assert_same_residual(report.residual, expected)
+    assert report.residual is report.residual
