@@ -25,8 +25,9 @@ from qclifford.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: case name -> argv; the sp braid matrix and the broken N = 3 generator set
-#: are input fixtures beside the reports.  The generator set is the
+#: case name -> argv; the sp braid matrices (the sl braid matrices for N = 2
+#: and N = 3) and the broken N = 3 generator set are input fixtures beside
+#: the reports.  The generator set is the
 #: deforming map with the mode-1 creator scaled by (q^2 + 3)/(3*q + 1), the
 #: mode-2 annihilator scaled by (2*q^2 + q + 3)/(q + 2) (not the inverse)
 #: and an extra entry q at (2, 2) of the mode-1 annihilator, so that worst
@@ -39,6 +40,8 @@ CASES = {
     "rmatrix-sl-n3": ["rmatrix", "--algebra", "sl", "--n", "3"],
     "rmatrix-sp-input": ["rmatrix", "--algebra", "sp",
                          "--input", "sp_input_braid_sl2.json"],
+    "rmatrix-sp-input-n3": ["rmatrix", "--algebra", "sp",
+                            "--input", "sp_input_braid_sl3.json"],
     "covariance-n2": ["covariance", "--n", "2"],
     "invariants-n2-q1.3": ["invariants", "--n", "2", "--q-numeric", "1.3"],
     "chain-experiment-m2n2": ["chain-experiment", "--m", "2", "--n", "2"],
