@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -77,10 +78,35 @@ def _print_text(doc: dict) -> None:
     print(f"exit: {doc['exit_code']}")
 
 
+#: most digits a --q-numeric value may write plus the size of its decimal
+#: exponent; this bounds the digits of its numerator and denominator, and
+#: 1e400 still reads (and ends in a float-range error)
+_MAX_POINT_DIGITS = 500
+
+_POINT_EXPONENT = re.compile(r"[eE]\s*[-+]?([\d_]+)\s*\Z")
+
+
 def _q_point(args) -> Fraction | None:
-    if getattr(args, "q_numeric", None) is None:
+    """The --q-numeric value, bounded in size before it is built.
+
+    A short text such as ``1e10000`` is refused (exit 2) before a huge
+    integer exists.
+    """
+    text = getattr(args, "q_numeric", None)
+    if text is None:
         return None
-    return Fraction(args.q_numeric)
+    exponent = _POINT_EXPONENT.search(text)
+    mantissa = text if exponent is None else text[:exponent.start()]
+    digits = sum(ch.isdecimal() for ch in mantissa)
+    if exponent is not None:
+        magnitude = exponent.group(1).replace("_", "").lstrip("0")
+        digits += (int(magnitude or 0)
+                   if len(magnitude) <= len(str(_MAX_POINT_DIGITS))
+                   else _MAX_POINT_DIGITS + 1)
+    if digits > _MAX_POINT_DIGITS:
+        raise ValueError(f"--q-numeric value is too large: its digits plus its "
+                         f"decimal exponent exceed {_MAX_POINT_DIGITS}")
+    return Fraction(text)
 
 
 def _check_pole(gens: deform.GeneratorSet, point: Fraction | None) -> None:

@@ -17,9 +17,10 @@ with the exponent -2 coming out of the exact contraction of q^-1 Rhat;
 the tests pin this coefficient and reject the q^-1 - 1 alternative.
 Each relation, here and in the chain families, is one residual
 start + sum coeff X Y over a table of (coeff, X, Y) terms, with start
-the zero operator or minus the identity.  :func:`relation_report` hands
-the table to :func:`linalg.product_sum_rows`, which forms no product
-matrix: every residual entry is summed as an unreduced fraction, and an
+the zero operator or minus the identity.  :func:`report.relation_report`
+(importable from here too) hands the table to
+:func:`linalg.product_sum_rows`, which forms no product matrix: every
+residual entry is summed as an unreduced fraction, and an
 entry whose numerator cancels is dropped.  The relation holds iff no
 entry survives, and the report reduces only what it prints, the first
 surviving entry in row-major order; the full canonical residual is built
@@ -47,14 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import (first_entry, invert_sparse, product_sum_rows,
-                     rank as exact_rank, reduce_rows)
-from .report import RelationReport
+from .linalg import invert_sparse, rank as exact_rank
+from .report import RelationReport, relation_report
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
 
@@ -126,23 +125,6 @@ class MapConstructionError(ValueError):
 # ---------------------------------------------------------------------------
 # relation residuals
 # ---------------------------------------------------------------------------
-
-def relation_report(family: str, indices: tuple, relation: str, start,
-                    terms) -> RelationReport:
-    """The report on the residual start + sum coeff X Y over (coeff, X, Y).
-
-    ``start`` is the zero operator, or minus the identity for a relation
-    with a delta term; zero coefficients contribute nothing.  The entries
-    are summed unreduced by :func:`linalg.product_sum_rows`: ``exact_zero``
-    holds iff none survives, which is iff the relation holds over Q(q),
-    and only the first surviving entry, the worst entry, is reduced.  The
-    canonical residual is built from the kept rows when it is first read.
-    """
-    rows = product_sum_rows(start, terms)
-    return RelationReport.deferred(family, indices, relation,
-                                   first_entry(rows),
-                                   partial(reduce_rows, start, rows))
-
 
 def relation_residuals(gens: GeneratorSet, rhat: RMatrix,
                        q_scalar: RationalFunction = Q) -> list[RelationReport]:

@@ -23,18 +23,28 @@ Invariance checkers compare x |> I against eps(x) I for both the
 deformed action and the classical commutator action, and the closed-form
 identity relating the deformed quadratic invariant to the classical one
 is verified eigenvalue by eigenvalue.
+
+Every residual is a term table start + sum coeff X Y for the one relation
+evaluator, :func:`report.relation_report`, which forms no product matrix.
+The operands are computed once per check call: each x |> a, each
+sigma(x_(1)) . a and each b . sigma(S x_(2)); the sigma word images and
+the sandwich pairs (sign, x_(1), S x_(2)) of each word are kept on the
+:class:`HopfAlgebraData`.  So x |> (ab) is summed as
+sigma(x_(1)) a . b sigma(S x_(2)) without forming ab, and a commutator
+[g, a] is the table [(1, g, a), (-1, a, g)].  :func:`act` itself stays a
+plain sum of matrix products, the oracle the checkers are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
 from . import fock
 from .deform import GeneratorSet, build_deforming_map, undeformed_set
 from .fock import FockOperator, build_generators
-from .report import RelationReport
+from .report import RelationReport, relation_report
 from .scalar import ONE, Q, RationalFunction, ZERO, q_number
 
 
@@ -87,12 +97,34 @@ class HopfAlgebraData:
     counit: dict         # name -> RationalFunction
     antipode: dict       # name -> (sign, word)
     convention: str
+    # word -> sigma(word), and word -> sandwich pairs, each built once
+    _sigma_words: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+    _sandwiches: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     def sigma_word(self, word) -> FockOperator:
-        op = fock.identity(2)
-        for name in word:
-            op = op * self.sigma[name]
+        word = tuple(word)
+        op = self._sigma_words.get(word)
+        if op is None:
+            op = fock.identity(2)
+            for name in word:
+                op = op * self.sigma[name]
+            self._sigma_words[word] = op
         return op
+
+    def sandwich(self, word) -> list:
+        """[(sign, x_(1), S x_(2))] over the coproduct of a word, as words:
+        x |> a is the sum of sign * sigma(x_(1)) . a . sigma(S x_(2))."""
+        word = tuple(word)
+        pairs = self._sandwiches.get(word)
+        if pairs is None:
+            pairs = []
+            for left, right in self.coproduct_word(word):
+                sign, s_word = self.antipode_word(right)
+                pairs.append((ONE if sign > 0 else -ONE, left, s_word))
+            self._sandwiches[word] = pairs
+        return pairs
 
     def rho_word(self, word):
         mat = ((ONE, ZERO), (ZERO, ONE))
@@ -204,14 +236,65 @@ def _self_check(data: HopfAlgebraData) -> None:
 
 def act(x, a: FockOperator, data: HopfAlgebraData) -> FockOperator:
     """Adjoint action of a generator monomial: sandwich through the
-    coproduct with the antipode on the right leg."""
+    coproduct with the antipode on the right leg.
+
+    Built with plain matrix products and sums, so it is an oracle
+    independent of the relation kernel the checkers run on.
+    """
     word = (x,) if isinstance(x, str) else tuple(x)
     total = fock.zero(a.n_modes)
-    for left, right in data.coproduct_word(word):
-        sign, s_word = data.antipode_word(right)
-        term = data.sigma_word(left) * a * data.sigma_word(s_word)
-        total = total + (term if sign > 0 else -term)
+    for sign, left, s_word in data.sandwich(word):
+        total = total + _right(data, _left(data, left, a), s_word).scale(sign)
     return total
+
+
+def _left(data: HopfAlgebraData, word: tuple, a: FockOperator) -> FockOperator:
+    """sigma(word) . a, with no product for the empty word."""
+    return data.sigma_word(word) * a if word else a
+
+
+def _right(data: HopfAlgebraData, b: FockOperator, word: tuple) -> FockOperator:
+    """b . sigma(word), with no product for the empty word."""
+    return b * data.sigma_word(word) if word else b
+
+
+class _Actions:
+    """The operators of one check call's residuals, each computed once.
+
+    Operands are keyed by label: x |> a, sigma(x_(1)) . a and
+    b . sigma(S x_(2)).  A residual is then a term table over these for
+    :func:`report.relation_report`, and no product is formed for it.
+    """
+
+    def __init__(self, data: HopfAlgebraData):
+        self.data = data
+        self._memo: dict = {}
+
+    def _once(self, key, build):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
+    def act(self, word: tuple, label: str, a: FockOperator) -> FockOperator:
+        """x |> a for a word x."""
+        return self._once(("act", word, label), lambda: act(word, a, self.data))
+
+    def terms(self, word: tuple, la: str, a: FockOperator, lb: str | None = None,
+              b: FockOperator | None = None) -> list:
+        """Terms (sign, sigma(x_(1)) . a, b . sigma(S x_(2))) of x |> (ab),
+        or of x |> a when b is None."""
+        data = self.data
+        out = []
+        for sign, left, s_word in data.sandwich(word):
+            left_op = self._once(("left", left, la), lambda: _left(data, left, a))
+            if b is None:
+                right_op = data.sigma_word(s_word)
+            else:
+                right_op = self._once(("right", lb, s_word),
+                                      lambda: _right(data, b, s_word))
+            out.append((sign, left_op, right_op))
+        return out
 
 
 def classical_js(n_modes: int = 2) -> dict:
@@ -243,30 +326,32 @@ def check_module_algebra(data: HopfAlgebraData,
 
     Checks (xy) |> a = x |> (y |> a) for x, y in {E, F, K} with a ranging
     over the given generators, and the deformed Leibniz rule
-    x |> (ab) = sum (x_(1) |> a)(x_(2) |> b) on all pairs a, b.
+    x |> (ab) = sum (x_(1) |> a)(x_(2) |> b) on all pairs a, b.  Each
+    y |> a and each sandwich product with a generator is computed once;
+    x |> (ab) is summed as sigma(x_(1)) a . b sigma(S x_(2)), so no
+    product ab is formed.
     """
     samples = _labelled_generators(gens)
+    actions = _Actions(data)
+    zero = fock.zero(gens.modes)
     reports = []
     for x, y in product(GENERATOR_NAMES, repeat=2):
         for label, a in samples:
-            lhs = act((x, y), a, data)
-            rhs = act(x, act(y, a, data), data)
-            res = lhs - rhs
-            reports.append(RelationReport(
-                family="module-assoc", indices=(x, y, label),
-                relation=f"({x}{y}) |> {label} = {x} |> ({y} |> {label})",
-                residual=res, exact_zero=res.is_zero))
+            inner = f"{y} |> {label}"
+            rhs = [(-sign, left_op, right_op) for sign, left_op, right_op in
+                   actions.terms((x,), inner, actions.act((y,), label, a))]
+            reports.append(relation_report(
+                "module-assoc", (x, y, label),
+                f"({x}{y}) |> {label} = {x} |> ({y} |> {label})", zero,
+                actions.terms((x, y), label, a) + rhs))
     for x in GENERATOR_NAMES:
         for (la, a), (lb, b) in product(samples, repeat=2):
-            lhs = act(x, a * b, data)
-            rhs = fock.zero(gens.modes)
-            for left, right in data.coproduct_word((x,)):
-                rhs = rhs + act(left, a, data) * act(right, b, data)
-            res = lhs - rhs
-            reports.append(RelationReport(
-                family="module-leibniz", indices=(x, la, lb),
-                relation=f"{x} |> ({la}.{lb}) obeys the coproduct Leibniz rule",
-                residual=res, exact_zero=res.is_zero))
+            rhs = [(-ONE, actions.act(left, la, a), actions.act(right, lb, b))
+                   for left, right in data.coproduct_word((x,))]
+            reports.append(relation_report(
+                "module-leibniz", (x, la, lb),
+                f"{x} |> ({la}.{lb}) obeys the coproduct Leibniz rule", zero,
+                actions.terms((x,), la, a, lb, b) + rhs))
     return reports
 
 
@@ -289,32 +374,29 @@ def check_covariance(gens: GeneratorSet,
     """
     if gens.modes != 2:
         raise ValueError("covariance checking is built for two modes")
+    actions = _Actions(data)
+    zero, ident = fock.zero(2), fock.identity(2)
     reports = []
     for x in GENERATOR_NAMES:
         rho_x = data.rho[x]
         for i in (1, 2):
-            res = act(x, gens.creators[i - 1], data)
-            for j in (1, 2):
-                coeff = rho_x[j - 1][i - 1]
-                if not coeff.is_zero:
-                    res = res - gens.creators[j - 1].scale(coeff)
-            reports.append(RelationReport(
-                family="covariance-creator", indices=(x, i),
-                relation=f"{x} |> Adag_{i} = rho({x})^j_{i} Adag_j",
-                residual=res, exact_zero=res.is_zero))
+            label = f"Adag_{i}"
+            reports.append(relation_report(
+                "covariance-creator", (x, i),
+                f"{x} |> {label} = rho({x})^j_{i} Adag_j", zero,
+                actions.terms((x,), label, gens.creators[i - 1])
+                + [(-rho_x[j - 1][i - 1], gens.creators[j - 1], ident)
+                   for j in (1, 2)]))
         sign, s_word = data.antipode_word((x,))
         rho_sx = data.rho_word(s_word)
         for i in (1, 2):
-            res = act(x, gens.annihilators[i - 1], data)
-            for j in (1, 2):
-                coeff = rho_sx[i - 1][j - 1]
-                if not coeff.is_zero:
-                    term = gens.annihilators[j - 1].scale(coeff)
-                    res = res - (term if sign > 0 else -term)
-            reports.append(RelationReport(
-                family="covariance-annihilator", indices=(x, i),
-                relation=f"{x} |> A^{i} = rho(S {x})^{i}_j A^j",
-                residual=res, exact_zero=res.is_zero))
+            label = f"A^{i}"
+            reports.append(relation_report(
+                "covariance-annihilator", (x, i),
+                f"{x} |> {label} = rho(S {x})^{i}_j A^j", zero,
+                actions.terms((x,), label, gens.annihilators[i - 1])
+                + [(-sign * rho_sx[i - 1][j - 1], gens.annihilators[j - 1], ident)
+                   for j in (1, 2)]))
     return reports
 
 
@@ -368,22 +450,24 @@ def invariance_check(element: InvariantElement, data: HopfAlgebraData,
     commutator action (for which eps vanishes on the generators).
     """
     expr = element.expression
+    ident = fock.identity(expr.n_modes)
+    zero = fock.zero(expr.n_modes)
     reports = []
     if mode == "deformed":
+        actions = _Actions(data)
         for x in ("E", "F", "K", "Kinv"):
-            res = act(x, expr, data) - expr.scale(data.counit[x])
-            reports.append(RelationReport(
-                family="invariance-deformed", indices=(element.label, x),
-                relation=f"{x} |> {element.label} = eps({x}) {element.label}",
-                residual=res, exact_zero=res.is_zero))
+            reports.append(relation_report(
+                "invariance-deformed", (element.label, x),
+                f"{x} |> {element.label} = eps({x}) {element.label}", zero,
+                actions.terms((x,), element.label, expr)
+                + [(-data.counit[x], expr, ident)]))
     elif mode == "classical":
         js = js or classical_js()
         for x in ("j+", "j-", "j0"):
-            res = classical_act(x, expr, js)
-            reports.append(RelationReport(
-                family="invariance-classical", indices=(element.label, x),
-                relation=f"[{x}, {element.label}] = 0",
-                residual=res, exact_zero=res.is_zero))
+            reports.append(relation_report(
+                "invariance-classical", (element.label, x),
+                f"[{x}, {element.label}] = 0", zero,
+                [(ONE, js[x], expr), (-ONE, expr, js[x])]))
     else:
         raise ValueError("mode must be 'classical' or 'deformed'")
     return reports
@@ -400,23 +484,19 @@ def verify_I1_identity(gens: GeneratorSet,
     """
     if gens.modes > 3:
         raise ValueError("identity check supports at most 3 modes")
-    lhs = invariant_number(gens, "I1_q").expression
     base = Q ** -2
-    dim = 1 << gens.modes
     rows = []
-    for state in range(dim):
-        m = bin(state).count("1")
-        value = q_number(m, base)
-        rows.append({state: value} if not value.is_zero else {})
-    rhs = FockOperator(gens.modes, rows)
-    res = lhs - rhs
-    numeric = res.max_abs(q_point) if q_point is not None else None
-    return RelationReport(
-        family="invariant-identity", indices=("I1_q",),
-        relation="sum_i Adag_i A^i = (q^-2m - 1)/(q^-2 - 1) on each "
-                 "occupation-m eigenspace",
-        residual=res, exact_zero=res.is_zero,
-        numeric_max_abs=numeric)
+    for state in range(1 << gens.modes):
+        value = q_number(bin(state).count("1"), base)
+        rows.append({state: -value} if not value.is_zero else {})
+    report = relation_report(
+        "invariant-identity", ("I1_q",),
+        "sum_i Adag_i A^i = (q^-2m - 1)/(q^-2 - 1) on each "
+        "occupation-m eigenspace", FockOperator(gens.modes, rows),
+        [(ONE, c, a) for c, a in zip(gens.creators, gens.annihilators)])
+    if q_point is not None:
+        report.numeric_max_abs = report.residual.max_abs(q_point)
+    return report
 
 
 def degree_two_invariant_basis(n_modes: int = 2):

@@ -4,10 +4,16 @@ A check never returns a bare boolean: it returns a
 :class:`RelationReport` carrying the residual itself, so a failure can be
 inspected and a report can be serialized.  ``exact_zero`` is decided by
 structural equality of canonical rational functions, never by a float
-comparison.
+comparison.  :func:`relation_report` is the one relation evaluator: every
+checker writes its residual as start + sum coeff X Y and hands the term
+table to it.
 """
 
 from __future__ import annotations
+
+from functools import partial
+
+from .linalg import first_entry, product_sum_rows, reduce_rows
 
 
 #: Fixed choices that make every emitted number bit-exact reproducible.
@@ -100,6 +106,24 @@ class RelationReport:
         if self.numeric_max_abs is not None:
             doc["numeric_max_abs"] = self.numeric_max_abs
         return doc
+
+
+def relation_report(family: str, indices: tuple, relation: str, start,
+                    terms) -> RelationReport:
+    """The report on the residual start + sum coeff X Y over (coeff, X, Y).
+
+    ``start`` is a matrix of the residual's class (the zero operator, or
+    minus the identity for a relation with a delta term); zero
+    coefficients contribute nothing.  The entries are summed unreduced by
+    :func:`linalg.product_sum_rows`: ``exact_zero`` holds iff none
+    survives, which is iff the relation holds over Q(q), and only the first
+    surviving entry, the worst entry, is reduced.  The canonical residual
+    is built from the kept rows when it is first read.
+    """
+    rows = product_sum_rows(start, terms)
+    return RelationReport.deferred(family, indices, relation,
+                                   first_entry(rows),
+                                   partial(reduce_rows, start, rows))
 
 
 def summarize(reports: list[RelationReport]) -> dict:

@@ -8,19 +8,25 @@ indices.  The index pair (i, j), 1-based, flattens to (i-1)*N + j
 
 Validity is never assumed: the Hecke identity
 (Rhat - q)(Rhat + q^-1) = 0 and the braid identity on the cube of the
-defining space are checked by exact multiplication, and the symmetrizer
-is the spectral projector onto the q-eigenspace,
+defining space are checked exactly, each as one residual
+start + sum coeff X Y for :func:`report.relation_report` (the Hecke
+residual is Rhat^2 + (q^-1 - q) Rhat - 1; the braid residual is
+(R12 R23) R12 - R23 (R12 R23), with the one product R12 R23 formed), and
+the symmetrizer is the spectral projector onto the q-eigenspace,
 
     P+_q = (Rhat + q^-1) / (q + q^-1),
 
 which is idempotent whenever the Hecke identity holds and degenerates to
-the symmetric projector (1 + P)/2 at q = 1.
+the symmetric projector (1 + P)/2 at q = 1.  The sp symmetrizer
+expression is summed by :func:`linalg.product_sum` and its idempotency
+residual P^2 - P by the relation evaluator.
 """
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, dim_guard_error, max_dim, read_rows
-from .report import RelationReport
+from .linalg import (SparseMatrix, dim_guard_error, max_dim, product_sum,
+                     read_rows)
+from .report import RelationReport, relation_report
 from .scalar import ONE, Q, RationalFunction, q_power
 
 
@@ -118,16 +124,12 @@ def build_permutation(n: int) -> RMatrix:
 # ---------------------------------------------------------------------------
 
 def check_hecke(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RelationReport:
-    """Residual (Rhat - q)(Rhat + q^-1); exact-zero flag."""
+    """Residual (Rhat - q)(Rhat + q^-1) = Rhat^2 + (q^-1 - q) Rhat - 1."""
     ident = rhat.identity_like()
-    residual = (rhat - ident.scale(q_scalar)) * (rhat + ident.scale(q_scalar ** -1))
-    return RelationReport(
-        family="hecke",
-        indices=(rhat.n,),
-        relation="(Rhat - q)(Rhat + q^-1) = 0",
-        residual=residual,
-        exact_zero=residual.is_zero,
-    )
+    minus_one = rhat._clone([{r: -ONE} for r in range(rhat.dim)])
+    return relation_report(
+        "hecke", (rhat.n,), "(Rhat - q)(Rhat + q^-1) = 0", minus_one,
+        [(ONE, rhat, rhat), (q_scalar ** -1 - q_scalar, rhat, ident)])
 
 
 def _braid_factor(rhat: RMatrix, left: bool) -> SparseMatrix:
@@ -147,17 +149,14 @@ def _braid_factor(rhat: RMatrix, left: bool) -> SparseMatrix:
 
 
 def check_braid(rhat: RMatrix) -> RelationReport:
-    """Residual R12 R23 R12 - R23 R12 R23 on the cube of the block space."""
+    """Residual R12 R23 R12 - R23 R12 R23 on the cube of the block space,
+    evaluated as (R12 R23) R12 - R23 (R12 R23) with one product formed."""
     r12 = _braid_factor(rhat, left=True)
     r23 = _braid_factor(rhat, left=False)
-    residual = (r12 * r23) * r12 - (r23 * r12) * r23
-    return RelationReport(
-        family="braid",
-        indices=(rhat.n,),
-        relation="R12 R23 R12 = R23 R12 R23",
-        residual=residual,
-        exact_zero=residual.is_zero,
-    )
+    r12r23 = r12 * r23
+    return relation_report(
+        "braid", (rhat.n,), "R12 R23 R12 = R23 R12 R23", SparseMatrix(r12.dim),
+        [(ONE, r12r23, r12), (-ONE, r23, r12r23)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +188,14 @@ def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
     denom = (Q + q_power(-1)) * (Q - q_power(-1 - n))
     if denom.is_zero:
         raise ZeroDivisionError("sp symmetrizer denominator vanishes identically")
+    inv = denom ** -1
     ident = rhat.identity_like()
-    numer = (rhat * rhat
-             + rhat.scale(q_power(-1 - n) + q_power(-1))
-             + ident.scale(q_power(-2 - n)))
-    p = numer.scale(denom ** -1)
-    p = RMatrix(n, p.rows, kind="projector-sp")
-    residual = p * p - p
-    idempotency = RelationReport(
-        family="sp-idempotency",
-        indices=(n,),
-        relation="(P+_q)^2 = P+_q",
-        residual=residual,
-        exact_zero=residual.is_zero,
-    )
+    zero = RMatrix(n, kind="projector-sp")
+    p = product_sum(zero,
+                    [(inv, rhat, rhat),
+                     ((q_power(-1 - n) + q_power(-1)) * inv, rhat, ident),
+                     (q_power(-2 - n) * inv, ident, ident)])
+    idempotency = relation_report(
+        "sp-idempotency", (n,), "(P+_q)^2 = P+_q", zero,
+        [(ONE, p, p), (-ONE, p, ident)])
     return p, idempotency

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qclifford import deform, fock
+from qclifford import cli, deform, fock
 from qclifford.cli import main
 from qclifford.deform import (MapConstructionError, build_deforming_map,
                               undeformed_set)
@@ -324,6 +324,31 @@ class TestEvalCommand:
         code, out, err = run(capsys, "eval", "q^2", "--q-numeric", "1e200")
         assert code == 2 and out == ""
         assert "outside the float range" in err
+
+    @pytest.mark.parametrize("command", [
+        ("eval", "q^1000"), ("eval", "q^100"), ("covariance", "--n", "2"),
+        ("verify-map", "--n", "2")])
+    @pytest.mark.parametrize("point", [
+        "1e10000", "1e500", "1.5e499", "1e-500",
+        pytest.param("1" * 501, id="501-digits"), "1e99999999999999999999"])
+    def test_oversized_point_exits_two_before_it_is_built(
+            self, capsys, monkeypatch, command, point):
+        def refuse(*args):
+            raise AssertionError("the point was built")
+
+        monkeypatch.setattr(cli, "Fraction", refuse)
+        code, out, err = run(capsys, *command, "--q-numeric", point)
+        assert code == 2 and out == ""
+        assert "--q-numeric value is too large" in err
+        assert "exceed 500" in err
+
+    @pytest.mark.parametrize("point", [
+        "1e499", "1e-499", "1.5e498", pytest.param("1" * 500, id="500-digits"),
+        "2e0008", "1_0e2"])
+    def test_point_within_the_digit_bound_is_read(self, capsys, point):
+        code, _, err = run(capsys, "eval", "q", "--q-numeric", point)
+        assert "--q-numeric value is too large" not in err
+        assert code == 0 or "outside the float range" in err
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "q +")

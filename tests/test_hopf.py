@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qclifford import hopf
 from qclifford.deform import build_deforming_map, undeformed_set
 from qclifford.fock import build_generators, identity, number_op
 from qclifford.hopf import (FROZEN_CONVENTION, MIRROR_CONVENTION,
@@ -10,6 +11,7 @@ from qclifford.hopf import (FROZEN_CONVENTION, MIRROR_CONVENTION,
                             deformed_js, degree_two_invariant_basis,
                             invariance_check, invariant_from_tensor,
                             invariant_number, verify_I1_identity)
+from qclifford.linalg import SparseMatrix
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power
 
 
@@ -120,6 +122,30 @@ class TestModuleAlgebra:
         lhs = act("E", a * b, at_one)
         rhs = act("E", a, at_one) * b + a * act("E", b, at_one)
         assert lhs == rhs
+
+    def test_each_action_and_sandwich_product_computed_once(self, monkeypatch):
+        data = deformed_js()
+        gens = build_deforming_map(2, check=False)
+        calls = {"mul": 0, "act": 0}
+        mul, act_once = SparseMatrix.__mul__, hopf.act
+
+        def counted_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        def counted_act(*args):
+            calls["act"] += 1
+            return act_once(*args)
+
+        monkeypatch.setattr(SparseMatrix, "__mul__", counted_mul)
+        monkeypatch.setattr(hopf, "act", counted_act)
+        reports = check_module_algebra(data, gens)
+        assert all(r.exact_zero for r in reports)
+        # y |> a once per generator word and sample (5 words x 4 samples);
+        # matrix products only for those actions, the sigma words and each
+        # sigma(x_(1)) a or b sigma(S x_(2)); the residuals form none
+        assert calls["act"] <= 20
+        assert calls["mul"] <= 210
 
 
 class TestCovariance:
