@@ -52,6 +52,9 @@ CASES = {
         "(2*q^2 + q + 3)/(q + 2),(q^2 + 3)/(3*q + 1)"],
     "verify-map-input-broken": ["verify-map", "--input",
                                 "verify_map_input_broken_n3.json"],
+    "verify-map-input-broken-q1.3": ["verify-map", "--input",
+                                     "verify_map_input_broken_n3.json",
+                                     "--q-numeric", "1.3"],
     "eval-q1.3": ["eval", "(q^3 - 3*q + 2)/(q^2 - 1)", "--q-numeric", "1.3"],
 }
 
