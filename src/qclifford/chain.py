@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import fock
-from .deform import (GeneratorSet, build_deforming_map, relation_report,
-                     undeformed_set)
-from .linalg import invert_sparse
+from .deform import GeneratorSet, build_deforming_map, undeformed_set
+from .linalg import invert_dense
 from .report import RelationReport, summarize
 from .rmatrix import RMatrix, _rhat_sl_any, build_permutation
 from .scalar import ONE, Q, RationalFunction
@@ -109,7 +108,7 @@ def ordering_residuals(spec: ChainSpec, gens: GeneratorSet,
     zero = fock.zero(gens.modes)
     mode_pairs = list(product(range(1, spec.n_modes + 1), repeat=2))
     indices = _index_tuples(spec)
-    reports = [relation_report(
+    reports = [RelationReport(
         "chain-creator", (alpha, beta, i, j),
         f"C[{alpha}{i}] C[{beta}{j}] "
         f"+ q Rn[(hk),({i}{j})] C[{beta}h] C[{alpha}k] = 0", zero,
@@ -117,7 +116,7 @@ def ordering_residuals(spec: ChainSpec, gens: GeneratorSet,
         + [(q_rn.block(h, k, i, j), cre[beta, h], cre[alpha, k])
            for h, k in mode_pairs])
         for alpha, beta, i, j in indices]
-    reports += [relation_report(
+    reports += [RelationReport(
         "chain-annihilator", (alpha, beta, i, j),
         f"A[{alpha}{j}] A[{beta}{i}] "
         f"+ q Rn[({i}{j}),(hk)] A[{beta}k] A[{alpha}h] = 0", zero,
@@ -143,14 +142,14 @@ def mixed_residuals(spec: ChainSpec, gens: GeneratorSet,
             return [(qinv_rn.block(i, h, j, k), cre[beta, h], ann[alpha, k])
                     for h, k in mode_pairs]
     else:
-        rm_inv = invert_sparse(spec.rhat_m)
+        rm_inv = invert_dense(spec.rhat_m)
 
         def mixed_terms(alpha, beta, i, j):
             return [(rm_inv.block(alpha, gamma, beta, delta)
                      * rn.block(i, h, j, k), cre[gamma, h], ann[delta, k])
                     for gamma, delta in product(range(1, m + 1), repeat=2)
                     for h, k in mode_pairs]
-    return [relation_report(
+    return [RelationReport(
         "chain-mixed", (alpha, beta, i, j),
         f"A[{alpha}{i}] C[{beta}{j}] + braided reorder "
         f"= delta_{i}{j} delta_{alpha}{beta}",

@@ -109,11 +109,17 @@ def _q_point(args) -> Fraction | None:
     return Fraction(text)
 
 
-def _check_pole(gens: deform.GeneratorSet, point: Fraction | None) -> None:
-    """Substitute the point into the generators, so that a pole of theirs
-    raises :class:`PoleError` before any numeric value is reported."""
+def _spot_check(reports: list[RelationReport], gens: deform.GeneratorSet,
+                point: Fraction | None) -> None:
+    """Record each report's residual max |.| at the --q-numeric point.
+
+    The point goes into the generators first, so that a pole of theirs
+    raises :class:`PoleError` before any numeric value is reported.
+    """
     if point is not None:
         gens.subst(point)
+        for rep in reports:
+            rep.numeric_max_abs = rep.residual.max_abs(point)
 
 
 def _load_json(path: str) -> dict:
@@ -144,9 +150,7 @@ def cmd_rmatrix(args) -> int:
     rhat = RMatrix.from_json(_load_json(args.input))
     projector, idempotency = projector_sp(rhat)
     doc["projector"] = projector.to_json()
-    doc["relations"] = [idempotency.to_json()]
-    doc["summary"] = summarize([idempotency])
-    return _finish(doc, args, exit_code=0)
+    return _finish(doc, args, [idempotency], exit_code=0)
 
 
 def cmd_verify_map(args) -> int:
@@ -195,12 +199,9 @@ def cmd_covariance(args) -> int:
     point = _q_point(args)
     data = hopf.deformed_js()
     gens = deform.build_deforming_map(2, check=False)
-    _check_pole(gens, point)
     reports = hopf.check_covariance(gens, data)
     reports += hopf.check_module_algebra(data, gens)
-    if point is not None:
-        for rep in reports:
-            rep.numeric_max_abs = rep.residual.max_abs(point)
+    _spot_check(reports, gens, point)
     control = hopf.check_covariance(deform.undeformed_set(2), data)
     control_nonzero = any(not r.exact_zero for r in control)
     doc["negative_control"] = {
@@ -218,17 +219,14 @@ def cmd_invariants(args) -> int:
     data = hopf.deformed_js()
     plain = deform.undeformed_set(2)
     dressed = deform.build_deforming_map(2, check=False)
-    _check_pole(dressed, point)
     i1 = hopf.invariant_number(plain, "I1")
     i1q = hopf.invariant_number(dressed, "I1_q")
     reports = []
     for element in (i1, i1q):
         reports += hopf.invariance_check(element, data, "deformed")
         reports += hopf.invariance_check(element, data, "classical")
-    reports.append(hopf.verify_I1_identity(dressed, q_point=point))
-    if point is not None:
-        for rep in reports:
-            rep.numeric_max_abs = rep.residual.max_abs(point)
+    reports.append(hopf.verify_I1_identity(dressed))
+    _spot_check(reports, dressed, point)
     return _finish(doc, args, reports)
 
 
@@ -251,9 +249,7 @@ def cmd_chain_experiment(args) -> int:
         }
         relations += data["reports"]
     doc["experiment"] = experiment
-    doc["relations"] = [r.to_json() for r in relations]
-    doc["summary"] = summarize(relations)
-    return _finish(doc, args, exit_code=0)  # findings, never a failure
+    return _finish(doc, args, relations, exit_code=0)  # findings, never a failure
 
 
 def cmd_eval(args) -> int:
@@ -337,10 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_q_numeric(argv: list[str]) -> list[str]:
+    """``--q-numeric VALUE`` as the one token ``--q-numeric=VALUE``, so that
+    a negative value such as ``-3/4`` is not read as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--q-numeric" and not arg.startswith("--"):
+            joined[-1] = f"--q-numeric={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_q_numeric(sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -17,11 +17,10 @@ with the exponent -2 coming out of the exact contraction of q^-1 Rhat;
 the tests pin this coefficient and reject the q^-1 - 1 alternative.
 Each relation, here and in the chain families, is one residual
 start + sum coeff X Y over a table of (coeff, X, Y) terms, with start
-the zero operator or minus the identity.  :func:`report.relation_report`
-(importable from here too) hands the table to
-:func:`linalg.product_sum_rows`, which forms no product matrix: every
-residual entry is summed as an unreduced fraction, and an
-entry whose numerator cancels is dropped.  The relation holds iff no
+the zero operator or minus the identity.  :class:`report.RelationReport`
+hands the table to :func:`linalg.product_sum_rows`, which forms no
+product matrix: every residual entry is summed as an unreduced fraction,
+and an entry whose numerator cancels is dropped.  The relation holds iff no
 entry survives, and the report reduces only what it prints, the first
 surviving entry in row-major order; the full canonical residual is built
 only when it is read.  Canonical forms in Q(q) are unique, so the
@@ -52,8 +51,8 @@ from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import invert_sparse, rank as exact_rank
-from .report import RelationReport, relation_report
+from .linalg import invert_dense, rank as exact_rank
+from .report import RelationReport
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
 
@@ -139,19 +138,19 @@ def relation_residuals(gens: GeneratorSet, rhat: RMatrix,
     pairs = list(product(range(1, n + 1), repeat=2))
     reports = []
     for i, j in pairs:
-        reports.append(relation_report(
+        reports.append(RelationReport(
             "creator-creator", (i, j),
             f"sum_hk P+_q[(hk),({i}{j})] Adag_h Adag_k = 0", zero,
             [(pplus.block(h, k, i, j), cre[h - 1], cre[k - 1])
              for h, k in pairs]))
     for i, j in pairs:
-        reports.append(relation_report(
+        reports.append(RelationReport(
             "annihilator-annihilator", (i, j),
             f"sum_hk P+_q[({i}{j}),(hk)] A^k A^h = 0", zero,
             [(pplus.block(i, j, h, k), ann[k - 1], ann[h - 1])
              for h, k in pairs]))
     for i, j in pairs:
-        reports.append(relation_report(
+        reports.append(RelationReport(
             "mixed", (i, j),
             f"A^{i} Adag_{j} + sum_hk P_q[({i}h),({j}k)] Adag_h A^k "
             f"= delta_{i}{j}", minus_one if i == j else zero,
@@ -273,7 +272,7 @@ def build_inverse_map(n_modes: int, deformed: GeneratorSet) -> GeneratorSet:
 def conjugate_realization(gens: GeneratorSet, alpha: FockOperator) -> GeneratorSet:
     """New realization alpha . X . alpha^-1 for an invertible alpha."""
     try:
-        alpha_inv = invert_sparse(alpha)
+        alpha_inv = invert_dense(alpha)
     except ValueError:
         raise ValueError("alpha is singular (exact determinant zero)") from None
     return GeneratorSet(
@@ -353,20 +352,18 @@ def check_rank_modes(n: int) -> None:
 def star_compatibility(gens: GeneratorSet, q_point=None) -> RelationReport:
     """Check star(A^i) = Adag_i for every mode.
 
-    The exact flag is decided by the symbolic transpose; when ``q_point``
-    is given (a real q > 0) the worst numeric deviation is recorded too.
+    The one report covers the N per-mode residuals star(A^i) - Adag_i:
+    its residual is the first nonzero one (or mode 1's), so it is exact
+    zero iff every mode is, and its worst entry is that mode's.  When
+    ``q_point`` is given (a real q > 0), ``numeric_max_abs`` is the worst
+    numeric deviation over all modes, not only the reported one.
     """
     residuals = [gens.annihilators[i].star() - gens.creators[i]
                  for i in range(gens.modes)]
-    worst = next((r for r in residuals if not r.is_zero), residuals[0])
-    numeric = None
+    report = RelationReport(
+        "star", tuple(range(1, gens.modes + 1)),
+        "star(A^i) = Adag_i for all modes",
+        next((r for r in residuals if not r.is_zero), residuals[0]))
     if q_point is not None:
-        numeric = max(r.max_abs(q_point) for r in residuals)
-    return RelationReport(
-        family="star",
-        indices=tuple(range(1, gens.modes + 1)),
-        relation="star(A^i) = Adag_i for all modes",
-        residual=worst,
-        exact_zero=all(r.is_zero for r in residuals),
-        numeric_max_abs=numeric,
-    )
+        report.numeric_max_abs = max(r.max_abs(q_point) for r in residuals)
+    return report

@@ -17,17 +17,7 @@ import os
 from fractions import Fraction
 from math import gcd as _int_gcd
 
-from .scalar import ONE, Poly, RationalFunction, ZERO, parse_rational
-
-
-def _as_scalar(value) -> RationalFunction:
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, int):
-        return RationalFunction(value)
-    if isinstance(value, Fraction):
-        return RationalFunction.from_fraction(value)
-    raise TypeError(f"cannot scale by {type(value).__name__}")
+from .scalar import ONE, Poly, RationalFunction, ZERO, _coerce, parse_rational
 
 
 _DEFAULT_MAX_DIM = 4096  # Fock dimension 2^12
@@ -149,10 +139,12 @@ class SparseMatrix:
         return NotImplemented
 
     def scale(self, factor) -> "SparseMatrix":
-        factor = _as_scalar(factor)
-        if factor.is_zero:
+        scalar = _coerce(factor)
+        if scalar is NotImplemented:
+            raise TypeError(f"cannot scale by {type(factor).__name__}")
+        if scalar.is_zero:
             return self._clone([{} for _ in range(self.dim)])
-        return self._clone([{c: v * factor for c, v in row.items()}
+        return self._clone([{c: v * scalar for c, v in row.items()}
                             for row in self.rows])
 
     def transpose(self) -> "SparseMatrix":
@@ -384,13 +376,15 @@ def rank_numeric(rows) -> int:
 # dense inversion over the field
 # ---------------------------------------------------------------------------
 
-def invert_dense(matrix: list[list[RationalFunction]]) -> list[list[RationalFunction]]:
-    """Invert a dense matrix over Q(q) by Gauss-Jordan elimination.
+def invert_dense(matrix: SparseMatrix) -> SparseMatrix:
+    """The inverse of a matrix over Q(q), as its class.
 
-    Raises ValueError("matrix is singular") when no inverse exists.
+    The entries are copied to dense rows, which Gauss-Jordan elimination
+    reduces to the identity.  Raises ValueError("matrix is singular") when
+    no inverse exists.
     """
-    n = len(matrix)
-    work = [list(row) for row in matrix]
+    n = matrix.dim
+    work = [[matrix.get(r, c) for c in range(n)] for r in range(n)]
     inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = None
@@ -413,15 +407,5 @@ def invert_dense(matrix: list[list[RationalFunction]]) -> list[list[RationalFunc
                 continue
             work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
             inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return inv
-
-
-def invert_sparse(matrix: SparseMatrix) -> SparseMatrix:
-    """Inverse of a SparseMatrix (dense elimination internally)."""
-    n = matrix.dim
-    dense = [[matrix.get(r, c) for c in range(n)] for r in range(n)]
-    inv = invert_dense(dense)
-    rows = []
-    for r in range(n):
-        rows.append({c: inv[r][c] for c in range(n) if not inv[r][c].is_zero})
-    return matrix._clone(rows)
+    return matrix._clone([{c: v for c, v in enumerate(row) if not v.is_zero}
+                          for row in inv])

@@ -2,16 +2,14 @@
 
 A check never returns a bare boolean: it returns a
 :class:`RelationReport` carrying the residual itself, so a failure can be
-inspected and a report can be serialized.  ``exact_zero`` is decided by
-structural equality of canonical rational functions, never by a float
-comparison.  :func:`relation_report` is the one relation evaluator: every
+inspected and a report can be serialized.  ``exact_zero`` is decided
+exactly over Q(q), never by a float comparison.  The
+:class:`RelationReport` constructor is the one relation evaluator: every
 checker writes its residual as start + sum coeff X Y and hands the term
-table to it.
+table to it, and a report is built no other way.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from .linalg import first_entry, product_sum_rows, reduce_rows
 
@@ -43,53 +41,45 @@ CONVENTIONS = {
 
 
 class RelationReport:
-    """Outcome of one relation check.
+    """The report on the residual start + sum coeff X Y over (coeff, X, Y).
 
-    ``residual`` is the residual matrix: a FockOperator, an RMatrix (a
-    SparseMatrix with block indices) or a plain SparseMatrix.  A report
-    made by :meth:`deferred` builds it the first time it is read.
-    ``exact_zero`` holds iff every entry is the canonical zero.
-    ``numeric_max_abs`` is filled only when a numeric spot check at some
-    q was requested.
+    ``start`` is a matrix of the residual's class (a FockOperator, an
+    RMatrix or a plain SparseMatrix: the zero operator, or minus the
+    identity for a relation with a delta term); zero coefficients
+    contribute nothing.  The entries are summed unreduced by
+    :func:`linalg.product_sum_rows`: ``exact_zero`` holds iff none
+    survives, which is iff the relation holds over Q(q), and only the
+    first surviving entry, the worst entry, is reduced.  ``residual``, the
+    canonical residual, is built from the kept rows when it is first read.
+    ``numeric_max_abs`` is set by the caller only when a numeric spot
+    check at some q was requested.
     """
 
-    __slots__ = ("family", "indices", "relation", "exact_zero",
-                 "numeric_max_abs", "_residual", "_build", "_first")
+    __slots__ = ("family", "indices", "relation", "numeric_max_abs",
+                 "_start", "_rows", "_residual")
 
-    def __init__(self, family: str, indices: tuple, relation: str, residual,
-                 exact_zero: bool, numeric_max_abs: float | None = None):
+    def __init__(self, family: str, indices: tuple, relation: str, start,
+                 terms=()):
         self.family = family
         self.indices = indices
         self.relation = relation
-        self.exact_zero = exact_zero
-        self.numeric_max_abs = numeric_max_abs
-        self._residual = residual
-        self._build = None
-        self._first = None
+        self.numeric_max_abs = None
+        self._start = start
+        self._rows = product_sum_rows(start, terms)
+        self._residual = None
 
-    @classmethod
-    def deferred(cls, family: str, indices: tuple, relation: str, first,
-                 build) -> "RelationReport":
-        """A report whose residual is ``build()``, made on its first read.
-
-        ``first`` is the residual's first nonzero entry in row-major order,
-        ``(row, col, value)``, or None for the zero residual; it is all
-        that :meth:`to_json` reads.
-        """
-        report = cls(family, indices, relation, None, first is None)
-        report._first, report._build = first, build
-        return report
+    @property
+    def exact_zero(self) -> bool:
+        return not self._rows
 
     @property
     def residual(self):
-        if self._build is not None:
-            self._residual, self._build = self._build(), None
+        if self._residual is None:
+            self._residual = reduce_rows(self._start, self._rows)
         return self._residual
 
     def worst_entry(self) -> str:
-        if self.exact_zero:
-            return "0"
-        first = self._first or self.residual.first_nonzero()
+        first = first_entry(self._rows)
         if first is None:
             return "0"
         r, c, v = first
@@ -106,24 +96,6 @@ class RelationReport:
         if self.numeric_max_abs is not None:
             doc["numeric_max_abs"] = self.numeric_max_abs
         return doc
-
-
-def relation_report(family: str, indices: tuple, relation: str, start,
-                    terms) -> RelationReport:
-    """The report on the residual start + sum coeff X Y over (coeff, X, Y).
-
-    ``start`` is a matrix of the residual's class (the zero operator, or
-    minus the identity for a relation with a delta term); zero
-    coefficients contribute nothing.  The entries are summed unreduced by
-    :func:`linalg.product_sum_rows`: ``exact_zero`` holds iff none
-    survives, which is iff the relation holds over Q(q), and only the first
-    surviving entry, the worst entry, is reduced.  The canonical residual
-    is built from the kept rows when it is first read.
-    """
-    rows = product_sum_rows(start, terms)
-    return RelationReport.deferred(family, indices, relation,
-                                   first_entry(rows),
-                                   partial(reduce_rows, start, rows))
 
 
 def summarize(reports: list[RelationReport]) -> dict:

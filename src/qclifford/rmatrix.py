@@ -9,7 +9,7 @@ indices.  The index pair (i, j), 1-based, flattens to (i-1)*N + j
 Validity is never assumed: the Hecke identity
 (Rhat - q)(Rhat + q^-1) = 0 and the braid identity on the cube of the
 defining space are checked exactly, each as one residual
-start + sum coeff X Y for :func:`report.relation_report` (the Hecke
+start + sum coeff X Y for :class:`report.RelationReport` (the Hecke
 residual is Rhat^2 + (q^-1 - q) Rhat - 1; the braid residual is
 (R12 R23) R12 - R23 (R12 R23), with the one product R12 R23 formed), and
 the symmetrizer is the spectral projector onto the q-eigenspace,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .linalg import (SparseMatrix, dim_guard_error, max_dim, product_sum,
                      read_rows)
-from .report import RelationReport, relation_report
+from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, q_power
 
 
@@ -127,7 +127,7 @@ def check_hecke(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RelationReport
     """Residual (Rhat - q)(Rhat + q^-1) = Rhat^2 + (q^-1 - q) Rhat - 1."""
     ident = rhat.identity_like()
     minus_one = rhat._clone([{r: -ONE} for r in range(rhat.dim)])
-    return relation_report(
+    return RelationReport(
         "hecke", (rhat.n,), "(Rhat - q)(Rhat + q^-1) = 0", minus_one,
         [(ONE, rhat, rhat), (q_scalar ** -1 - q_scalar, rhat, ident)])
 
@@ -154,7 +154,7 @@ def check_braid(rhat: RMatrix) -> RelationReport:
     r12 = _braid_factor(rhat, left=True)
     r23 = _braid_factor(rhat, left=False)
     r12r23 = r12 * r23
-    return relation_report(
+    return RelationReport(
         "braid", (rhat.n,), "R12 R23 R12 = R23 R12 R23", SparseMatrix(r12.dim),
         [(ONE, r12r23, r12), (-ONE, r23, r12r23)])
 
@@ -195,7 +195,7 @@ def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
                     [(inv, rhat, rhat),
                      ((q_power(-1 - n) + q_power(-1)) * inv, rhat, ident),
                      (q_power(-2 - n) * inv, ident, ident)])
-    idempotency = relation_report(
+    idempotency = RelationReport(
         "sp-idempotency", (n,), "(P+_q)^2 = P+_q", zero,
         [(ONE, p, p), (-ONE, p, ident)])
     return p, idempotency

@@ -25,6 +25,11 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 
 
+#: most bits of an exact value at a rational point, some 3 900 decimal
+#: digits: within the 4 300 digits an integer may print
+_MAX_VALUE_BITS = 13_000
+
+
 class PoleError(ZeroDivisionError):
     """Rational function evaluated at a root of its denominator."""
 
@@ -397,10 +402,18 @@ class RationalFunction:
 
         Exact (returns a Fraction) for int/Fraction points; float/complex
         points give float/complex results.  Raises :class:`PoleError`,
-        naming the vanishing denominator, when the point is a root of it.
+        naming the vanishing denominator, when the point is a root of it,
+        and ``ValueError`` before an exact value of more than
+        ``_MAX_VALUE_BITS`` (the degree times the bits of the point).
         """
         if isinstance(point, int):
             point = Fraction(point)
+        if isinstance(point, Fraction):
+            bits = max(abs(point.numerator), point.denominator).bit_length()
+            degree = max(self.num.degree, self.den.degree)
+            if degree * bits > _MAX_VALUE_BITS:
+                raise ValueError(f"the exact value of a degree-{degree} function "
+                                 f"at this point would exceed {_MAX_VALUE_BITS} bits")
         dval = self.den.eval(point)
         if dval == 0:
             raise PoleError(self.den, point)

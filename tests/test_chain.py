@@ -170,10 +170,10 @@ class TestLexicographicExperiment:
                 return original(family, *rest)
             return wrapper
 
-        # the map check would reach relation_report through deform
+        # the map check would build its reports in deform
         for module in (chain, deform):
-            monkeypatch.setattr(module, "relation_report",
-                                counted(module.relation_report))
+            monkeypatch.setattr(module, "RelationReport",
+                                counted(module.RelationReport))
         lexicographic_experiment(2, 3, **kwargs)
         assert len(calls) == expected
         assert not any(family in {"creator-creator", "mixed"}

@@ -350,6 +350,22 @@ class TestEvalCommand:
         assert "--q-numeric value is too large" not in err
         assert code == 0 or "outside the float range" in err
 
+    @pytest.mark.parametrize("point", ["1e100", "1e499"])
+    def test_oversized_exact_value_exits_two_before_it_is_built(
+            self, capsys, point):
+        # q^2000 at 1e100 is a 200 001-digit integer
+        code, out, err = run(capsys, "eval", "q^2000", "--q-numeric", point)
+        assert code == 2 and out == ""
+        assert "degree-2000 function at this point would exceed" in err
+
+    @pytest.mark.parametrize("argv, exact", [
+        (("--q-numeric", "-3/4"), "-27/64"), (("--q-numeric=-3/4",), "-27/64"),
+        (("--q-numeric", "-1e-1"), "-1/1000")])
+    def test_negative_point_is_read(self, capsys, argv, exact):
+        code, doc, _ = run_json(capsys, "eval", "q^3", *argv)
+        assert code == 0
+        assert doc["value"]["exact"] == exact
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "q +")
         assert code == 2 and "parse" in err.lower() or "dangling" in err

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.linalg import (SparseMatrix, invert_dense, invert_sparse, rank,
-                              rank_numeric)
+from qclifford.linalg import SparseMatrix, invert_dense, rank, rank_numeric
 from qclifford.report import CONVENTIONS, RelationReport, summarize
+from qclifford.rmatrix import RMatrix
 from qclifford.scalar import ONE, Poly, Q, RationalFunction, ZERO, q_power
 
 
@@ -76,47 +76,63 @@ class TestInversion:
     def test_round_trip(self):
         rng = random.Random(99)
         n = 4
-        dense = [[random_rf(rng) for _ in range(n)] for _ in range(n)]
-        dense = [[v + (ONE if r == c else ZERO) for c, v in enumerate(row)]
-                 for r, row in enumerate(dense)]
+        m = SparseMatrix(n, tuple(
+            {c: random_rf(rng) + (ONE if r == c else ZERO) for c in range(n)}
+            for r in range(n)))
         try:
-            inv = invert_dense(dense)
+            inv = invert_dense(m)
         except ValueError:
             pytest.skip("random matrix happened to be singular")
-        product = [[sum((dense[r][k] * inv[k][c] for k in range(n)), ZERO)
-                    for c in range(n)] for r in range(n)]
-        for r in range(n):
-            for c in range(n):
-                assert product[r][c] == (ONE if r == c else ZERO)
+        assert m * inv == SparseMatrix.identity(n)
+        assert inv * m == SparseMatrix.identity(n)
 
     def test_singular_detection(self):
         with pytest.raises(ValueError, match="singular"):
-            invert_dense([[ONE, ONE], [ONE, ONE]])
+            invert_dense(SparseMatrix(2, ({0: ONE, 1: ONE}, {0: ONE, 1: ONE})))
 
-    def test_sparse_wrapper(self):
+    def test_inverse_keeps_the_class(self):
         m = SparseMatrix(2, ({0: Q}, {0: ONE, 1: ONE}))
-        assert m * invert_sparse(m) == SparseMatrix.identity(2)
+        assert m * invert_dense(m) == SparseMatrix.identity(2)
+        rhat = RMatrix(1, ({0: Q},))
+        inv = invert_dense(rhat)
+        assert isinstance(inv, RMatrix) and inv.block(1, 1, 1, 1) == Q ** -1
+
+
+def expected_worst(residual: SparseMatrix) -> str:
+    """The worst-entry text read off a residual by its own row-major scan."""
+    if residual.is_zero:
+        return "0"
+    r, c, v = residual.first_nonzero()
+    return f"{v} at ({r}, {c})"
 
 
 class TestReports:
     def test_worst_entry_of_zero_residual(self):
-        rep = RelationReport("f", (1,), "x = 0", SparseMatrix(2), True)
+        rep = RelationReport("f", (1,), "x = 0", SparseMatrix(2))
+        assert rep.exact_zero and rep.residual.is_zero
         assert rep.worst_entry() == "0"
         assert "numeric_max_abs" not in rep.to_json()
 
     def test_worst_entry_names_position(self):
-        residual = SparseMatrix(2, ({}, {1: Q - ONE}))
-        rep = RelationReport("f", (1, 2), "x = 0", residual, False,
-                             numeric_max_abs=0.3)
-        assert rep.worst_entry() == "q - 1 at (1, 1)"
+        # row 1 holds column 1 before column 0: the worst entry is at the
+        # smaller column, not at the first one stored
+        residual = SparseMatrix(2, ({}, {1: Q - ONE, 0: Q}))
+        rep = RelationReport("f", (1, 2), "x = 0", SparseMatrix(2),
+                             [(ONE, residual, SparseMatrix.identity(2))])
+        assert rep.exact_zero == residual.is_zero
+        assert rep.worst_entry() == expected_worst(residual) == "q at (1, 0)"
+        assert rep.residual == residual
+        rep.numeric_max_abs = 0.3
         doc = rep.to_json()
         assert doc["numeric_max_abs"] == 0.3
         assert doc["indices"] == [1, 2]
+        assert doc["worst_entry"] == "q at (1, 0)"
 
     def test_summarize_counts(self):
-        zeros = SparseMatrix(1)
-        reports = [RelationReport("f", (), "", zeros, flag)
-                   for flag in (True, True, False)]
+        zeros, failing = SparseMatrix(1), SparseMatrix(1, ({0: Q},))
+        reports = [RelationReport("f", (), "", start)
+                   for start in (zeros, zeros, failing)]
+        assert [r.exact_zero for r in reports] == [True, True, False]
         assert summarize(reports) == {"total": 3, "exact_zero": 2, "failed": 1}
 
     def test_convention_ledger_is_never_empty(self):
