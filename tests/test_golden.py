@@ -47,6 +47,7 @@ CASES = {
     "chain-experiment-m2n2": ["chain-experiment", "--m", "2", "--n", "2"],
     "chain-experiment-m2n2-rm": ["chain-experiment", "--m", "2", "--n", "2",
                                  "--variant", "RM-braided-mixed"],
+    "chain-experiment-m3n2": ["chain-experiment", "--m", "3", "--n", "2"],
     "chain-experiment-m2n2-scaled": [
         "chain-experiment", "--m", "2", "--n", "2", "--scales",
         "(2*q^2 + q + 3)/(q + 2),(q^2 + 3)/(3*q + 1)"],
