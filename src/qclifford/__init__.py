@@ -22,7 +22,7 @@ from .hopf import (HopfAlgebraData, InvariantElement, act, check_covariance,
                    check_module_algebra, classical_act, classical_js,
                    deformed_js, invariance_check, invariant_from_tensor,
                    invariant_number, verify_I1_identity)
-from .chain import (ChainSpec, chain_residuals, classical_chain_check,
+from .chain import (chain_residuals, classical_chain_check,
                     lexicographic_experiment, relabel_copies, scale_copies)
 from .report import CONVENTIONS, RelationReport, summarize
 

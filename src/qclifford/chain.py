@@ -34,7 +34,6 @@ every report byte unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import fock
@@ -45,69 +44,43 @@ from .rmatrix import RMatrix, _rhat_sl_any, build_permutation
 from .scalar import ONE, Q, RationalFunction
 
 VARIANTS = ("diagonal-mixed", "RM-braided-mixed")
-_MAX_TOTAL_MODES = 8
 _MAX_EXPERIMENT_MODES = 6
 
 
-@dataclass
-class ChainSpec:
-    """Copy count, per-copy mode count, mixed-relation variant, braid data."""
-
-    m_copies: int
-    n_modes: int
-    variant: str
-    rhat_n: RMatrix
-    rhat_m: RMatrix | None = None
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        total = self.m_copies * self.n_modes
-        if total < 1 or total > _MAX_TOTAL_MODES:
-            raise ValueError(
-                f"total mode count {total} outside 1..{_MAX_TOTAL_MODES}")
-        if self.rhat_n.n != self.n_modes:
-            raise ValueError("rhat_n block dimension must equal n_modes")
-        if self.variant == "RM-braided-mixed":
-            if self.rhat_m is None:
-                raise ValueError("RM-braided-mixed requires rhat_m")
-            if self.rhat_m.n != self.m_copies:
-                raise ValueError("rhat_m block dimension must equal m_copies")
-
-    def flat(self, alpha: int, i: int) -> int:
-        """Copy-major 1-based mode index of (alpha, i)."""
-        return (alpha - 1) * self.n_modes + i
+def _copies(gens: GeneratorSet, n: int):
+    """The copy count M = modes / N, the creators and annihilators keyed
+    by (copy, mode) in copy-major order, and the (alpha, beta, i, j) with
+    alpha <= beta in report order."""
+    m, rest = divmod(gens.modes, n)
+    if rest:
+        raise ValueError(f"{gens.modes} modes do not split into copies "
+                         f"of rhat_n's {n} modes")
+    keys = list(product(range(1, m + 1), range(1, n + 1)))
+    indices = [(a, b, i, j) for a in range(1, m + 1) for b in range(a, m + 1)
+               for i, j in product(range(1, n + 1), repeat=2)]
+    return (m, dict(zip(keys, gens.creators)),
+            dict(zip(keys, gens.annihilators)), indices)
 
 
-def _copy_generators(spec: ChainSpec, gens: GeneratorSet):
-    """Creators and annihilators keyed by (copy, mode)."""
-    m, n = spec.m_copies, spec.n_modes
-    if gens.modes != m * n:
-        raise ValueError(f"generator set must carry {m * n} modes")
-    keys = [(a, i) for a in range(1, m + 1) for i in range(1, n + 1)]
-    return ({key: gens.creators[spec.flat(*key) - 1] for key in keys},
-            {key: gens.annihilators[spec.flat(*key) - 1] for key in keys})
+def _copy_braid(variant: str, build, m: int) -> RMatrix | None:
+    """The copy braid matrix ``variant`` reads: build(m) for
+    RM-braided-mixed, None for diagonal-mixed."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    return build(m) if variant == "RM-braided-mixed" else None
 
 
-def _index_tuples(spec: ChainSpec):
-    """(alpha, beta, i, j) with alpha <= beta, in report order."""
-    m, n = spec.m_copies, spec.n_modes
-    return [(a, b, i, j) for a in range(1, m + 1) for b in range(a, m + 1)
-            for i, j in product(range(1, n + 1), repeat=2)]
-
-
-def ordering_residuals(spec: ChainSpec, gens: GeneratorSet,
+def ordering_residuals(gens: GeneratorSet, rhat_n: RMatrix,
                        q_scalar: RationalFunction = Q) -> list[RelationReport]:
     """The chain-creator and chain-annihilator reports.
 
     They read only ``rhat_n`` and ``q_scalar``, never the mixed variant,
     so one evaluation serves every variant of a run.
     """
-    cre, ann = _copy_generators(spec, gens)
-    q_rn = spec.rhat_n.scale(q_scalar)
+    _, cre, ann, indices = _copies(gens, rhat_n.n)
+    q_rn = rhat_n.scale(q_scalar)
     zero = fock.zero(gens.modes)
-    mode_pairs = list(product(range(1, spec.n_modes + 1), repeat=2))
-    indices = _index_tuples(spec)
+    mode_pairs = list(product(range(1, rhat_n.n + 1), repeat=2))
     reports = [RelationReport(
         "chain-creator", (alpha, beta, i, j),
         f"C[{alpha}{i}] C[{beta}{j}] "
@@ -127,26 +100,29 @@ def ordering_residuals(spec: ChainSpec, gens: GeneratorSet,
     return reports
 
 
-def mixed_residuals(spec: ChainSpec, gens: GeneratorSet,
+def mixed_residuals(gens: GeneratorSet, rhat_n: RMatrix,
+                    rhat_m: RMatrix | None = None,
                     q_scalar: RationalFunction = Q) -> list[RelationReport]:
-    """The chain-mixed reports of ``spec.variant``."""
-    m = spec.m_copies
-    cre, ann = _copy_generators(spec, gens)
-    rn = spec.rhat_n
+    """The chain-mixed reports: RM-braided-mixed when ``rhat_m`` is
+    given, diagonal-mixed when it is None."""
+    m, cre, ann, indices = _copies(gens, rhat_n.n)
     zero, minus_one = fock.zero(gens.modes), -fock.identity(gens.modes)
-    mode_pairs = list(product(range(1, spec.n_modes + 1), repeat=2))
-    if spec.variant == "diagonal-mixed":
-        qinv_rn = rn.scale(q_scalar ** -1)
+    mode_pairs = list(product(range(1, rhat_n.n + 1), repeat=2))
+    if rhat_m is None:
+        qinv_rn = rhat_n.scale(q_scalar ** -1)
 
         def mixed_terms(alpha, beta, i, j):
             return [(qinv_rn.block(i, h, j, k), cre[beta, h], ann[alpha, k])
                     for h, k in mode_pairs]
     else:
-        rm_inv = invert_dense(spec.rhat_m)
+        if rhat_m.n != m:
+            raise ValueError(f"rhat_m block dimension {rhat_m.n} is not "
+                             f"the copy count {m}")
+        rm_inv = invert_dense(rhat_m)
 
         def mixed_terms(alpha, beta, i, j):
             return [(rm_inv.block(alpha, gamma, beta, delta)
-                     * rn.block(i, h, j, k), cre[gamma, h], ann[delta, k])
+                     * rhat_n.block(i, h, j, k), cre[gamma, h], ann[delta, k])
                     for gamma, delta in product(range(1, m + 1), repeat=2)
                     for h, k in mode_pairs]
     return [RelationReport(
@@ -155,14 +131,18 @@ def mixed_residuals(spec: ChainSpec, gens: GeneratorSet,
         f"= delta_{i}{j} delta_{alpha}{beta}",
         minus_one if i == j and alpha == beta else zero,
         [(ONE, ann[alpha, i], cre[beta, j])] + mixed_terms(alpha, beta, i, j))
-        for alpha, beta, i, j in _index_tuples(spec)]
+        for alpha, beta, i, j in indices]
 
 
-def chain_residuals(spec: ChainSpec, gens: GeneratorSet,
+def chain_residuals(gens: GeneratorSet, rhat_n: RMatrix,
+                    rhat_m: RMatrix | None = None,
                     q_scalar: RationalFunction = Q) -> list[RelationReport]:
-    """One report per (alpha, beta, i, j) with alpha <= beta per family."""
-    return (ordering_residuals(spec, gens, q_scalar)
-            + mixed_residuals(spec, gens, q_scalar))
+    """One report per (alpha, beta, i, j) with alpha <= beta per family.
+
+    N is ``rhat_n.n`` and M is the mode count of ``gens`` over N.
+    """
+    return (ordering_residuals(gens, rhat_n, q_scalar)
+            + mixed_residuals(gens, rhat_n, rhat_m, q_scalar))
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +210,12 @@ def lexicographic_experiment(m: int, n: int, scales=None,
     if total < 1 or total > _MAX_EXPERIMENT_MODES:
         raise ValueError(
             f"experiment supports 1..{_MAX_EXPERIMENT_MODES} total modes")
+    rhat_ms = {variant: _copy_braid(variant, _rhat_sl_any, m)
+               for variant in variants}
     gens = build_deforming_map(total, check=False)
     if scales is not None:
         gens = scale_copies(gens, m, n, scales)
     rhat_n = _rhat_sl_any(n)
-    rhat_m = _rhat_sl_any(m)
     findings: dict = {
         "m_copies": m,
         "n_modes": n,
@@ -242,13 +223,9 @@ def lexicographic_experiment(m: int, n: int, scales=None,
         "realization": "deforming map on M*N modes, copy-major order",
         "variants": {},
     }
-    ordering = None
-    for variant in variants:
-        spec = ChainSpec(m, n, variant, rhat_n,
-                         rhat_m if variant == "RM-braided-mixed" else None)
-        if ordering is None:
-            ordering = ordering_residuals(spec, gens)
-        reports = ordering + mixed_residuals(spec, gens)
+    ordering = ordering_residuals(gens, rhat_n)
+    for variant, rhat_m in rhat_ms.items():
+        reports = ordering + mixed_residuals(gens, rhat_n, rhat_m)
         families: dict = {}
         for rep in reports:
             entry = families.setdefault(
@@ -275,7 +252,6 @@ def classical_chain_check(m: int, n: int,
     With permutation matrices in place of the braid data all families
     collapse to plain anticommutation relations and must hold exactly.
     """
-    gens = undeformed_set(m * n)
-    rhat_m = build_permutation(m) if variant == "RM-braided-mixed" else None
-    spec = ChainSpec(m, n, variant, build_permutation(n), rhat_m)
-    return chain_residuals(spec, gens, q_scalar=ONE)
+    rhat_m = _copy_braid(variant, build_permutation, m)
+    return chain_residuals(undeformed_set(m * n), build_permutation(n),
+                           rhat_m, q_scalar=ONE)

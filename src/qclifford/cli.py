@@ -8,7 +8,9 @@ errors.  Experiment-class commands (chain-experiment and the sp
 symmetrizer) always exit 0 with findings.
 
 All checks are symbolic; ``--q-numeric`` adds an exact substitution at a
-rational point (decimals like 1.3 are read exactly) on top.  ``verify-map``
+rational point (decimals like 1.3 are read exactly) on top.  Only the
+commands that read it accept it: ``verify-map``, ``covariance``,
+``invariants``, ``eval`` and ``rmatrix --algebra sl``.  ``verify-map``
 substitutes the point into the generators first and recomputes every
 relation from them, so a pole at the point exits 2; ``covariance`` and
 ``invariants`` substitute it into the generators too, so a pole of theirs
@@ -92,7 +94,7 @@ def _q_point(args) -> Fraction | None:
     A short text such as ``1e10000`` is refused (exit 2) before a huge
     integer exists.
     """
-    text = getattr(args, "q_numeric", None)
+    text = args.q_numeric
     if text is None:
         return None
     exponent = _POINT_EXPONENT.search(text)
@@ -137,6 +139,8 @@ def cmd_rmatrix(args) -> int:
     if args.algebra == "sl":
         if args.n is None:
             raise ValueError("--n is required for --algebra sl")
+        if args.input is not None:
+            raise ValueError("--input is read only by --algebra sp")
         rhat = build_rhat_sl(args.n)
         reports = [check_hecke(rhat), check_braid(rhat)]
         matrix = rhat.subst(point) if point is not None else rhat
@@ -145,9 +149,14 @@ def cmd_rmatrix(args) -> int:
             doc["matrix"]["q"] = str(point)
         return _finish(doc, args, reports)
     # sp: formula applied to a user-supplied braid matrix; findings only
+    if point is not None:
+        raise ValueError("--q-numeric is read only by --algebra sl")
     if args.input is None:
         raise ValueError("--algebra sp requires --input with a braid matrix")
     rhat = RMatrix.from_json(_load_json(args.input))
+    if args.n is not None and args.n != rhat.n:
+        raise ValueError(f"--n {args.n} does not match the n = {rhat.n} "
+                         f"of {args.input}")
     projector, idempotency = projector_sp(rhat)
     doc["projector"] = projector.to_json()
     return _finish(doc, args, [idempotency], exit_code=0)
@@ -278,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", choices=("text", "json"), default="text")
+
+    def q_numeric(p):
         p.add_argument("--q-numeric", dest="q_numeric", default=None,
                        help="rational point for an exact numeric substitution "
                             "(decimals allowed, e.g. 1.3)")
@@ -288,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="JSON file with a user-supplied braid matrix (sp)")
     common(p)
+    q_numeric(p)
     p.set_defaults(func=cmd_rmatrix)
 
     p = sub.add_parser("verify-map", help="check the deforming map relations")
@@ -297,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None,
                    help="JSON file with a user-supplied generator set")
     common(p)
+    q_numeric(p)
     p.set_defaults(func=cmd_verify_map)
 
     p = sub.add_parser("poincare", help="ordered-monomial rank check")
@@ -307,11 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("covariance", help="quantum-group covariance checks")
     p.add_argument("--n", type=int, default=2)
     common(p)
+    q_numeric(p)
     p.set_defaults(func=cmd_covariance)
 
     p = sub.add_parser("invariants", help="invariant subalgebra checks")
     p.add_argument("--n", type=int, default=2)
     common(p)
+    q_numeric(p)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("chain-experiment",
@@ -328,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="canonicalize/evaluate a scalar expression")
     p.add_argument("expression")
     common(p)
+    q_numeric(p)
     p.set_defaults(func=cmd_eval)
 
     return parser

@@ -290,10 +290,8 @@ class _Actions:
         return out
 
 
-def classical_js(n_modes: int = 2) -> dict:
+def classical_js() -> dict:
     """The su(2) bilinears j+, j-, j0 on the two-mode Fock space."""
-    if n_modes != 2:
-        raise ValueError("the classical bilinears are built for two modes")
     pairs = build_generators(2)
     half = RationalFunction.from_fraction(Fraction(1, 2))
     return {
@@ -436,7 +434,7 @@ def invariant_from_tensor(coeffs: dict, gens: GeneratorSet, kind: str,
 
 
 def invariance_check(element: InvariantElement, data: HopfAlgebraData,
-                     mode: str, js: dict | None = None) -> list[RelationReport]:
+                     mode: str) -> list[RelationReport]:
     """Residuals x |> I - eps(x) I for every generator of the action.
 
     ``mode`` selects the deformed adjoint action or the classical
@@ -455,7 +453,7 @@ def invariance_check(element: InvariantElement, data: HopfAlgebraData,
                 actions.terms((x,), element.label, expr)
                 + [(-data.counit[x], expr, ident)]))
     elif mode == "classical":
-        js = js or classical_js()
+        js = classical_js()
         for x in ("j+", "j-", "j0"):
             reports.append(RelationReport(
                 "invariance-classical", (element.label, x),
@@ -466,8 +464,7 @@ def invariance_check(element: InvariantElement, data: HopfAlgebraData,
     return reports
 
 
-def verify_I1_identity(gens: GeneratorSet,
-                       q_point=None) -> RelationReport:
+def verify_I1_identity(gens: GeneratorSet) -> RelationReport:
     """Closed form of the deformed quadratic invariant.
 
     On every joint occupation eigenstate with total occupation m, the
@@ -482,30 +479,28 @@ def verify_I1_identity(gens: GeneratorSet,
     for state in range(1 << gens.modes):
         value = q_number(bin(state).count("1"), base)
         rows.append({state: -value} if not value.is_zero else {})
-    report = RelationReport(
+    return RelationReport(
         "invariant-identity", ("I1_q",),
         "sum_i Adag_i A^i = (q^-2m - 1)/(q^-2 - 1) on each "
         "occupation-m eigenspace", FockOperator(gens.modes, rows),
         [(ONE, c, a) for c, a in zip(gens.creators, gens.annihilators)])
-    if q_point is not None:
-        report.numeric_max_abs = report.residual.max_abs(q_point)
-    return report
 
 
-def degree_two_invariant_basis(n_modes: int = 2):
+def degree_two_invariant_basis():
     """Labelled degree <= 2 invariant elements of both kinds.
 
-    Returns (classical list, deformed list) built over the undeformed and
-    the dressed generators respectively: the unit, the quadratic number
-    invariant, and the antisymmetric pair creator/annihilator bilinears.
+    Returns (classical list, deformed list) built over the two-mode
+    undeformed and dressed generators respectively: the unit, the
+    quadratic number invariant, and the antisymmetric pair
+    creator/annihilator bilinears.
     """
-    plain = undeformed_set(n_modes)
-    dressed = build_deforming_map(n_modes, check=False)
+    plain = undeformed_set(2)
+    dressed = build_deforming_map(2, check=False)
 
     def basis(gens: GeneratorSet, tag: str):
         eps = {(1, 2): ONE, (2, 1): -ONE}
         return [
-            InvariantElement(fock.identity(n_modes), 0, f"1{tag}"),
+            InvariantElement(fock.identity(2), 0, f"1{tag}"),
             invariant_number(gens, f"I1{tag}"),
             invariant_from_tensor(eps, gens, "creators", f"pair-creator{tag}"),
             invariant_from_tensor(eps, gens, "annihilators",

@@ -75,9 +75,9 @@ class SparseMatrix:
     def _clone(self, rows):
         return SparseMatrix(self.dim, rows)
 
-    @classmethod
-    def identity(cls, dim: int) -> "SparseMatrix":
-        return cls(dim, tuple({r: ONE} for r in range(dim)))
+    def identity_like(self):
+        """The identity of this matrix's dimension, as its class."""
+        return self._clone([{r: ONE} for r in range(self.dim)])
 
     # -- access --------------------------------------------------------------
     def get(self, r: int, c: int) -> RationalFunction:
@@ -298,7 +298,7 @@ def _clear_denominators(row: dict[int, RationalFunction]) -> dict[int, Poly]:
     return {c: v.num * lcm.div_exact(v.den) for c, v in row.items()}
 
 
-def rank(rows, ncols: int | None = None) -> int:
+def rank(rows) -> int:
     """Exact rank of a collection of sparse rows over Q(q).
 
     ``rows`` is an iterable of dicts mapping column index to

@@ -56,10 +56,6 @@ class RMatrix(SparseMatrix):
         n = self.n
         return self.get((i - 1) * n + (j - 1), (h - 1) * n + (k - 1))
 
-    def identity_like(self) -> "RMatrix":
-        return RMatrix(self.n, [{r: ONE} for r in range(self.dim)],
-                       kind="identity")
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -3,8 +3,8 @@ import sys
 import pytest
 
 from qclifford import chain, deform, fock, linalg
-from qclifford.chain import (ChainSpec, VARIANTS, chain_residuals,
-                             classical_chain_check, lexicographic_experiment,
+from qclifford.chain import (VARIANTS, chain_residuals, classical_chain_check,
+                             lexicographic_experiment, mixed_residuals,
                              relabel_copies, scale_copies)
 from qclifford.deform import (GeneratorSet, build_deforming_map,
                               relation_residuals, undeformed_set)
@@ -13,37 +13,61 @@ from qclifford.scalar import ONE, Q, RationalFunction, parse_rational
 
 
 class TestSpecValidation:
+    """A chain is specified by its generators and braid matrices alone:
+    N is rhat_n.n, M is the mode count over N, and rhat_m selects the
+    RM-braided-mixed variant."""
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
-            ChainSpec(1, 2, "mixed", build_rhat_sl(2))
+            lexicographic_experiment(2, 2, variants=("mixed",))
+        with pytest.raises(ValueError, match="variant"):
+            classical_chain_check(2, 2, "mixed")
 
     def test_missing_rhat_m(self):
-        with pytest.raises(ValueError, match="requires rhat_m"):
-            ChainSpec(2, 2, "RM-braided-mixed", build_rhat_sl(2))
+        # no rhat_m selects diagonal-mixed, a given one RM-braided-mixed
+        gens = build_deforming_map(4, check=False)
+        rn, rm = build_rhat_sl(2), build_rhat_sl(2)
+        diag = mixed_residuals(gens, rn)
+        braided = mixed_residuals(gens, rn, rm)
+        assert [r.exact_zero for r in diag] != [r.exact_zero for r in braided]
+        findings = lexicographic_experiment(2, 2)
+        for variant, reports in (("diagonal-mixed", diag),
+                                 ("RM-braided-mixed", braided)):
+            failing = findings["variants"][variant]["families"][
+                "chain-mixed"]["failing"]
+            assert failing == [list(r.indices) for r in reports
+                               if not r.exact_zero]
 
     def test_block_dimension_checks(self):
-        with pytest.raises(ValueError, match="rhat_n"):
-            ChainSpec(2, 2, "diagonal-mixed", build_rhat_sl(3))
-        with pytest.raises(ValueError, match="rhat_m"):
-            ChainSpec(2, 2, "RM-braided-mixed", build_rhat_sl(2),
-                      build_rhat_sl(3))
-
-    def test_total_mode_guard(self):
-        with pytest.raises(ValueError, match="total mode count"):
-            ChainSpec(3, 3, "diagonal-mixed", build_rhat_sl(3))
+        with pytest.raises(ValueError, match="copies of rhat_n's 3 modes"):
+            chain_residuals(undeformed_set(4), build_rhat_sl(3))
+        with pytest.raises(ValueError, match="rhat_m block dimension 3 is "
+                                             "not the copy count 2"):
+            chain_residuals(undeformed_set(4), build_rhat_sl(2),
+                            build_rhat_sl(3))
 
     def test_copy_major_flattening(self):
-        spec = ChainSpec(2, 3, "diagonal-mixed", build_rhat_sl(3))
-        assert spec.flat(1, 1) == 1
-        assert spec.flat(1, 3) == 3
-        assert spec.flat(2, 1) == 4
+        # M = 2 copies of N = 3 modes: flat mode 4 is (copy 2, mode 1), so
+        # zeroing its creator breaks exactly the diagonal mixed relation
+        # (2, 2, 1, 1) among the (alpha, alpha, i, i) ones at q = 1
+        plain = undeformed_set(6)
+        creators = list(plain.creators)
+        creators[3] = fock.zero(6)
+        broken = GeneratorSet(6, tuple(creators), plain.annihilators,
+                              provenance="user")
+        reports = mixed_residuals(broken, build_permutation(3), q_scalar=ONE)
+        assert len(reports) == 3 * 9
+        diagonal = [r for r in reports
+                    if r.indices[0] == r.indices[1]
+                    and r.indices[2] == r.indices[3]]
+        assert [r.indices for r in diagonal if not r.exact_zero] == [
+            (2, 2, 1, 1)]
 
 
 class TestDegenerations:
     def test_single_copy_agrees_tuple_for_tuple(self):
         gens = build_deforming_map(2)
-        spec = ChainSpec(1, 2, "diagonal-mixed", build_rhat_sl(2))
-        chain_reports = chain_residuals(spec, gens)
+        chain_reports = chain_residuals(gens, build_rhat_sl(2))
         single_reports = relation_residuals(gens, build_rhat_sl(2))
         assert len(chain_reports) == len(single_reports) == 12
         for chain_rep, single_rep in zip(chain_reports, single_reports):
@@ -69,11 +93,8 @@ class TestDegenerations:
             4, (fock.zero(4),) + broken.creators[1:], broken.annihilators,
             provenance="user")
         perm2, perm2n = build_permutation(2), build_permutation(2)
-        v1 = chain_residuals(
-            ChainSpec(2, 2, "diagonal-mixed", perm2n), broken, q_scalar=ONE)
-        v2 = chain_residuals(
-            ChainSpec(2, 2, "RM-braided-mixed", perm2n, perm2), broken,
-            q_scalar=ONE)
+        v1 = chain_residuals(broken, perm2n, q_scalar=ONE)
+        v2 = chain_residuals(broken, perm2n, perm2, q_scalar=ONE)
         assert any(not r.exact_zero for r in v1)
         for a, b in zip(v1, v2):
             assert a.indices == b.indices
@@ -82,9 +103,11 @@ class TestDegenerations:
     def test_relabelling_preserves_verdicts_at_q_one(self):
         gens = undeformed_set(4)
         shifted = relabel_copies(gens, 2, 2, [2, 1])
-        spec = ChainSpec(2, 2, "diagonal-mixed", build_permutation(2))
-        before = [r.exact_zero for r in chain_residuals(spec, gens, ONE)]
-        after = [r.exact_zero for r in chain_residuals(spec, shifted, ONE)]
+        perm = build_permutation(2)
+        before = [r.exact_zero
+                  for r in chain_residuals(gens, perm, q_scalar=ONE)]
+        after = [r.exact_zero
+                 for r in chain_residuals(shifted, perm, q_scalar=ONE)]
         assert sorted(before) == sorted(after)
         assert all(after)
 
@@ -128,8 +151,7 @@ class TestLexicographicExperiment:
 
     def test_misordered_assignment_fails(self):
         gens = relabel_copies(build_deforming_map(4), 2, 2, [2, 1])
-        spec = ChainSpec(2, 2, "diagonal-mixed", build_rhat_sl(2))
-        reports = chain_residuals(spec, gens)
+        reports = chain_residuals(gens, build_rhat_sl(2))
         assert any(not r.exact_zero for r in reports)
         # the intra-copy blocks survive relabelling, the ordering-sensitive
         # inter-copy creator block changes its failure pattern

@@ -193,6 +193,32 @@ class TestRMatrixCommand:
         code, _, err = run(capsys, "rmatrix", "--algebra", "sp")
         assert code == 2 and "--input" in err
 
+    def test_sl_refuses_input(self, capsys, tmp_path):
+        # sl builds its matrix from --n and would never open the file
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sl", "--n", "2",
+                             "--input", str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert "--input is read only by --algebra sp" in err
+
+    def test_sp_n_must_match_input(self, capsys, tmp_path):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps(build_rhat_sl(2).to_json()))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path), "--n", "7")
+        assert code == 2 and out == ""
+        assert f"--n 7 does not match the n = 2 of {path}" in err
+        code, doc, _ = run_json(capsys, "rmatrix", "--algebra", "sp",
+                                "--input", str(path), "--n", "2")
+        assert code == 0 and "n=2" in doc["command"]
+
+    def test_sp_refuses_q_numeric(self, capsys, tmp_path):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps(build_rhat_sl(2).to_json()))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path), "--q-numeric", "1.3")
+        assert code == 2 and out == ""
+        assert "--q-numeric is read only by --algebra sl" in err
+
 
 class TestPoincareCommand:
     def test_two_modes(self, capsys):
@@ -211,6 +237,10 @@ class TestPoincareCommand:
     def test_mode_flag_is_gone(self, capsys):
         code, _, _ = run(capsys, "poincare", "--n", "2", "--mode", "exact")
         assert code == 2
+
+    def test_q_numeric_is_refused(self, capsys):
+        code, out, err = run(capsys, "poincare", "--q-numeric", "1.3")
+        assert code == 2 and out == "" and "--q-numeric" in err
 
     def test_too_many_modes_refused_before_building(self, capsys, monkeypatch):
         def spy(n):
@@ -272,6 +302,10 @@ class TestChainCommand:
         assert code == 0
         assert list(doc["experiment"]["variants"]) == ["diagonal-mixed"]
         assert doc["experiment"]["scales"] == ["1", "q"]
+
+    def test_q_numeric_is_refused(self, capsys):
+        code, out, err = run(capsys, "chain-experiment", "--q-numeric", "1.3")
+        assert code == 2 and out == "" and "--q-numeric" in err
 
 
 class TestUncheckedMap:

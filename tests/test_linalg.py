@@ -5,7 +5,8 @@ import pytest
 
 from qclifford.linalg import SparseMatrix, invert_dense, rank, rank_numeric
 from qclifford.report import CONVENTIONS, RelationReport, summarize
-from qclifford.rmatrix import RMatrix
+from qclifford.fock import FockOperator, identity
+from qclifford.rmatrix import RMatrix, build_rhat_sl
 from qclifford.scalar import ONE, Poly, Q, RationalFunction, ZERO, q_power
 
 
@@ -16,10 +17,20 @@ def random_rf(rng, max_deg=2, span=3):
 
 class TestSparseMatrix:
     def test_identity_and_trace(self):
-        ident = SparseMatrix.identity(4)
+        ident = SparseMatrix(4).identity_like()
         diagonal = [ident.get(r, r) for r in range(4)]
         assert sum(diagonal, ZERO) == RationalFunction(4)
         assert ident * ident == ident
+
+    def test_identity_like_keeps_class_and_shape(self):
+        ident = FockOperator(4).identity_like()
+        assert type(ident) is FockOperator and ident.n_modes == 4
+        assert len(ident.rows) == ident.dim == 16 and ident.get(10, 10) == ONE
+        assert ident == identity(4)
+        rhat = build_rhat_sl(2)
+        ident = rhat.identity_like()
+        assert type(ident) is RMatrix and ident.n == 2 and len(ident.rows) == 4
+        assert rhat * ident == ident * rhat == rhat
 
     def test_add_cancellation_prunes_zeros(self):
         m = SparseMatrix(2, ({0: Q}, {1: ONE}))
@@ -36,7 +47,7 @@ class TestSparseMatrix:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            SparseMatrix.identity(2) + SparseMatrix.identity(3)
+            SparseMatrix(2).identity_like() + SparseMatrix(3).identity_like()
 
     def test_numeric_entry_evaluation(self):
         m = SparseMatrix(2, ({0: Q - q_power(-1)}, {}))
@@ -83,8 +94,8 @@ class TestInversion:
             inv = invert_dense(m)
         except ValueError:
             pytest.skip("random matrix happened to be singular")
-        assert m * inv == SparseMatrix.identity(n)
-        assert inv * m == SparseMatrix.identity(n)
+        assert m * inv == m.identity_like()
+        assert inv * m == m.identity_like()
 
     def test_singular_detection(self):
         with pytest.raises(ValueError, match="singular"):
@@ -92,7 +103,7 @@ class TestInversion:
 
     def test_inverse_keeps_the_class(self):
         m = SparseMatrix(2, ({0: Q}, {0: ONE, 1: ONE}))
-        assert m * invert_dense(m) == SparseMatrix.identity(2)
+        assert m * invert_dense(m) == m.identity_like()
         rhat = RMatrix(1, ({0: Q},))
         inv = invert_dense(rhat)
         assert isinstance(inv, RMatrix) and inv.block(1, 1, 1, 1) == Q ** -1
@@ -118,7 +129,7 @@ class TestReports:
         # smaller column, not at the first one stored
         residual = SparseMatrix(2, ({}, {1: Q - ONE, 0: Q}))
         rep = RelationReport("f", (1, 2), "x = 0", SparseMatrix(2),
-                             [(ONE, residual, SparseMatrix.identity(2))])
+                             [(ONE, residual, residual.identity_like())])
         assert rep.exact_zero == residual.is_zero
         assert rep.worst_entry() == expected_worst(residual) == "q at (1, 0)"
         assert rep.residual == residual
