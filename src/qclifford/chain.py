@@ -149,45 +149,40 @@ def chain_residuals(gens: GeneratorSet, rhat_n: RMatrix,
 # generator bookkeeping
 # ---------------------------------------------------------------------------
 
-def scale_copies(gens: GeneratorSet, m: int, n: int, scales) -> GeneratorSet:
+def _copy_size(gens: GeneratorSet, m: int) -> int:
+    """N for ``gens`` cut into m copies; the mode count must be a
+    multiple of m."""
+    if m < 1 or gens.modes % m:
+        raise ValueError(f"{gens.modes} modes do not split into {m} copies")
+    return gens.modes // m
+
+
+def scale_copies(gens: GeneratorSet, scales) -> GeneratorSet:
     """Rescale copy alpha by s_alpha (creators) and 1/s_alpha (annihilators).
 
-    Probes the normalization freedom of the chain relations; the mixed
-    delta term pins the annihilator scale to the inverse.
+    M is the number of scale factors.  Probes the normalization freedom
+    of the chain relations; the mixed delta term pins the annihilator
+    scale to the inverse.
     """
     scales = list(scales)
-    if len(scales) != m:
-        raise ValueError(f"expected {m} scale factors")
-    creators = list(gens.creators)
-    annihilators = list(gens.annihilators)
-    for alpha, s in enumerate(scales, start=1):
-        if s.is_zero:
-            raise ValueError("scale factors must be nonzero")
-        for i in range(1, n + 1):
-            flat = (alpha - 1) * n + i - 1
-            creators[flat] = creators[flat].scale(s)
-            annihilators[flat] = annihilators[flat].scale(s ** -1)
-    return GeneratorSet(gens.modes, tuple(creators), tuple(annihilators),
-                        provenance=f"{gens.provenance}-scaled")
+    if any(s.is_zero for s in scales):
+        raise ValueError("scale factors must be nonzero")
+    _, cre, ann, _ = _copies(gens, _copy_size(gens, len(scales)))
+    return GeneratorSet(
+        [op.scale(scales[alpha - 1]) for (alpha, _), op in cre.items()],
+        [op.scale(scales[alpha - 1] ** -1) for (alpha, _), op in ann.items()])
 
 
-def relabel_copies(gens: GeneratorSet, m: int, n: int,
-                   permutation) -> GeneratorSet:
+def relabel_copies(gens: GeneratorSet, permutation) -> GeneratorSet:
     """Reassign copy labels: new copy alpha takes permutation[alpha-1]'s
-    generators.  Used as the misordering negative control."""
+    generators, M being the permutation's length.  Used as the
+    misordering negative control."""
     perm = list(permutation)
-    if sorted(perm) != list(range(1, m + 1)):
+    if sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError("permutation must reorder 1..M")
-    creators = []
-    annihilators = []
-    for alpha in range(1, m + 1):
-        src = perm[alpha - 1]
-        for i in range(1, n + 1):
-            flat = (src - 1) * n + i - 1
-            creators.append(gens.creators[flat])
-            annihilators.append(gens.annihilators[flat])
-    return GeneratorSet(gens.modes, tuple(creators), tuple(annihilators),
-                        provenance=f"{gens.provenance}-relabelled")
+    _, cre, ann, _ = _copies(gens, _copy_size(gens, len(perm)))
+    return GeneratorSet([cre[perm[alpha - 1], i] for alpha, i in cre],
+                        [ann[perm[alpha - 1], i] for alpha, i in ann])
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +205,13 @@ def lexicographic_experiment(m: int, n: int, scales=None,
     if total < 1 or total > _MAX_EXPERIMENT_MODES:
         raise ValueError(
             f"experiment supports 1..{_MAX_EXPERIMENT_MODES} total modes")
+    if scales is not None and len(scales) != m:
+        raise ValueError(f"expected {m} scale factors")
     rhat_ms = {variant: _copy_braid(variant, _rhat_sl_any, m)
                for variant in variants}
     gens = build_deforming_map(total, check=False)
     if scales is not None:
-        gens = scale_copies(gens, m, n, scales)
+        gens = scale_copies(gens, scales)
     rhat_n = _rhat_sl_any(n)
     findings: dict = {
         "m_copies": m,

@@ -59,58 +59,58 @@ from .scalar import ONE, PoleError, Q, RationalFunction
 
 @dataclass
 class GeneratorSet:
-    """N creator/annihilator pairs acting on one Fock space."""
+    """N creator/annihilator pairs acting on one Fock space; N is the
+    length of either list."""
 
-    modes: int
     creators: tuple
     annihilators: tuple
-    provenance: str = "user"
 
     def __post_init__(self):
-        if len(self.creators) != self.modes or len(self.annihilators) != self.modes:
-            raise ValueError("generator lists must have length == modes")
+        self.creators = tuple(self.creators)
+        self.annihilators = tuple(self.annihilators)
+        if not self.creators or len(self.creators) != len(self.annihilators):
+            raise ValueError("generator lists must be nonempty and of equal length")
         dim = 1 << self.modes
         for op in (*self.creators, *self.annihilators):
             if op.dim != dim:
-                raise ValueError("all generator matrices must share one dimension")
-        self.creators = tuple(self.creators)
-        self.annihilators = tuple(self.annihilators)
+                raise ValueError("all generator matrices must share one "
+                                 "dimension, 2^modes")
+
+    @property
+    def modes(self) -> int:
+        return len(self.creators)
 
     def all_generators(self):
         return [*self.creators, *self.annihilators]
 
     def subst(self, point: Fraction) -> "GeneratorSet":
-        return GeneratorSet(
-            self.modes,
-            tuple(op.subst(point) for op in self.creators),
-            tuple(op.subst(point) for op in self.annihilators),
-            provenance=f"{self.provenance}@q={point}",
-        )
+        return GeneratorSet([op.subst(point) for op in self.creators],
+                            [op.subst(point) for op in self.annihilators])
 
     def to_json(self) -> dict:
         return {
             "modes": self.modes,
-            "provenance": self.provenance,
             "creators": [op.to_json() for op in self.creators],
             "annihilators": [op.to_json() for op in self.annihilators],
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorSet":
-        return cls(
-            int(doc["modes"]),
-            tuple(FockOperator.from_json(d) for d in doc["creators"]),
-            tuple(FockOperator.from_json(d) for d in doc["annihilators"]),
-            provenance=str(doc.get("provenance", "user")),
-        )
+        """Read a set, comparing ``modes`` with both list lengths before
+        any matrix is read; any other key is ignored."""
+        modes = int(doc["modes"])
+        creators, annihilators = doc["creators"], doc["annihilators"]
+        if not (modes == len(creators) == len(annihilators)):
+            raise ValueError(f"modes = {modes} does not match the "
+                             f"{len(creators)} creators and "
+                             f"{len(annihilators)} annihilators")
+        return cls([FockOperator.from_json(d) for d in creators],
+                   [FockOperator.from_json(d) for d in annihilators])
 
 
 def undeformed_set(n_modes: int) -> GeneratorSet:
     pairs = build_generators(n_modes)
-    return GeneratorSet(n_modes,
-                        tuple(c for c, _ in pairs),
-                        tuple(a for _, a in pairs),
-                        provenance="undeformed")
+    return GeneratorSet([c for c, _ in pairs], [a for _, a in pairs])
 
 
 class MapConstructionError(ValueError):
@@ -186,8 +186,7 @@ def build_deforming_map(n_modes: int, check: bool = True) -> GeneratorSet:
         dress = q_exponent(deformation_weights(n_modes, i))
         creators.append(dress * pairs[i - 1][0])
         annihilators.append(pairs[i - 1][1] * dress)
-    gens = GeneratorSet(n_modes, tuple(creators), tuple(annihilators),
-                        provenance="deforming-map")
+    gens = GeneratorSet(creators, annihilators)
     if check:
         map_relations(gens)
     return gens
@@ -226,7 +225,7 @@ def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
                               RationalFunction.from_fraction(point))
 
 
-def build_inverse_map(n_modes: int, deformed: GeneratorSet) -> GeneratorSet:
+def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
     """Reconstruct the undeformed generators from the deformed ones.
 
     The occupation operators are rebuilt recursively from the deformed
@@ -241,8 +240,7 @@ def build_inverse_map(n_modes: int, deformed: GeneratorSet) -> GeneratorSet:
     original generators; the composition is checked to be the exact
     identity on all 2N of them.
     """
-    if deformed.modes != n_modes:
-        raise ValueError("mode count mismatch")
+    n_modes = deformed.modes
     qq = Q * Q
     ident = fock.identity(n_modes)
     occupations: list[FockOperator | None] = [None] * (n_modes + 1)
@@ -259,8 +257,7 @@ def build_inverse_map(n_modes: int, deformed: GeneratorSet) -> GeneratorSet:
             dress = dress * (ident + occupations[j].scale(Q - ONE))
         creators.append(dress * deformed.creators[i - 1])
         annihilators.append(deformed.annihilators[i - 1] * dress)
-    result = GeneratorSet(n_modes, tuple(creators), tuple(annihilators),
-                          provenance="inverse-composition")
+    result = GeneratorSet(creators, annihilators)
     plain = undeformed_set(n_modes)
     for built, original in zip(result.all_generators(), plain.all_generators()):
         if built != original:
@@ -275,12 +272,8 @@ def conjugate_realization(gens: GeneratorSet, alpha: FockOperator) -> GeneratorS
         alpha_inv = invert_dense(alpha)
     except ValueError:
         raise ValueError("alpha is singular (exact determinant zero)") from None
-    return GeneratorSet(
-        gens.modes,
-        tuple(alpha * op * alpha_inv for op in gens.creators),
-        tuple(alpha * op * alpha_inv for op in gens.annihilators),
-        provenance="conjugated",
-    )
+    return GeneratorSet([alpha * op * alpha_inv for op in gens.creators],
+                        [alpha * op * alpha_inv for op in gens.annihilators])
 
 
 # ---------------------------------------------------------------------------

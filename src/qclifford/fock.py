@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import SparseMatrix, dim_guard_error, max_dim, read_rows
+from .linalg import MAX_DIM, SparseMatrix, dim_guard_error, read_rows
 from .scalar import ONE, ZERO, q_power
 
 
@@ -30,7 +30,7 @@ def _fock_dim(n_modes: int) -> int:
     The count is compared before any shift, so a huge count in untrusted
     input allocates nothing.
     """
-    if not 1 <= n_modes <= max(max_dim(), 1).bit_length() - 1:
+    if not 1 <= n_modes <= MAX_DIM.bit_length() - 1:
         raise dim_guard_error(f"n_modes = {n_modes}")
     return 1 << n_modes
 

@@ -398,7 +398,6 @@ def check_covariance(gens: GeneratorSet,
 @dataclass
 class InvariantElement:
     expression: FockOperator
-    degree: int
     label: str
 
 
@@ -407,7 +406,7 @@ def invariant_number(gens: GeneratorSet, label: str) -> InvariantElement:
     total = fock.zero(gens.modes)
     for c, a in zip(gens.creators, gens.annihilators):
         total = total + c * a
-    return InvariantElement(total, degree=2, label=label)
+    return InvariantElement(total, label)
 
 
 def invariant_from_tensor(coeffs: dict, gens: GeneratorSet, kind: str,
@@ -423,14 +422,12 @@ def invariant_from_tensor(coeffs: dict, gens: GeneratorSet, kind: str,
         raise ValueError("kind must be 'creators' or 'annihilators'")
     source = gens.creators if kind == "creators" else gens.annihilators
     total = fock.zero(gens.modes)
-    degree = 0
     for idx, coeff in coeffs.items():
-        degree = max(degree, len(idx))
         op = fock.identity(gens.modes)
         for i in idx:
             op = op * source[i - 1]
         total = total + op.scale(coeff)
-    return InvariantElement(total, degree=degree, label=label)
+    return InvariantElement(total, label)
 
 
 def invariance_check(element: InvariantElement, data: HopfAlgebraData,
@@ -500,7 +497,7 @@ def degree_two_invariant_basis():
     def basis(gens: GeneratorSet, tag: str):
         eps = {(1, 2): ONE, (2, 1): -ONE}
         return [
-            InvariantElement(fock.identity(2), 0, f"1{tag}"),
+            InvariantElement(fock.identity(2), f"1{tag}"),
             invariant_number(gens, f"I1{tag}"),
             invariant_from_tensor(eps, gens, "creators", f"pair-creator{tag}"),
             invariant_from_tensor(eps, gens, "annihilators",

@@ -13,26 +13,20 @@ same field elimination over plain :class:`fractions.Fraction` entries.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd as _int_gcd
 
 from .scalar import ONE, Poly, RationalFunction, ZERO, _coerce, parse_rational
 
 
-_DEFAULT_MAX_DIM = 4096  # Fock dimension 2^12
-
-
-def max_dim() -> int:
-    """Largest matrix dimension that is built or read (QCLIFFORD_MAX_DIM)."""
-    return int(os.environ.get("QCLIFFORD_MAX_DIM", _DEFAULT_MAX_DIM))
+#: largest matrix dimension that is built or read (Fock dimension 2^12)
+MAX_DIM = 4096
 
 
 def dim_guard_error(what: str) -> ValueError:
-    """The error for a size that fails the :func:`max_dim` guard."""
-    limit = max_dim()
+    """The error for a size that fails the :data:`MAX_DIM` guard."""
     return ValueError(f"{what} outside the supported range "
-                      f"(dimension guard {limit}, override with QCLIFFORD_MAX_DIM)")
+                      f"(dimension guard {MAX_DIM})")
 
 
 def read_rows(entries, dim: int) -> list[dict]:

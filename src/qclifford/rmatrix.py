@@ -24,7 +24,7 @@ residual P^2 - P by the relation evaluator.
 
 from __future__ import annotations
 
-from .linalg import (SparseMatrix, dim_guard_error, max_dim, product_sum,
+from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, product_sum,
                      read_rows)
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, q_power
@@ -70,7 +70,7 @@ class RMatrix(SparseMatrix):
         if n < 1:
             raise ValueError(f"n = {n} is not a positive block dimension")
         dim = int(doc.get("dim", n * n))
-        if not 1 <= dim <= max_dim():
+        if not 1 <= dim <= MAX_DIM:
             raise dim_guard_error(f"dim = {dim}")
         if dim != n * n:
             raise ValueError(f"dim = {dim} is not n^2 = {n * n} for n = {n}")

@@ -84,7 +84,7 @@ def test_criterion_05_inverse_map():
     with criterion(5, "inverse map composed with the forward map fixes all "
                       "2N generators exactly for N=2,3"):
         for n in (2, 3):
-            rebuilt = build_inverse_map(n, build_deforming_map(n))
+            rebuilt = build_inverse_map(build_deforming_map(n))
             plain = undeformed_set(n)
             for built, original in zip(rebuilt.all_generators(),
                                        plain.all_generators()):

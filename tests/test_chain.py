@@ -53,8 +53,7 @@ class TestSpecValidation:
         plain = undeformed_set(6)
         creators = list(plain.creators)
         creators[3] = fock.zero(6)
-        broken = GeneratorSet(6, tuple(creators), plain.annihilators,
-                              provenance="user")
+        broken = GeneratorSet(creators, plain.annihilators)
         reports = mixed_residuals(broken, build_permutation(3), q_scalar=ONE)
         assert len(reports) == 3 * 9
         diagonal = [r for r in reports
@@ -90,8 +89,7 @@ class TestDegenerations:
         # coincide between the two variants when rhat_m is the permutation
         broken = undeformed_set(4)
         broken = GeneratorSet(
-            4, (fock.zero(4),) + broken.creators[1:], broken.annihilators,
-            provenance="user")
+            (fock.zero(4),) + broken.creators[1:], broken.annihilators)
         perm2, perm2n = build_permutation(2), build_permutation(2)
         v1 = chain_residuals(broken, perm2n, q_scalar=ONE)
         v2 = chain_residuals(broken, perm2n, perm2, q_scalar=ONE)
@@ -102,7 +100,7 @@ class TestDegenerations:
 
     def test_relabelling_preserves_verdicts_at_q_one(self):
         gens = undeformed_set(4)
-        shifted = relabel_copies(gens, 2, 2, [2, 1])
+        shifted = relabel_copies(gens, [2, 1])
         perm = build_permutation(2)
         before = [r.exact_zero
                   for r in chain_residuals(gens, perm, q_scalar=ONE)]
@@ -150,7 +148,7 @@ class TestLexicographicExperiment:
         assert len(braided["chain-mixed"]["failing"]) == 10
 
     def test_misordered_assignment_fails(self):
-        gens = relabel_copies(build_deforming_map(4), 2, 2, [2, 1])
+        gens = relabel_copies(build_deforming_map(4), [2, 1])
         reports = chain_residuals(gens, build_rhat_sl(2))
         assert any(not r.exact_zero for r in reports)
         # the intra-copy blocks survive relabelling, the ordering-sensitive
@@ -167,16 +165,42 @@ class TestLexicographicExperiment:
                 assert scaled_entry["failing"] == entry["failing"]
 
     def test_scale_validation(self):
-        gens = build_deforming_map(4)
-        with pytest.raises(ValueError, match="expected 2"):
-            scale_copies(gens, 2, 2, [Q])
+        with pytest.raises(ValueError, match="expected 2 scale factors"):
+            lexicographic_experiment(2, 3, scales=[ONE, Q, Q * Q])
         with pytest.raises(ValueError, match="nonzero"):
-            scale_copies(gens, 2, 2, [Q, Q - Q])
+            scale_copies(build_deforming_map(4), [Q, Q - Q])
 
     def test_relabel_validation(self):
         gens = build_deforming_map(4)
         with pytest.raises(ValueError, match="permutation"):
-            relabel_copies(gens, 2, 2, [1, 1])
+            relabel_copies(gens, [1, 1])
+
+    @pytest.mark.parametrize("copies", [3, 5])
+    def test_copy_count_must_divide_the_modes(self, copies):
+        gens = build_deforming_map(4)
+        with pytest.raises(ValueError, match=f"4 modes do not split into "
+                                             f"{copies} copies"):
+            scale_copies(gens, [Q] * copies)
+        with pytest.raises(ValueError, match="do not split"):
+            relabel_copies(gens, range(1, copies + 1))
+
+    def test_one_scale_rescales_every_mode(self):
+        gens = build_deforming_map(4)
+        scaled = scale_copies(gens, [Q])
+        assert scaled.creators == tuple(op.scale(Q) for op in gens.creators)
+        assert scaled.annihilators == tuple(op.scale(Q ** -1)
+                                            for op in gens.annihilators)
+
+    def test_copies_are_cut_copy_major(self):
+        # M = 3 copies of N = 2 modes: flat modes 3 and 4 are copy 2
+        gens = build_deforming_map(6)
+        scaled = scale_copies(gens, [ONE, Q, ONE])
+        assert [a == b for a, b in zip(scaled.creators, gens.creators)] == [
+            True, True, False, False, True, True]
+        moved = relabel_copies(gens, [3, 1, 2])
+        assert moved.creators == gens.creators[4:] + gens.creators[:4]
+        assert moved.annihilators == (gens.annihilators[4:]
+                                      + gens.annihilators[:4])
 
     @pytest.mark.parametrize("kwargs, expected", [
         ({}, 2 * 27 + 2 * 27),      # orderings once, mixed once per variant

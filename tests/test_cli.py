@@ -138,6 +138,17 @@ class TestVerifyMap:
         code, _, err = run(capsys, "verify-map", "--input", str(path))
         assert code == 2 and "n_modes = 1000000000" in err
 
+    def test_mode_count_mismatch_exits_before_any_matrix(self, capsys,
+                                                         tmp_path):
+        path = tmp_path / "gens.json"
+        op = {"n_modes": 10 ** 9, "entries": []}
+        path.write_text(json.dumps({"modes": 2, "creators": [op],
+                                    "annihilators": [op]}))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert "modes = 2 does not match the 1 creators" in err
+        assert "n_modes" not in err
+
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -302,6 +313,12 @@ class TestChainCommand:
         assert code == 0
         assert list(doc["experiment"]["variants"]) == ["diagonal-mixed"]
         assert doc["experiment"]["scales"] == ["1", "q"]
+
+    def test_scale_count_must_match_m(self, capsys):
+        code, out, err = run(capsys, "chain-experiment", "--m", "2", "--n",
+                             "3", "--scales", "1,q,q^2")
+        assert code == 2 and out == ""
+        assert "expected 2 scale factors" in err
 
     def test_q_numeric_is_refused(self, capsys):
         code, out, err = run(capsys, "chain-experiment", "--q-numeric", "1.3")

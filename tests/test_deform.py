@@ -59,7 +59,7 @@ class TestDeformingMap:
         gens = build_generators(2)
         creators = (gens[0][0], q_exponent((-1, 0)) * gens[1][0])
         annihilators = (gens[0][1], gens[1][1] * q_exponent((-1, 0)))
-        wrong = GeneratorSet(2, creators, annihilators, provenance="user")
+        wrong = GeneratorSet(creators, annihilators)
         reports = relation_residuals(wrong, build_rhat_sl(2))
         assert any(not r.exact_zero for r in reports)
 
@@ -101,12 +101,11 @@ class TestRelationChecker:
 class TestInverseMap:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_composition_is_identity(self, n):
-        inverse = build_inverse_map(n, build_deforming_map(n))
+        inverse = build_inverse_map(build_deforming_map(n))
         plain = undeformed_set(n)
         for built, original in zip(inverse.all_generators(),
                                    plain.all_generators()):
             assert built == original
-        assert inverse.provenance == "inverse-composition"
 
     def test_two_mode_matches_printed_form(self, lastf2):
         # [1 + (q - 1) N_2] Adag_1 with N_2 = Adag_2 A^2 reproduces adag_1
@@ -116,7 +115,7 @@ class TestInverseMap:
 
     def test_wrong_input_set_rejected(self, plain2):
         with pytest.raises(MapConstructionError):
-            build_inverse_map(2, plain2)
+            build_inverse_map(plain2)
 
 
 class TestConjugation:
@@ -159,8 +158,7 @@ class TestPoincare:
 
     def test_degenerate_set_drops_to_half(self, lastf2):
         crippled = GeneratorSet(
-            2, (fock.zero(2), lastf2.creators[1]), lastf2.annihilators,
-            provenance="user")
+            (fock.zero(2), lastf2.creators[1]), lastf2.annihilators)
         rank, expected = poincare_rank(crippled)
         assert (rank, expected) == (8, 16)
 
@@ -184,8 +182,7 @@ class TestPoincare:
     def test_colliding_leads_fall_back_to_elimination(self, lastf2):
         # Adag_1 := Adag_2 makes monomials repeat, so leading columns collide
         doubled = GeneratorSet(
-            2, (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators,
-            provenance="user")
+            (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
         rows = list(deform._monomial_rows(doubled))
         leads = [min(row) for row in rows if row]
         assert len(set(leads)) < len(leads)
@@ -221,12 +218,16 @@ class TestSerialization:
         again = GeneratorSet.from_json(doc)
         assert again.creators == lastf2.creators
         assert again.annihilators == lastf2.annihilators
-        assert again.provenance == lastf2.provenance
+        assert again.modes == 2 and "provenance" not in doc
+        # older files carry a provenance key, which is ignored
+        assert GeneratorSet.from_json({**doc, "provenance": "user"}) == again
 
     def test_length_validation(self, lastf2):
         with pytest.raises(ValueError, match="length"):
-            GeneratorSet(2, lastf2.creators[:1], lastf2.annihilators)
+            GeneratorSet(lastf2.creators[:1], lastf2.annihilators)
+        with pytest.raises(ValueError, match="nonempty"):
+            GeneratorSet((), ())
 
     def test_dimension_validation(self, lastf2):
         with pytest.raises(ValueError, match="dimension"):
-            GeneratorSet(2, (identity(1), identity(1)), lastf2.annihilators)
+            GeneratorSet((identity(1), identity(1)), lastf2.annihilators)

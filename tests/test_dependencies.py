@@ -2,7 +2,8 @@
 
 ``pyproject.toml`` declares no dependencies, and every module of the
 package imports only its own modules (package-relative imports) and the
-standard library, read from the source with :mod:`ast`.
+standard library, read from the source with :mod:`ast`.  No module reads
+the environment either: every bound is a constant in the source.
 """
 
 import ast
@@ -36,3 +37,25 @@ def absolute_imports(path: Path):
 def test_package_imports_only_the_standard_library(path):
     outside = set(absolute_imports(path)) - sys.stdlib_module_names
     assert not outside
+
+
+def environment_reads(path: Path):
+    """The ``os`` imports and the ``environ`` / ``getenv`` reads of a
+    source file, as source text."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names
+                        if alias.name.split(".")[0] == "os")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "os":
+                yield node.module
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ",
+                                                               "getenv"):
+            yield ast.unparse(node)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_package_reads_no_environment(path):
+    assert list(environment_reads(path)) == []

@@ -52,12 +52,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             build_generators(13)
 
-    def test_dimension_guard_override(self, monkeypatch):
-        monkeypatch.setenv("QCLIFFORD_MAX_DIM", "2")
-        with pytest.raises(ValueError):
-            build_generators(2)
-        build_generators(1)  # still fine
-
 
 class TestNumberOperator:
     def test_idempotent(self):

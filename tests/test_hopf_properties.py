@@ -210,7 +210,7 @@ def planted(gens: GeneratorSet, index: int, r: int, c: int,
     rows[r][c] = value
     ops[index] = FockOperator(gens.modes, rows)
     n = gens.modes
-    return GeneratorSet(n, tuple(ops[:n]), tuple(ops[n:]), "planted")
+    return GeneratorSet(ops[:n], ops[n:])
 
 
 @st.composite
@@ -275,7 +275,7 @@ def test_covariance_matches_matrix_ops(which, gens):
 @given(data_choices, st.one_of(
     generator_sets().map(lambda g: invariant_number(g, "I1")),
     sparse_rows(4).map(lambda rows: InvariantElement(FockOperator(2, rows),
-                                                     2, "random"))))
+                                                     "random"))))
 def test_invariance_matches_matrix_ops(which, element):
     data = DATA[which]
     for mode in ("deformed", "classical"):
