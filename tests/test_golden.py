@@ -54,6 +54,9 @@ CASES = {
     "chain-experiment-m3n2-scaled": [
         "chain-experiment", "--m", "3", "--n", "2", "--scales",
         "(q^2 + 3)/(3*q + 1),(2*q^2 + q + 3)/(q + 2),q"],
+    "chain-experiment-m2n3-scaled": [
+        "chain-experiment", "--m", "2", "--n", "3", "--scales",
+        "(q^2 + 3)/(3*q + 1),(2*q^2 + q + 3)/(q + 2)"],
     "verify-map-input-broken": ["verify-map", "--input",
                                 "verify_map_input_broken_n3.json"],
     "verify-map-input-broken-q1.3": ["verify-map", "--input",
