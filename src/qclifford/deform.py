@@ -19,10 +19,12 @@ Each relation, here and in the chain families, is one residual
 start + sum coeff X Y over a table of (coeff, X, Y) terms, with start
 the zero operator or minus the identity.  :class:`report.RelationReport`
 hands the table to :func:`linalg.product_sum_rows`, which forms no
-product matrix: every residual entry is summed as an unreduced fraction,
-and an entry whose numerator cancels is dropped.  The relation holds iff no
-entry survives, and the report reduces only what it prints, the first
-surviving entry in row-major order; the full canonical residual is built
+product matrix and decides the rows in order: every residual entry is
+summed as an unreduced fraction, an entry whose numerator cancels is
+dropped, and each row is finished over every term before the next is
+begun.  The relation holds iff no row survives.  A failing relation stops
+at its first surviving row, and the report reduces only what it prints,
+that row's first entry; the rest of the canonical residual is computed
 only when it is read.  Canonical forms in Q(q) are unique, so the
 residual, its exact-zero flag and its worst entry are those the matrix
 products would give.
@@ -51,7 +53,7 @@ from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import invert_dense, rank as exact_rank
+from .linalg import invert_dense, json_object, rank as exact_rank
 from .report import RelationReport
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
@@ -96,16 +98,31 @@ class GeneratorSet:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorSet":
-        """Read a set, comparing ``modes`` with both list lengths before
-        any matrix is read; any other key is ignored."""
+        """Read a set, checking that both lists hold objects and comparing
+        ``modes`` with their lengths before any matrix is read; any other
+        key is ignored."""
+        json_object(doc, "generator set")
         modes = int(doc["modes"])
-        creators, annihilators = doc["creators"], doc["annihilators"]
+        creators = _operator_docs(doc, "creators")
+        annihilators = _operator_docs(doc, "annihilators")
         if not (modes == len(creators) == len(annihilators)):
             raise ValueError(f"modes = {modes} does not match the "
                              f"{len(creators)} creators and "
                              f"{len(annihilators)} annihilators")
-        return cls([FockOperator.from_json(d) for d in creators],
-                   [FockOperator.from_json(d) for d in annihilators])
+        return cls([FockOperator.from_json(d, f"creators[{i}]")
+                    for i, d in enumerate(creators)],
+                   [FockOperator.from_json(d, f"annihilators[{i}]")
+                    for i, d in enumerate(annihilators)])
+
+
+def _operator_docs(doc: dict, key: str) -> list:
+    """The list ``doc[key]``, checked to hold only JSON objects."""
+    docs = doc[key]
+    if not isinstance(docs, list):
+        raise ValueError(f"{key} must be a list of operator objects")
+    for i, op in enumerate(docs):
+        json_object(op, f"{key}[{i}]")
+    return docs
 
 
 def undeformed_set(n_modes: int) -> GeneratorSet:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import MAX_DIM, SparseMatrix, dim_guard_error, read_rows
+from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_object,
+                     read_rows)
 from .scalar import ONE, ZERO, q_power
 
 
@@ -63,12 +64,14 @@ class FockOperator(SparseMatrix):
         }
 
     @classmethod
-    def from_json(cls, doc: dict) -> "FockOperator":
+    def from_json(cls, doc: dict, field: str = "operator") -> "FockOperator":
+        """Read an operator; ``field`` names the document in errors."""
+        json_object(doc, field)
         n = int(doc["n_modes"])
         dim = _fock_dim(n)
         if int(doc.get("dim", dim)) != dim:
-            raise ValueError("dim field does not match n_modes")
-        return cls(n, read_rows(doc["entries"], dim))
+            raise ValueError(f"{field}: dim field does not match n_modes")
+        return cls(n, read_rows(doc["entries"], dim, f"{field}.entries"))
 
 
 def identity(n_modes: int) -> FockOperator:

@@ -29,19 +29,35 @@ def dim_guard_error(what: str) -> ValueError:
                       f"(dimension guard {MAX_DIM})")
 
 
-def read_rows(entries, dim: int) -> list[dict]:
+def json_object(doc, field: str) -> dict:
+    """doc, once it is checked to be a JSON object; field names it."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{field} must be a JSON object")
+    return doc
+
+
+def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
     """Sparse rows of a dim x dim matrix from ``[r, c, text]`` JSON entries.
 
-    An index outside the matrix is rejected; a later entry for the same
-    position replaces an earlier one, and a zero value is not stored.
+    Every entry is checked before the rows are allocated: it must be a
+    list of two integer indices inside the matrix and a string value, and
+    an error names it as ``field[i]``.  A later entry for the same position
+    replaces an earlier one, and a zero value is not stored.
     """
-    rows: list[dict] = [{} for _ in range(dim)]
-    for entry in entries:
-        r, c, text = entry
-        r, c = int(r), int(c)
+    if not isinstance(entries, list):
+        raise ValueError(f"{field} must be a list of [row, col, text] entries")
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and type(entry[0]) is int and type(entry[1]) is int
+                and isinstance(entry[2], str)):
+            raise ValueError(f"{field}[{i}] is not [row, col, text] with "
+                             f"integer indices and a string value")
+        r, c, _ = entry
         if not (0 <= r < dim and 0 <= c < dim):
-            raise ValueError(f"entry {[r, c, text]} lies outside the "
+            raise ValueError(f"{field}[{i}]: entry {entry} lies outside the "
                              f"{dim} x {dim} matrix")
+    rows: list[dict] = [{} for _ in range(dim)]
+    for r, c, text in entries:
         value = parse_rational(text)
         if value.is_zero:
             rows[r].pop(c, None)
@@ -211,28 +227,33 @@ def _shift(p: Poly, k: int, m: int) -> Poly:
     return Poly((0,) * k + tuple(c * m for c in p.coeffs))
 
 
-def product_sum_rows(start: SparseMatrix, terms) -> dict[int, dict]:
-    """The nonzero rows of start + sum coeff * X * Y over (coeff, X, Y),
-    unreduced and keyed by ascending row index.
+def product_sum_rows(start: SparseMatrix, terms):
+    """Yield (r, row) for each nonzero row of start + sum coeff * X * Y
+    over (coeff, X, Y), unreduced and in ascending row order.
 
-    No intermediate matrix is built: each output entry is an unreduced
-    (num, den) pair of polynomials to which every product
-    coeff * X[r, k] * Y[k, c] is added (see :func:`_add_fraction`).  An
-    entry whose numerator cancels to zero is the exact zero and is dropped
-    at once, without a gcd; every kept pair has a nonzero numerator over a
-    nonzero denominator, so the sum is zero iff no row is kept.
+    The term table (coeff.num, coeff.den, X.rows, Y.rows) is built once,
+    with zero coefficients dropped; then each row is finished over every
+    term before it is yielded, and no row after it is read until the next
+    one is requested.  No intermediate matrix is built: each output entry
+    is an unreduced (num, den) pair of polynomials to which every product
+    coeff * X[r, k] * Y[k, c] is added in term order (see
+    :func:`_add_fraction`).  An entry whose numerator cancels to zero is
+    the exact zero and is dropped at once, without a gcd; every kept pair
+    has a nonzero numerator over a nonzero denominator, so the sum is zero
+    iff no row is yielded.
     """
     dim = start.dim
-    acc = [{c: (v.num, v.den) for c, v in row.items()} for row in start.rows]
+    table = []
     for coeff, x, y in terms:
         if coeff.is_zero:
             continue
         if x.dim != dim or y.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {x.dim} x {y.dim}")
-        cn, cd = coeff.num, coeff.den
-        yrows = y.rows
-        for out, xrow in zip(acc, x.rows):
-            for k, xv in xrow.items():
+        table.append((coeff.num, coeff.den, x.rows, y.rows))
+    for r, row in enumerate(start.rows):
+        out = {c: (v.num, v.den) for c, v in row.items()}
+        for cn, cd, xrows, yrows in table:
+            for k, xv in xrows[r].items():
                 xn, xd = cn * xv.num, cd * xv.den
                 for c, yv in yrows[k].items():
                     num, den = xn * yv.num, xd * yv.den
@@ -245,34 +266,39 @@ def product_sum_rows(start: SparseMatrix, terms) -> dict[int, dict]:
                         del out[c]
                     else:
                         out[c] = entry
-    return {r: row for r, row in enumerate(acc) if row}
+        if out:
+            yield r, out
 
 
-def first_entry(rows: dict[int, dict]):
-    """(row, col, value) of the first entry of :func:`product_sum_rows`.
+def first_entry(first):
+    """(row, col, value) of a row (r, row) yielded by
+    :func:`product_sum_rows`, or None for None.
 
-    The entry is the one :meth:`SparseMatrix.first_nonzero` names, at the
-    minimum column of the first kept row, and only it is reduced; None
-    when no row is kept.
+    The entry is the one :meth:`SparseMatrix.first_nonzero` names when the
+    row is the first one yielded: at the row's minimum column, and only it
+    is reduced.
     """
-    for r, row in rows.items():
-        c = min(row)
-        return r, c, RationalFunction(*row[c])
-    return None
+    if first is None:
+        return None
+    r, row = first
+    c = min(row)
+    return r, c, RationalFunction(*row[c])
 
 
-def reduce_rows(start: SparseMatrix, rows: dict[int, dict]) -> SparseMatrix:
-    """The rows of :func:`product_sum_rows` as a matrix of canonical
-    entries, of the class of start."""
-    return start._clone([{c: RationalFunction(num, den)
-                          for c, (num, den) in rows.get(r, {}).items()}
-                         for r in range(start.dim)])
+def reduce_rows(start: SparseMatrix, rows) -> SparseMatrix:
+    """The (r, row) pairs of :func:`product_sum_rows` as a matrix of
+    canonical entries, of the class of start."""
+    out: list[dict] = [{} for _ in range(start.dim)]
+    for r, row in rows:
+        out[r] = {c: RationalFunction(num, den)
+                  for c, (num, den) in row.items()}
+    return start._clone(out)
 
 
 def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
     """start + sum coeff * X * Y over (coeff, X, Y), as the class of start.
 
-    The rows of :func:`product_sum_rows` with every entry reduced once.
+    Every row of :func:`product_sum_rows` with every entry reduced once.
     Canonical forms in Q(q) are unique, so the result equals the one built
     by matrix products, scalings and sums.
     """

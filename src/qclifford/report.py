@@ -11,6 +11,8 @@ table to it, and a report is built no other way.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .linalg import first_entry, product_sum_rows, reduce_rows
 
 
@@ -46,17 +48,20 @@ class RelationReport:
     ``start`` is a matrix of the residual's class (a FockOperator, an
     RMatrix or a plain SparseMatrix: the zero operator, or minus the
     identity for a relation with a delta term); zero coefficients
-    contribute nothing.  The entries are summed unreduced by
-    :func:`linalg.product_sum_rows`: ``exact_zero`` holds iff none
-    survives, which is iff the relation holds over Q(q), and only the
-    first surviving entry, the worst entry, is reduced.  ``residual``, the
-    canonical residual, is built from the kept rows when it is first read.
-    ``numeric_max_abs`` is set by the caller only when a numeric spot
-    check at some q was requested.
+    contribute nothing.  The residual's rows are decided in order by
+    :func:`linalg.product_sum_rows`, and the constructor takes only the
+    first nonzero one: ``exact_zero`` holds iff there is none, which is
+    iff the relation holds over Q(q).  A passing report keeps no row.  A
+    failing one stops at its first surviving row and keeps it with the
+    suspended row generator; only the row's first entry, the worst entry,
+    is reduced.  ``residual``, the canonical residual, finishes the
+    generator when it is first read and is cached.  ``numeric_max_abs``
+    is set by the caller only when a numeric spot check at some q was
+    requested.
     """
 
     __slots__ = ("family", "indices", "relation", "numeric_max_abs",
-                 "_start", "_rows", "_residual")
+                 "_start", "_first", "_rest", "_residual")
 
     def __init__(self, family: str, indices: tuple, relation: str, start,
                  terms=()):
@@ -65,21 +70,26 @@ class RelationReport:
         self.relation = relation
         self.numeric_max_abs = None
         self._start = start
-        self._rows = product_sum_rows(start, terms)
+        rows = product_sum_rows(start, terms)
+        self._first = next(rows, None)
+        self._rest = rows if self._first is not None else ()
         self._residual = None
 
     @property
     def exact_zero(self) -> bool:
-        return not self._rows
+        return self._first is None
 
     @property
     def residual(self):
         if self._residual is None:
-            self._residual = reduce_rows(self._start, self._rows)
+            first = () if self._first is None else (self._first,)
+            self._residual = reduce_rows(self._start,
+                                         chain(first, self._rest))
+            self._rest = ()
         return self._residual
 
     def worst_entry(self) -> str:
-        first = first_entry(self._rows)
+        first = first_entry(self._first)
         if first is None:
             return "0"
         r, c, v = first

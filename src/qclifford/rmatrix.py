@@ -24,8 +24,8 @@ residual P^2 - P by the relation evaluator.
 
 from __future__ import annotations
 
-from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, product_sum,
-                     read_rows)
+from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_object,
+                     product_sum, read_rows)
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, q_power
 
@@ -66,6 +66,7 @@ class RMatrix(SparseMatrix):
 
     @classmethod
     def from_json(cls, doc: dict) -> "RMatrix":
+        json_object(doc, "braid matrix")
         n = int(doc["n"])
         if n < 1:
             raise ValueError(f"n = {n} is not a positive block dimension")

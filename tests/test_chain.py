@@ -8,6 +8,7 @@ from qclifford.chain import (VARIANTS, chain_residuals, classical_chain_check,
                              relabel_copies, scale_copies)
 from qclifford.deform import (GeneratorSet, build_deforming_map,
                               relation_residuals, undeformed_set)
+from qclifford.report import RelationReport
 from qclifford.rmatrix import build_permutation, build_rhat_sl
 from qclifford.scalar import ONE, Q, RationalFunction, parse_rational
 
@@ -249,6 +250,31 @@ class TestLexicographicExperiment:
         for rep in failing:  # the reduced entry is the residual's first
             r, c, v = rep.residual.first_nonzero()
             assert rep.worst_entry() == f"{v} at ({r}, {c})"
+
+    def test_failing_residual_is_finished_on_first_read(self, monkeypatch):
+        tables = {}
+        init = RelationReport.__init__
+
+        def recorded(self, family, indices, relation, start, terms=()):
+            tables[id(self)] = start, list(terms)
+            init(self, family, indices, relation, start, terms)
+
+        monkeypatch.setattr(RelationReport, "__init__", recorded)
+        scales = [parse_rational("(q^2 + 3)/(3*q + 1)"),
+                  parse_rational("(2*q^2 + q + 3)/(q + 2)")]
+        findings = lexicographic_experiment(2, 3, scales=scales)
+        reports = {id(rep): rep for data in findings["variants"].values()
+                   for rep in data["reports"]}.values()
+        for rep in reports:
+            rep.to_json()
+        failing = [rep for rep in reports if not rep.exact_zero]
+        assert failing
+        for rep in failing:
+            start, terms = tables[id(rep)]
+            residual = rep.residual
+            assert residual == linalg.product_sum(start, terms)
+            assert type(residual) is type(start)
+            assert rep.residual is residual
 
     def test_ordering_families_shared_by_both_variants(self, findings):
         diag, braided = (findings["variants"][v]["families"] for v in VARIANTS)

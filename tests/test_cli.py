@@ -21,6 +21,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def short_entry_doc() -> dict:
+    """The 3-mode deforming map with a two-element fourth creator entry."""
+    doc = build_deforming_map(3).to_json()
+    doc["creators"][0]["entries"].insert(3, [0, 1])
+    return doc
+
+
 class TestVerifyMap:
     def test_two_modes_json(self, capsys):
         code, doc, _ = run_json(capsys, "verify-map", "--n", "2")
@@ -156,6 +163,26 @@ class TestVerifyMap:
         assert code == 2
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize("make_doc, field", [
+        (lambda: {"modes": 1, "creators": 5, "annihilators": 5},
+         "creators must be a list of operator objects"),
+        (lambda: {"modes": 1, "creators": ["x"], "annihilators": ["x"]},
+         "creators[0] must be a JSON object"),
+        (short_entry_doc,
+         "creators[0].entries[3] is not [row, col, text]"),
+        (lambda: [build_deforming_map(1).to_json()],
+         "generator set must be a JSON object"),
+    ], ids=["list-is-int", "operator-is-str", "entry-too-short",
+            "top-level-list"])
+    def test_malformed_shape_names_the_field(self, capsys, tmp_path,
+                                             make_doc, field):
+        doc = make_doc()
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert f"error: {field}" in err
+
 
 class TestRMatrixCommand:
     def test_sl_dump_round_trips(self, capsys):
@@ -190,6 +217,16 @@ class TestRMatrixCommand:
         code, _, err = run(capsys, "rmatrix", "--algebra", "sp",
                            "--input", str(path))
         assert code == 2 and "dim = 1000000000" in err
+
+    @pytest.mark.parametrize("entry", [[0, "1", "q"], [0, 1, 2], [0, 1],
+                                       [True, 1, "q"], {"r": 0}])
+    def test_malformed_entry_names_the_field(self, capsys, tmp_path, entry):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[0, 0, "q"], entry]}))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert "error: entries[1] is not [row, col, text]" in err
 
     def test_braid_dimension_not_n_squared_exits_two(self, capsys, tmp_path):
         path = tmp_path / "rhat.json"

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.linalg import SparseMatrix, invert_dense, rank, rank_numeric
+from qclifford.linalg import (SparseMatrix, invert_dense, product_sum, rank,
+                              rank_numeric)
 from qclifford.report import CONVENTIONS, RelationReport, summarize
 from qclifford.fock import FockOperator, identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
@@ -117,7 +118,49 @@ def expected_worst(residual: SparseMatrix) -> str:
     return f"{v} at ({r}, {c})"
 
 
+class RecordingRows(tuple):
+    """Matrix rows that record the index of every row read from them."""
+
+    def __new__(cls, rows, reads: list):
+        self = super().__new__(cls, rows)
+        self.reads = reads
+        return self
+
+    def __getitem__(self, r):
+        self.reads.append(r)
+        return super().__getitem__(r)
+
+    def __iter__(self):
+        return (self[r] for r in range(len(self)))
+
+
 class TestReports:
+    def test_failing_report_reads_no_row_after_its_first(self):
+        # row 0 survives; rows 2 and 3 fail too but are read only when the
+        # residual is requested
+        x = SparseMatrix(4, ({1: Q}, {}, {0: ONE}, {3: Q - ONE}))
+        y = x.identity_like()
+        expected = product_sum(SparseMatrix(4), [(ONE, x, y)])
+        reads = []
+        x.rows = RecordingRows(x.rows, reads)
+        rep = RelationReport("f", (), "X = 0", SparseMatrix(4), [(ONE, x, y)])
+        assert not rep.exact_zero and rep.worst_entry() == "q at (0, 1)"
+        assert reads == [0]
+        residual = rep.residual
+        assert reads == [0, 1, 2, 3]
+        assert residual == expected and type(residual) is SparseMatrix
+        assert rep.residual is residual and reads == [0, 1, 2, 3]
+
+    def test_passing_report_reads_every_row(self):
+        x = SparseMatrix(3, ({1: Q}, {}, {0: ONE}))
+        reads = []
+        x.rows = RecordingRows(x.rows, reads)
+        y = SparseMatrix(3).identity_like()
+        rep = RelationReport("f", (), "X - X = 0", SparseMatrix(3),
+                             [(ONE, x, y), (-ONE, x, y)])
+        assert rep.exact_zero and sorted(set(reads)) == [0, 1, 2]
+        assert rep.residual == SparseMatrix(3)
+
     def test_worst_entry_of_zero_residual(self):
         rep = RelationReport("f", (1,), "x = 0", SparseMatrix(2))
         assert rep.exact_zero and rep.residual.is_zero
