@@ -31,7 +31,10 @@ GOLDEN = Path(__file__).parent / "golden"
 #: deforming map with the mode-1 creator scaled by (q^2 + 3)/(3*q + 1), the
 #: mode-2 annihilator scaled by (2*q^2 + q + 3)/(q + 2) (not the inverse)
 #: and an extra entry q at (2, 2) of the mode-1 annihilator, so that worst
-#: entries sit off (0, 0) and one lies in a row holding two entries.
+#: entries sit off (0, 0) and one lies in a row holding two entries.  The
+#: rescaled N = 3 set is the deforming map with mode i rescaled by s_i,
+#: Adag_i -> s_i Adag_i and A^i -> A^i / s_i, for s = 3*q^2, -q^-1/2 and 5:
+#: every relation holds, and the star check fails and prints its worst entry.
 CASES = {
     "verify-map-n2": ["verify-map", "--n", "2"],
     "verify-map-n4": ["verify-map", "--n", "4"],
@@ -62,6 +65,8 @@ CASES = {
     "verify-map-input-broken-q1.3": ["verify-map", "--input",
                                      "verify_map_input_broken_n3.json",
                                      "--q-numeric", "1.3"],
+    "verify-map-input-rescaled": ["verify-map", "--input",
+                                  "verify_map_input_rescaled_n3.json"],
     "eval-q1.3": ["eval", "(q^3 - 3*q + 2)/(q^2 - 1)", "--q-numeric", "1.3"],
 }
 
