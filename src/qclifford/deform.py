@@ -53,7 +53,8 @@ from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import invert_dense, json_object, rank as exact_rank
+from .linalg import (invert_dense, json_field, json_int, json_object,
+                     rank as exact_rank)
 from .report import RelationReport
 from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
@@ -102,7 +103,7 @@ class GeneratorSet:
         ``modes`` with their lengths before any matrix is read; any other
         key is ignored."""
         json_object(doc, "generator set")
-        modes = int(doc["modes"])
+        modes = json_int(doc, "modes", "generator set")
         creators = _operator_docs(doc, "creators")
         annihilators = _operator_docs(doc, "annihilators")
         if not (modes == len(creators) == len(annihilators)):
@@ -117,7 +118,7 @@ class GeneratorSet:
 
 def _operator_docs(doc: dict, key: str) -> list:
     """The list ``doc[key]``, checked to hold only JSON objects."""
-    docs = doc[key]
+    docs = json_field(doc, key, "generator set")
     if not isinstance(docs, list):
         raise ValueError(f"{key} must be a list of operator objects")
     for i, op in enumerate(docs):
@@ -153,27 +154,33 @@ def relation_residuals(gens: GeneratorSet, rhat: RMatrix,
     cre, ann = gens.creators, gens.annihilators
     zero, minus_one = fock.zero(n), -fock.identity(n)
     pairs = list(product(range(1, n + 1), repeat=2))
+    # only nonzero blocks become terms: column (ij) of P+_q, row (ij) of
+    # P+_q, and the entries of P_q rows (ih) in columns (jk); a flat index
+    # hk is the pair (hk // n + 1, hk % n + 1)
+    pplus_cols = pplus.transpose().rows
     reports = []
     for i, j in pairs:
+        col = pplus_cols[(i - 1) * n + j - 1]
         reports.append(RelationReport(
             "creator-creator", (i, j),
             f"sum_hk P+_q[(hk),({i}{j})] Adag_h Adag_k = 0", zero,
-            [(pplus.block(h, k, i, j), cre[h - 1], cre[k - 1])
-             for h, k in pairs]))
+            [(v, cre[hk // n], cre[hk % n]) for hk, v in sorted(col.items())]))
     for i, j in pairs:
+        row = pplus.rows[(i - 1) * n + j - 1]
         reports.append(RelationReport(
             "annihilator-annihilator", (i, j),
             f"sum_hk P+_q[({i}{j}),(hk)] A^k A^h = 0", zero,
-            [(pplus.block(i, j, h, k), ann[k - 1], ann[h - 1])
-             for h, k in pairs]))
+            [(v, ann[hk % n], ann[hk // n]) for hk, v in sorted(row.items())]))
     for i, j in pairs:
+        first = (j - 1) * n
         reports.append(RelationReport(
             "mixed", (i, j),
             f"A^{i} Adag_{j} + sum_hk P_q[({i}h),({j}k)] Adag_h A^k "
             f"= delta_{i}{j}", minus_one if i == j else zero,
             [(ONE, ann[i - 1], cre[j - 1])]
-            + [(pq.block(i, h, j, k), cre[h - 1], ann[k - 1])
-               for h, k in pairs]))
+            + [(v, cre[h], ann[jk - first]) for h in range(n)
+               for jk, v in sorted(pq.rows[(i - 1) * n + h].items())
+               if first <= jk < first + n]))
     return reports
 
 
@@ -190,20 +197,22 @@ def build_deforming_map(n_modes: int, check: bool = True) -> GeneratorSet:
     """Realize the deformed generators inside the undeformed algebra.
 
     Creator i is dressed on the left, annihilator i on the right, by the
-    diagonal q-exponent with weight -1 on every later mode.  The returned
+    diagonal q-exponent D with weight -1 on every later mode.  D is
+    diagonal, so D adag_i is adag_i with row r scaled by D[r, r], and
+    a_i D = (D adag_i)^T is the creator's transpose: no matrix product is
+    formed, and each annihilator shares its creator's entries.  The returned
     set is verified against the full relation system with the sl(N) braid
     matrix; construction fails loudly if any residual is nonzero.
     """
     if n_modes < 1:
         raise ValueError("build_deforming_map expects n_modes >= 1")
-    pairs = build_generators(n_modes)
     creators = []
-    annihilators = []
-    for i in range(1, n_modes + 1):
-        dress = q_exponent(deformation_weights(n_modes, i))
-        creators.append(dress * pairs[i - 1][0])
-        annihilators.append(pairs[i - 1][1] * dress)
-    gens = GeneratorSet(creators, annihilators)
+    for i, (adag, _) in enumerate(build_generators(n_modes), start=1):
+        dress = q_exponent(deformation_weights(n_modes, i)).rows
+        creators.append(FockOperator(n_modes, [
+            {c: v * dress[r][r] for c, v in row.items()}
+            for r, row in enumerate(adag.rows)]))
+    gens = GeneratorSet(creators, [op.star() for op in creators])
     if check:
         map_relations(gens)
     return gens

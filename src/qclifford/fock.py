@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_object,
-                     read_rows)
+from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_field,
+                     json_int, json_object, read_rows)
 from .scalar import ONE, ZERO, q_power
 
 
@@ -67,11 +67,12 @@ class FockOperator(SparseMatrix):
     def from_json(cls, doc: dict, field: str = "operator") -> "FockOperator":
         """Read an operator; ``field`` names the document in errors."""
         json_object(doc, field)
-        n = int(doc["n_modes"])
+        n = json_int(doc, "n_modes", field)
         dim = _fock_dim(n)
-        if int(doc.get("dim", dim)) != dim:
+        if json_int(doc, "dim", field, dim) != dim:
             raise ValueError(f"{field}: dim field does not match n_modes")
-        return cls(n, read_rows(doc["entries"], dim, f"{field}.entries"))
+        return cls(n, read_rows(json_field(doc, "entries", field), dim,
+                                f"{field}.entries"))
 
 
 def identity(n_modes: int) -> FockOperator:
@@ -130,11 +131,15 @@ def q_exponent(weights) -> FockOperator:
     weights = list(weights)
     n_modes = len(weights)
     dim = 1 << n_modes
+    powers: dict = {}
     rows = []
     for state in range(dim):
         expo = sum(w for i, w in enumerate(weights, start=1)
                    if _mode_bit(n_modes, state, i))
-        rows.append({state: q_power(expo)})
+        power = powers.get(expo)
+        if power is None:
+            power = powers[expo] = q_power(expo)
+        rows.append({state: power})
     return FockOperator(n_modes, rows)
 
 

@@ -36,6 +36,28 @@ def json_object(doc, field: str) -> dict:
     return doc
 
 
+def json_field(doc: dict, key: str, field: str):
+    """doc[key] of the JSON object that ``field`` names, or an error that
+    names the missing key."""
+    if key not in doc:
+        raise ValueError(f'{field} has no "{key}"')
+    return doc[key]
+
+
+def json_int(doc: dict, key: str, field: str,
+             default: int | None = None) -> int:
+    """doc[key] as a plain JSON integer, or ``default`` when the key is
+    absent and a default is given.  A boolean, a number with a fraction
+    part, a string or a list is refused, not converted."""
+    if default is not None and key not in doc:
+        return default
+    value = json_field(doc, key, field)
+    if type(value) is not int:
+        raise ValueError(f'{field}: "{key}" must be an integer, '
+                         f'not {type(value).__name__}')
+    return value
+
+
 def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
     """Sparse rows of a dim x dim matrix from ``[r, c, text]`` JSON entries.
 
@@ -237,10 +259,13 @@ def product_sum_rows(start: SparseMatrix, terms):
     one is requested.  No intermediate matrix is built: each output entry
     is an unreduced (num, den) pair of polynomials to which every product
     coeff * X[r, k] * Y[k, c] is added in term order (see
-    :func:`_add_fraction`).  An entry whose numerator cancels to zero is
-    the exact zero and is dropped at once, without a gcd; every kept pair
-    has a nonzero numerator over a nonzero denominator, so the sum is zero
-    iff no row is yielded.
+    :func:`_add_fraction`).  An entry X[r, k] whose Y row k is empty
+    contributes nothing and is skipped before coeff * X[r, k] is formed;
+    on the deforming map about 45 % of the X entries meet an empty row,
+    since each generator's nonzero rows are half of the basis.  An entry
+    whose numerator cancels to zero is the exact zero and is dropped at
+    once, without a gcd; every kept pair has a nonzero numerator over a
+    nonzero denominator, so the sum is zero iff no row is yielded.
     """
     dim = start.dim
     table = []
@@ -254,8 +279,11 @@ def product_sum_rows(start: SparseMatrix, terms):
         out = {c: (v.num, v.den) for c, v in row.items()}
         for cn, cd, xrows, yrows in table:
             for k, xv in xrows[r].items():
+                yrow = yrows[k]
+                if not yrow:
+                    continue
                 xn, xd = cn * xv.num, cd * xv.den
-                for c, yv in yrows[k].items():
+                for c, yv in yrow.items():
                     num, den = xn * yv.num, xd * yv.den
                     entry = out.get(c)
                     if entry is None:

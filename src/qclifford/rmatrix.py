@@ -24,8 +24,8 @@ residual P^2 - P by the relation evaluator.
 
 from __future__ import annotations
 
-from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_object,
-                     product_sum, read_rows)
+from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_field,
+                     json_int, json_object, product_sum, read_rows)
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, q_power
 
@@ -66,16 +66,17 @@ class RMatrix(SparseMatrix):
 
     @classmethod
     def from_json(cls, doc: dict) -> "RMatrix":
-        json_object(doc, "braid matrix")
-        n = int(doc["n"])
+        field = "braid matrix"
+        json_object(doc, field)
+        n = json_int(doc, "n", field)
         if n < 1:
             raise ValueError(f"n = {n} is not a positive block dimension")
-        dim = int(doc.get("dim", n * n))
+        dim = json_int(doc, "dim", field, n * n)
         if not 1 <= dim <= MAX_DIM:
             raise dim_guard_error(f"dim = {dim}")
         if dim != n * n:
             raise ValueError(f"dim = {dim} is not n^2 = {n * n} for n = {n}")
-        return cls(n, read_rows(doc["entries"], dim),
+        return cls(n, read_rows(json_field(doc, "entries", field), dim),
                    str(doc.get("kind", "user-supplied")))
 
     def __repr__(self):

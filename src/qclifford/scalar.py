@@ -8,6 +8,13 @@ reduced fraction of two such polynomials kept in a canonical form
 equality is structural and every identity in this package can be tested
 against the exact zero rather than a float tolerance.
 
+Most values met in practice are Laurent monomials: every entry of the
+deforming map is +-q^-m, so most operands of a product are the constants
++-1 or monomials c*q^k.  ``Poly.__mul__`` therefore tests an operand for a
+constant (a length-1 tuple) first, and for a monomial after that, and
+then scales or shifts the other operand's coefficient tuple instead of
+running the double loop; negating a canonical value takes no gcd.
+
 Negative powers of q are ordinary field elements: q^-1 is the fraction
 1/q.  The classical limit is obtained by evaluating at q = 1 with
 :meth:`RationalFunction.eval_at`, which is exact on rational points.
@@ -116,20 +123,36 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        """Product in Z[q].
+
+        An operand that is a constant c, and then one that is a monomial
+        c*q^k, scales (and shifts) the other's coefficient tuple; the
+        result's top coefficient is a product of nonzero integers, so
+        nothing is stripped.  Other pairs run the schoolbook double loop.
+        """
         if isinstance(other, int):
             return Poly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly()
-        if self.coeffs == (1,):
-            return other
-        if other.coeffs == (1,):
-            return self
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
+        p = self
+        if len(a) == 1:
+            a, b, p = b, a, other
+        if len(b) == 1:
+            c = b[0]
+            return p if c == 1 else _poly(tuple(c * x for x in a))
+        if a.count(0) == len(a) - 1:
+            a, b = b, a
+        k = len(b) - 1
+        if b.count(0) == k:
+            c = b[k]
+            return _poly((0,) * k + (a if c == 1 else tuple(c * x for x in a)))
+        out = [0] * (len(a) + k)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
         return Poly(out)
 
     __rmul__ = __mul__
@@ -244,6 +267,14 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.coeffs})"
+
+
+def _poly(coeffs: tuple) -> Poly:
+    """A Poly on a coefficient tuple that is empty or ends in a nonzero
+    entry, built without the trailing-zero strip."""
+    p = object.__new__(Poly)
+    p.coeffs = coeffs
+    return p
 
 
 def _poly_text(p: Poly) -> str:
@@ -376,7 +407,11 @@ class RationalFunction:
         return other / self
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        # -num/den is canonical whenever num/den is: no gcd to take
+        out = object.__new__(RationalFunction)
+        out.num = -self.num
+        out.den = self.den
+        return out
 
     def __pow__(self, n: int):
         if n == 0:

@@ -184,6 +184,48 @@ class TestVerifyMap:
         assert f"error: {field}" in err
 
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"modes": 1, "creators": [{"n_modes": 1}],
+          "annihilators": [{"n_modes": 1}]},
+         'creators[0] has no "entries"'),
+        ({"creators": [], "annihilators": []},
+         'generator set has no "modes"'),
+        ({"modes": 1, "annihilators": []}, 'generator set has no "creators"'),
+        ({"modes": 1, "creators": [{"entries": []}],
+          "annihilators": [{"entries": []}]},
+         'creators[0] has no "n_modes"'),
+    ], ids=["no-entries", "no-modes", "no-creators", "no-n_modes"])
+    def test_missing_key_is_named(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert f"error: {message}\n" == err
+
+    @pytest.mark.parametrize("key, value", [
+        ("modes", [1]), ("modes", "2"), ("modes", 2.7), ("modes", True),
+        ("modes", 2.0), ("n_modes", "1"), ("n_modes", 1.7),
+        ("n_modes", True), ("dim", "2"), ("dim", 2.0)],
+        ids=["modes-list", "modes-str", "modes-float", "modes-bool",
+             "modes-integral-float", "n_modes-str", "n_modes-float",
+             "n_modes-bool", "dim-str", "dim-integral-float"])
+    def test_count_must_be_a_plain_integer(self, capsys, tmp_path, key,
+                                           value):
+        doc = build_deforming_map(1).to_json()
+        if key == "modes":
+            doc["modes"] = value
+            field = "generator set"
+        else:
+            doc["creators"][0][key] = value
+            field = "creators[0]"
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert (f'error: {field}: "{key}" must be an integer, '
+                f'not {type(value).__name__}') in err
+
+
 class TestRMatrixCommand:
     def test_sl_dump_round_trips(self, capsys):
         code, doc, _ = run_json(capsys, "rmatrix", "--algebra", "sl", "--n", "3")
@@ -227,6 +269,24 @@ class TestRMatrixCommand:
                              "--input", str(path))
         assert code == 2 and out == ""
         assert "error: entries[1] is not [row, col, text]" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2}, 'braid matrix has no "entries"'),
+        ({"entries": []}, 'braid matrix has no "n"'),
+        ({"n": "2", "entries": []},
+         'braid matrix: "n" must be an integer, not str'),
+        ({"n": 2, "dim": 4.0, "entries": []},
+         'braid matrix: "dim" must be an integer, not float'),
+        ({"n": True, "entries": []},
+         'braid matrix: "n" must be an integer, not bool'),
+    ], ids=["no-entries", "no-n", "n-str", "dim-float", "n-bool"])
+    def test_bad_braid_field_is_named(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert f"error: {message}\n" == err
 
     def test_braid_dimension_not_n_squared_exits_two(self, capsys, tmp_path):
         path = tmp_path / "rhat.json"

@@ -33,6 +33,16 @@ class TestDeformingMap:
         assert lastf2.annihilators[0] == gens[0][1] * dress
         assert lastf2.annihilators[1] == gens[1][1]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_the_dressing_products(self, n):
+        # oracle: the dressing applied by sparse matrix products
+        built = build_deforming_map(n, check=False)
+        for i, (adag, a) in enumerate(build_generators(n), start=1):
+            dress = q_exponent(deform.deformation_weights(n, i))
+            assert built.creators[i - 1] == dress * adag
+            assert built.annihilators[i - 1] == a * dress
+            assert type(built.annihilators[i - 1]) is fock.FockOperator
+
     def test_single_mode_is_undeformed(self):
         assert build_deforming_map(1).creators[0] == build_generators(1)[0][0]
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.linalg import (SparseMatrix, invert_dense, product_sum, rank,
-                              rank_numeric)
+from qclifford.linalg import (SparseMatrix, invert_dense, product_sum,
+                              product_sum_rows, rank, rank_numeric)
 from qclifford.report import CONVENTIONS, RelationReport, summarize
 from qclifford.fock import FockOperator, identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
@@ -132,6 +132,23 @@ class RecordingRows(tuple):
 
     def __iter__(self):
         return (self[r] for r in range(len(self)))
+
+
+class TestProductSumRows:
+    def test_entry_meeting_an_empty_row_multiplies_nothing(self, monkeypatch):
+        # X's only entry, X[0, 1], points at Y's row 1, which is empty
+        x = SparseMatrix(2, ({1: Q + ONE}, {}))
+        y = SparseMatrix(2, ({0: Q}, {}))
+        calls = []
+        mul = Poly.__mul__
+
+        def counting_mul(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        rows = list(product_sum_rows(SparseMatrix(2), [(Q, x, y)]))
+        assert rows == [] and calls == []
 
 
 class TestReports:

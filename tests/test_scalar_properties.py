@@ -1,9 +1,11 @@
 """Property tests of the scalar fast paths against sympy as an oracle.
 
 ``Poly.gcd`` answers a monomial argument without the remainder sequence,
-``Poly.div_exact`` divides in integers only, and ``RationalFunction``
-addition and multiplication hand back an existing value when an operand
-is zero.  Each must agree with the general definition on every input.
+``Poly.div_exact`` divides in integers only, ``Poly.__mul__`` scales or
+shifts by a constant or monomial operand, negation of a
+``RationalFunction`` takes no gcd, and ``RationalFunction`` addition and
+multiplication hand back an existing value when an operand is zero.  Each
+must agree with the general definition on every input.
 Random ``RationalFunction`` values also survive the text round trip and
 satisfy the field axioms, with equality meaning equal canonical forms.
 """
@@ -62,6 +64,41 @@ class TestGcd:
     def test_common_factor_found(self, a, b, common):
         g = Poly.gcd(a * common, b * common)
         assert g == sympy_gcd(a * common, b * common)
+
+
+def schoolbook_product(a: Poly, b: Poly) -> Poly:
+    """The product by the double loop over both coefficient tuples."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return Poly(out)
+
+
+wide_coefficient = st.integers(min_value=-10 ** 6, max_value=10 ** 6)
+mul_operands = st.one_of(
+    st.just(Poly()),
+    st.sampled_from([Poly((1,)), Poly((-1,))]),
+    wide_coefficient.filter(bool).map(Poly.const),
+    st.builds(lambda c, k: Poly((0,) * k + (c,)),
+              wide_coefficient.filter(bool),
+              st.integers(min_value=0, max_value=40)),
+    st.lists(wide_coefficient, max_size=9).map(Poly))
+
+
+class TestMul:
+    @SETTINGS
+    @given(mul_operands, mul_operands)
+    def test_against_schoolbook(self, a, b):
+        expected = schoolbook_product(a, b)
+        for got in (a * b, b * a):
+            assert got == expected
+            assert not got.coeffs or got.coeffs[-1] != 0
+
+    @SETTINGS
+    @given(mul_operands, wide_coefficient)
+    def test_integer_operand(self, a, c):
+        assert a * c == schoolbook_product(a, Poly.const(c))
 
 
 class TestDivExact:
@@ -129,6 +166,13 @@ class TestZeroShortcuts:
 
 
 nonzero_rationals = rationals.filter(lambda x: not x.is_zero)
+
+
+class TestNegation:
+    @SETTINGS
+    @given(rationals)
+    def test_equals_the_reduced_negation(self, x):
+        assert_same_value(-x, RationalFunction(-x.num, x.den))
 
 
 class TestTextRoundTrip:
