@@ -183,7 +183,6 @@ class TestVerifyMap:
         assert code == 2 and out == ""
         assert f"error: {field}" in err
 
-
     @pytest.mark.parametrize("doc, message", [
         ({"modes": 1, "creators": [{"n_modes": 1}],
           "annihilators": [{"n_modes": 1}]},
