@@ -37,10 +37,10 @@ from __future__ import annotations
 from itertools import product
 
 from . import fock
-from .deform import GeneratorSet, build_deforming_map, undeformed_set
+from .deform import GeneratorSet, build_deforming_map
 from .linalg import invert_dense
 from .report import RelationReport, summarize
-from .rmatrix import RMatrix, _rhat_sl_any, build_permutation
+from .rmatrix import RMatrix, build_rhat_sl
 from .scalar import ONE, Q, RationalFunction
 
 VARIANTS = ("diagonal-mixed", "RM-braided-mixed")
@@ -62,12 +62,12 @@ def _copies(gens: GeneratorSet, n: int):
             dict(zip(keys, gens.annihilators)), indices)
 
 
-def _copy_braid(variant: str, build, m: int) -> RMatrix | None:
-    """The copy braid matrix ``variant`` reads: build(m) for
+def _copy_braid(variant: str, m: int) -> RMatrix | None:
+    """The copy braid matrix ``variant`` reads: the sl(M) braid matrix for
     RM-braided-mixed, None for diagonal-mixed."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return build(m) if variant == "RM-braided-mixed" else None
+    return build_rhat_sl(m) if variant == "RM-braided-mixed" else None
 
 
 def ordering_residuals(gens: GeneratorSet, rhat_n: RMatrix,
@@ -149,14 +149,6 @@ def chain_residuals(gens: GeneratorSet, rhat_n: RMatrix,
 # generator bookkeeping
 # ---------------------------------------------------------------------------
 
-def _copy_size(gens: GeneratorSet, m: int) -> int:
-    """N for ``gens`` cut into m copies; the mode count must be a
-    multiple of m."""
-    if m < 1 or gens.modes % m:
-        raise ValueError(f"{gens.modes} modes do not split into {m} copies")
-    return gens.modes // m
-
-
 def scale_copies(gens: GeneratorSet, scales) -> GeneratorSet:
     """Rescale copy alpha by s_alpha (creators) and 1/s_alpha (annihilators).
 
@@ -167,26 +159,17 @@ def scale_copies(gens: GeneratorSet, scales) -> GeneratorSet:
     scales = list(scales)
     if any(s.is_zero for s in scales):
         raise ValueError("scale factors must be nonzero")
-    _, cre, ann, _ = _copies(gens, _copy_size(gens, len(scales)))
+    m = len(scales)
+    if m < 1 or gens.modes % m:
+        raise ValueError(f"{gens.modes} modes do not split into {m} copies")
+    _, cre, ann, _ = _copies(gens, gens.modes // m)
     return GeneratorSet(
         [op.scale(scales[alpha - 1]) for (alpha, _), op in cre.items()],
         [op.scale(scales[alpha - 1] ** -1) for (alpha, _), op in ann.items()])
 
 
-def relabel_copies(gens: GeneratorSet, permutation) -> GeneratorSet:
-    """Reassign copy labels: new copy alpha takes permutation[alpha-1]'s
-    generators, M being the permutation's length.  Used as the
-    misordering negative control."""
-    perm = list(permutation)
-    if sorted(perm) != list(range(1, len(perm) + 1)):
-        raise ValueError("permutation must reorder 1..M")
-    _, cre, ann, _ = _copies(gens, _copy_size(gens, len(perm)))
-    return GeneratorSet([cre[perm[alpha - 1], i] for alpha, i in cre],
-                        [ann[perm[alpha - 1], i] for alpha, i in ann])
-
-
 # ---------------------------------------------------------------------------
-# experiments and degenerations
+# the experiment
 # ---------------------------------------------------------------------------
 
 def lexicographic_experiment(m: int, n: int, scales=None,
@@ -207,12 +190,11 @@ def lexicographic_experiment(m: int, n: int, scales=None,
             f"experiment supports 1..{_MAX_EXPERIMENT_MODES} total modes")
     if scales is not None and len(scales) != m:
         raise ValueError(f"expected {m} scale factors")
-    rhat_ms = {variant: _copy_braid(variant, _rhat_sl_any, m)
-               for variant in variants}
-    gens = build_deforming_map(total, check=False)
+    rhat_ms = {variant: _copy_braid(variant, m) for variant in variants}
+    gens = build_deforming_map(total)
     if scales is not None:
         gens = scale_copies(gens, scales)
-    rhat_n = _rhat_sl_any(n)
+    rhat_n = build_rhat_sl(n)
     findings: dict = {
         "m_copies": m,
         "n_modes": n,
@@ -240,15 +222,3 @@ def lexicographic_experiment(m: int, n: int, scales=None,
             "reports": reports,
         }
     return findings
-
-
-def classical_chain_check(m: int, n: int,
-                          variant: str = "diagonal-mixed") -> list[RelationReport]:
-    """Chain relations at q = 1 on undeformed M*N-mode generators.
-
-    With permutation matrices in place of the braid data all families
-    collapse to plain anticommutation relations and must hold exactly.
-    """
-    rhat_m = _copy_braid(variant, build_permutation, m)
-    return chain_residuals(undeformed_set(m * n), build_permutation(n),
-                           rhat_m, q_scalar=ONE)

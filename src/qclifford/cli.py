@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import __version__, chain, deform, hopf
 from .report import CONVENTIONS, RelationReport, summarize
-from .rmatrix import (RMatrix, _rhat_sl_any, build_rhat_sl, check_braid,
-                      check_hecke, projector_sp)
+from .rmatrix import (RMatrix, build_rhat_sl, check_braid, check_hecke,
+                      projector_sp)
 from .scalar import PoleError, parse_rational
 
 
@@ -141,6 +141,9 @@ def cmd_rmatrix(args) -> int:
             raise ValueError("--n is required for --algebra sl")
         if args.input is not None:
             raise ValueError("--input is read only by --algebra sp")
+        if args.n < 2:
+            raise ValueError(f"--algebra sl needs --n of at least 2, "
+                             f"not {args.n}")
         rhat = build_rhat_sl(args.n)
         reports = [check_hecke(rhat), check_braid(rhat)]
         matrix = rhat.subst(point) if point is not None else rhat
@@ -172,9 +175,9 @@ def cmd_verify_map(args) -> int:
         if args.n is not None and args.n != gens.modes:
             raise ValueError(f"--n {args.n} does not match the {gens.modes} "
                              f"modes of {args.input}")
-        reports = deform.relation_residuals(gens, _rhat_sl_any(gens.modes))
+        reports = deform.relation_residuals(gens, build_rhat_sl(gens.modes))
     else:
-        gens = deform.build_deforming_map(args.n, check=False)
+        gens = deform.build_deforming_map(args.n)
         reports = deform.map_relations(gens)
     if point is not None:
         for rep, at_point in zip(reports, deform.relations_at(gens, point)):
@@ -188,10 +191,9 @@ def cmd_verify_map(args) -> int:
 def cmd_poincare(args) -> int:
     deform.check_rank_modes(args.n)
     doc = _document(args, "poincare")
-    sets = {
-        "undeformed": deform.undeformed_set(args.n),
-        "deformed": deform.build_deforming_map(args.n),
-    }
+    deformed = deform.build_deforming_map(args.n)
+    deform.map_relations(deformed)
+    sets = {"undeformed": deform.undeformed_set(args.n), "deformed": deformed}
     doc["poincare"] = {}
     ok = True
     for name, gens in sets.items():
@@ -207,7 +209,7 @@ def cmd_covariance(args) -> int:
     doc = _document(args, "covariance")
     point = _q_point(args)
     data = hopf.deformed_js()
-    gens = deform.build_deforming_map(2, check=False)
+    gens = deform.build_deforming_map(2)
     reports = hopf.check_covariance(gens, data)
     reports += hopf.check_module_algebra(data, gens)
     _spot_check(reports, gens, point)
@@ -227,7 +229,7 @@ def cmd_invariants(args) -> int:
     point = _q_point(args)
     data = hopf.deformed_js()
     plain = deform.undeformed_set(2)
-    dressed = deform.build_deforming_map(2, check=False)
+    dressed = deform.build_deforming_map(2)
     i1 = hopf.invariant_number(plain, "I1")
     i1q = hopf.invariant_number(dressed, "I1_q")
     reports = []

@@ -34,8 +34,9 @@ q-exponent over the later modes,
 
     Adag_i = q^(-sum_{j>i} n_j) adag_i,     A^i = a^i q^(-sum_{j>i} n_j),
 
-which the constructor verifies against the full relation system before
-returning (it fails loudly on any convention drift).  The inverse map
+and its builder checks nothing.  A caller that needs the relation system
+decided calls :func:`map_relations`, which fails loudly on any convention
+drift, so each relation is decided once per run.  The inverse map
 reconstructs the undeformed generators as polynomials in the deformed
 ones, and the Poincare-series check computes the exact rank of all 4^N
 ordered monomials over Q(q).  Each monomial is built as a creator-subset
@@ -53,10 +54,9 @@ from itertools import product
 
 from . import fock
 from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import (invert_dense, json_field, json_int, json_object,
-                     rank as exact_rank)
+from .linalg import json_field, json_int, json_object, rank as exact_rank
 from .report import RelationReport
-from .rmatrix import RMatrix, _rhat_sl_any, projector_sl
+from .rmatrix import RMatrix, build_rhat_sl, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
 
 
@@ -193,16 +193,15 @@ def deformation_weights(n_modes: int, i: int) -> list[int]:
     return [-1 if j > i else 0 for j in range(1, n_modes + 1)]
 
 
-def build_deforming_map(n_modes: int, check: bool = True) -> GeneratorSet:
+def build_deforming_map(n_modes: int) -> GeneratorSet:
     """Realize the deformed generators inside the undeformed algebra.
 
     Creator i is dressed on the left, annihilator i on the right, by the
     diagonal q-exponent D with weight -1 on every later mode.  D is
     diagonal, so D adag_i is adag_i with row r scaled by D[r, r], and
     a_i D = (D adag_i)^T is the creator's transpose: no matrix product is
-    formed, and each annihilator shares its creator's entries.  The returned
-    set is verified against the full relation system with the sl(N) braid
-    matrix; construction fails loudly if any residual is nonzero.
+    formed, and each annihilator shares its creator's entries.  The set is
+    returned unchecked; :func:`map_relations` decides its relations.
     """
     if n_modes < 1:
         raise ValueError("build_deforming_map expects n_modes >= 1")
@@ -212,10 +211,7 @@ def build_deforming_map(n_modes: int, check: bool = True) -> GeneratorSet:
         creators.append(FockOperator(n_modes, [
             {c: v * dress[r][r] for c, v in row.items()}
             for r, row in enumerate(adag.rows)]))
-    gens = GeneratorSet(creators, [op.star() for op in creators])
-    if check:
-        map_relations(gens)
-    return gens
+    return GeneratorSet(creators, [op.star() for op in creators])
 
 
 def map_relations(gens: GeneratorSet) -> list[RelationReport]:
@@ -224,7 +220,7 @@ def map_relations(gens: GeneratorSet) -> list[RelationReport]:
     Raises :class:`MapConstructionError` naming the first nonzero report,
     so a caller that needs the reports anyway checks each relation once.
     """
-    reports = relation_residuals(gens, _rhat_sl_any(gens.modes), Q)
+    reports = relation_residuals(gens, build_rhat_sl(gens.modes), Q)
     for rep in reports:
         if not rep.exact_zero:
             raise MapConstructionError(
@@ -246,7 +242,7 @@ def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
     sampled = gens.subst(point)
     if point == 0:
         raise PoleError(Q, point)
-    rhat = _rhat_sl_any(gens.modes).subst(point)
+    rhat = build_rhat_sl(gens.modes).subst(point)
     return relation_residuals(sampled, rhat,
                               RationalFunction.from_fraction(point))
 
@@ -290,16 +286,6 @@ def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
             raise MapConstructionError(
                 "inverse map composed with the forward map is not the identity")
     return result
-
-
-def conjugate_realization(gens: GeneratorSet, alpha: FockOperator) -> GeneratorSet:
-    """New realization alpha . X . alpha^-1 for an invertible alpha."""
-    try:
-        alpha_inv = invert_dense(alpha)
-    except ValueError:
-        raise ValueError("alpha is singular (exact determinant zero)") from None
-    return GeneratorSet([alpha * op * alpha_inv for op in gens.creators],
-                        [alpha * op * alpha_inv for op in gens.annihilators])
 
 
 # ---------------------------------------------------------------------------

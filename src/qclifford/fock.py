@@ -6,23 +6,16 @@ block on mode i, and the annihilator is its transpose.  Basis states are
 indexed by occupation bitstrings with the mode-1 bit most significant and
 bit value 1 meaning occupied, so the vacuum is basis index 0.  All
 anticommutation residuals are exactly zero by construction and asserted
-in the tests, never assumed.
-
-The module also houses the normal-ordering rewriting engine: a word in
-the generators is reduced to the ordered-monomial basis (creators with
-ascending mode index, then annihilators with ascending mode index) with
-the correct signs and delta contractions.  Faithfulness of the matrix
-representation makes matrix multiplication an independent oracle for the
-rewriter.
+in the tests, never assumed.  The ordered monomials (creators with
+ascending mode index, then annihilators with ascending mode index) are
+listed here for the Poincare rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_field,
                      json_int, json_object, read_rows)
-from .scalar import ONE, ZERO, q_power
+from .scalar import ONE, q_power
 
 
 def _fock_dim(n_modes: int) -> int:
@@ -141,121 +134,6 @@ def q_exponent(weights) -> FockOperator:
             power = powers[expo] = q_power(expo)
         rows.append({state: power})
     return FockOperator(n_modes, rows)
-
-
-# ---------------------------------------------------------------------------
-# normal ordering
-# ---------------------------------------------------------------------------
-#
-# Words are sequences of signed mode indices: +i stands for the creator
-# adag_i, -i for the annihilator a^i.
-
-def word_to_operator(word, gens) -> FockOperator:
-    """Plain matrix product of the generators named by ``word``."""
-    n_modes = len(gens)
-    op = identity(n_modes)
-    for sym in word:
-        i = abs(sym)
-        if not 1 <= i <= n_modes:
-            raise ValueError(f"symbol {sym} references mode outside 1..{n_modes}")
-        op = op * (gens[i - 1][0] if sym > 0 else gens[i - 1][1])
-    return op
-
-
-@dataclass
-class NormalPolynomial:
-    """Linear combination of ordered monomials.
-
-    Keys are pairs (creator indices ascending, annihilator indices
-    ascending); values are nonzero scalars.  Fermionic nilpotency caps
-    the key count at 4^N.
-    """
-
-    n_modes: int
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (cre, ann) in self.terms:
-            for idx in (*cre, *ann):
-                if not 1 <= idx <= self.n_modes:
-                    raise ValueError(f"mode index {idx} out of range")
-            if list(cre) != sorted(set(cre)) or list(ann) != sorted(set(ann)):
-                raise ValueError(f"malformed ordered monomial {(cre, ann)}")
-        self.terms = {k: v for k, v in self.terms.items() if not v.is_zero}
-
-    def to_operator(self, gens) -> FockOperator:
-        op = zero(self.n_modes)
-        for (cre, ann), coeff in self.terms.items():
-            word = [*cre, *(-i for i in ann)]
-            op = op + word_to_operator(word, gens).scale(coeff)
-        return op
-
-    def __eq__(self, other):
-        if not isinstance(other, NormalPolynomial):
-            return NotImplemented
-        return self.n_modes == other.n_modes and self.terms == other.terms
-
-
-def normal_form(word, n_modes: int) -> NormalPolynomial:
-    """Rewrite a generator word into the ordered-monomial basis.
-
-    Repeatedly applies the anticommutation moves
-    a^i adag_j -> delta_ij - adag_j a^i and the sign swaps that sort each
-    group ascending; repeated generators vanish by nilpotency.
-    """
-    for sym in word:
-        if sym == 0 or not 1 <= abs(sym) <= n_modes:
-            raise ValueError(f"symbol {sym} references mode outside 1..{n_modes}")
-    terms: dict = {}
-    stack = [(tuple(word), ONE)]
-    while stack:
-        w, coeff = stack.pop()
-        pos = _first_disorder(w)
-        if pos is None:
-            key = _split_ordered(w)
-            if key is not None:
-                total = terms.get(key, ZERO) + coeff
-                if total.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = total
-            continue
-        x, y = w[pos], w[pos + 1]
-        head, tail = w[:pos], w[pos + 2:]
-        if x == y:
-            continue  # nilpotent
-        if x < 0 and y > 0:
-            # annihilator past creator: delta term plus signed swap
-            if -x == y:
-                stack.append((head + tail, coeff))
-            stack.append((head + (y, x) + tail, -coeff))
-        else:
-            stack.append((head + (y, x) + tail, -coeff))
-    return NormalPolynomial(n_modes, terms)
-
-
-def _first_disorder(w):
-    """Index of the first adjacent pair violating the normal order."""
-    for k in range(len(w) - 1):
-        x, y = w[k], w[k + 1]
-        if x > 0 and y > 0:
-            if x >= y:
-                return k
-        elif x < 0 and y < 0:
-            if -x >= -y:
-                return k
-        elif x < 0 and y > 0:
-            return k
-    return None
-
-
-def _split_ordered(w):
-    """Key of an ordered word, or None when a repeat makes it vanish."""
-    cre = tuple(s for s in w if s > 0)
-    ann = tuple(-s for s in w if s < 0)
-    if len(set(cre)) != len(cre) or len(set(ann)) != len(ann):
-        return None
-    return cre, ann
 
 
 def ordered_monomials(n_modes: int):

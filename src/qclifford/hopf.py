@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import fock
-from .deform import GeneratorSet, build_deforming_map, undeformed_set
+from .deform import GeneratorSet
 from .fock import FockOperator, build_generators
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, ZERO, q_number
@@ -301,12 +301,6 @@ def classical_js() -> dict:
     }
 
 
-def classical_act(name: str, a: FockOperator, js: dict) -> FockOperator:
-    """Commutator action of a classical generator."""
-    g = js[name]
-    return g * a - a * g
-
-
 # ---------------------------------------------------------------------------
 # checkers
 # ---------------------------------------------------------------------------
@@ -409,27 +403,6 @@ def invariant_number(gens: GeneratorSet, label: str) -> InvariantElement:
     return InvariantElement(total, label)
 
 
-def invariant_from_tensor(coeffs: dict, gens: GeneratorSet, kind: str,
-                          label: str = "user") -> InvariantElement:
-    """Candidate invariant from a user-supplied coefficient array.
-
-    ``coeffs`` maps index tuples to scalars; each tuple selects a product
-    of creators (kind "creators") or annihilators (kind "annihilators")
-    in the given order.  The element is only assembled here; whether it
-    is invariant is decided by :func:`invariance_check`.
-    """
-    if kind not in ("creators", "annihilators"):
-        raise ValueError("kind must be 'creators' or 'annihilators'")
-    source = gens.creators if kind == "creators" else gens.annihilators
-    total = fock.zero(gens.modes)
-    for idx, coeff in coeffs.items():
-        op = fock.identity(gens.modes)
-        for i in idx:
-            op = op * source[i - 1]
-        total = total + op.scale(coeff)
-    return InvariantElement(total, label)
-
-
 def invariance_check(element: InvariantElement, data: HopfAlgebraData,
                      mode: str) -> list[RelationReport]:
     """Residuals x |> I - eps(x) I for every generator of the action.
@@ -481,27 +454,3 @@ def verify_I1_identity(gens: GeneratorSet) -> RelationReport:
         "sum_i Adag_i A^i = (q^-2m - 1)/(q^-2 - 1) on each "
         "occupation-m eigenspace", FockOperator(gens.modes, rows),
         [(ONE, c, a) for c, a in zip(gens.creators, gens.annihilators)])
-
-
-def degree_two_invariant_basis():
-    """Labelled degree <= 2 invariant elements of both kinds.
-
-    Returns (classical list, deformed list) built over the two-mode
-    undeformed and dressed generators respectively: the unit, the
-    quadratic number invariant, and the antisymmetric pair
-    creator/annihilator bilinears.
-    """
-    plain = undeformed_set(2)
-    dressed = build_deforming_map(2, check=False)
-
-    def basis(gens: GeneratorSet, tag: str):
-        eps = {(1, 2): ONE, (2, 1): -ONE}
-        return [
-            InvariantElement(fock.identity(2), f"1{tag}"),
-            invariant_number(gens, f"I1{tag}"),
-            invariant_from_tensor(eps, gens, "creators", f"pair-creator{tag}"),
-            invariant_from_tensor(eps, gens, "annihilators",
-                                  f"pair-annihilator{tag}"),
-        ]
-
-    return basis(plain, ""), basis(dressed, "_q")

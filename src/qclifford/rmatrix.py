@@ -89,14 +89,8 @@ class RMatrix(SparseMatrix):
 
 def build_rhat_sl(n: int) -> RMatrix:
     """The sl(N) braid matrix: q on (ii, ii), 1 on (ij, ji) for i != j,
-    and q - q^-1 on (ij, ij) for i < j."""
-    if n < 2:
-        raise ValueError("build_rhat_sl expects n >= 2")
-    return _rhat_sl_any(n)
-
-
-def _rhat_sl_any(n: int) -> RMatrix:
-    """Internal variant allowing n = 1 (a single q on the 1 x 1 square)."""
+    and q - q^-1 on (ij, ij) for i < j.  N = 1 gives the single entry q,
+    the braid matrix of a one-mode system or of one copy."""
     if n < 1:
         raise ValueError("the sl braid matrix expects n >= 1")
     omega = Q - q_power(-1)

@@ -338,18 +338,6 @@ class RationalFunction:
     def from_fraction(cls, f: Fraction) -> "RationalFunction":
         return cls(Poly.const(f.numerator), Poly.const(f.denominator))
 
-    @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(Poly())
-
-    @classmethod
-    def one(cls) -> "RationalFunction":
-        return cls(Poly.const(1))
-
-    @classmethod
-    def q(cls) -> "RationalFunction":
-        return cls(Poly.q_power(1))
-
     # -- predicates ---------------------------------------------------------
     @property
     def is_zero(self) -> bool:
@@ -419,7 +407,7 @@ class RationalFunction:
 
     def __pow__(self, n: int):
         if n == 0:
-            return RationalFunction.one()
+            return ONE
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
@@ -488,9 +476,9 @@ def _coerce(x):
 
 
 #: the canonical generators of the field
-Q = RationalFunction.q()
-ONE = RationalFunction.one()
-ZERO = RationalFunction.zero()
+Q = RationalFunction(Poly.q_power(1))
+ONE = RationalFunction(Poly.const(1))
+ZERO = RationalFunction(Poly())
 
 
 def q_power(k: int) -> RationalFunction:
@@ -512,23 +500,6 @@ def q_number(m: int, base: RationalFunction) -> RationalFunction:
         total = total + power
         power = power * base
     return total
-
-
-def gamma_ratio(m: int) -> RationalFunction:
-    """m! divided by the product of (k)_{q^2} for k = 1..m.
-
-    This is the eigenvalue function of the gamma-function quotient that
-    normalizes the deforming map; it equals 1 at q = 1 for every m.
-    """
-    if m < 0:
-        raise ValueError("gamma_ratio expects m >= 0")
-    qq = Q * Q
-    num = ONE
-    den = ONE
-    for k in range(1, m + 1):
-        num = num * k
-        den = den * q_number(k, qq)
-    return num / den
 
 
 # ---------------------------------------------------------------------------

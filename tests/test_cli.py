@@ -242,6 +242,12 @@ class TestRMatrixCommand:
         code, _, err = run(capsys, "rmatrix", "--algebra", "sl")
         assert code == 2 and "--n" in err
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_sl_refuses_n_below_two(self, capsys, n):
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sl", "--n", n)
+        assert code == 2 and out == ""
+        assert f"--algebra sl needs --n of at least 2, not {n}" in err
+
     def test_sp_findings_always_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "rhat.json"
         path.write_text(json.dumps(build_rhat_sl(2).to_json()))
@@ -440,13 +446,17 @@ class TestUncheckedMap:
         assert code == 0
         assert calls == []
 
-    def test_library_default_still_checks_the_map(self, monkeypatch):
+    def test_drifted_map_is_refused_by_its_relation_check(self, capsys,
+                                                           monkeypatch):
+        # the builder checks nothing; map_relations and poincare refuse
         monkeypatch.setattr(deform, "deformation_weights",
                             lambda n, i: [-2 if j > i else 0
                                           for j in range(1, n + 1)])
         with pytest.raises(MapConstructionError, match="violates"):
-            build_deforming_map(2)
-        build_deforming_map(2, check=False)  # unchecked builds still return
+            deform.map_relations(build_deforming_map(2))
+        code, out, err = run(capsys, "poincare", "--n", "2")
+        assert code == 2 and out == ""
+        assert "deforming map violates" in err
 
 
 class TestEvalCommand:

@@ -6,10 +6,14 @@ standard library, read from the source with :mod:`ast`.  No module reads
 the environment either: every bound is a constant in the source.  No
 module memoizes with ``functools.lru_cache``, ``functools.cache`` or
 ``functools.cached_property`` either: a memo would keep every value it
-was handed alive until the command ends.
+was handed alive until the command ends.  And the package holds only code
+that a command runs: test-only oracles live in ``tests/oracles.py``.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +100,133 @@ def test_memoizer_scan_sees_each_form(tmp_path):
     assert list(memoizer_uses(path)) == [
         "from functools import cached_property", "functools.lru_cache",
         "functools.cache"]
+
+
+# ---------------------------------------------------------------------------
+# the package holds only code that a command runs
+# ---------------------------------------------------------------------------
+
+#: argv lists run on top of the golden commands, with their exit codes:
+#: text output, a --q-numeric point on each command that reads one, a pole
+#: at the point and a mode count above the Fock guard
+EXTRA_RUNS = [
+    (["verify-map", "--input", "verify_map_input_broken_n3.json",
+      "--q-numeric", "1.3", "--output", "text"], 1),
+    (["verify-map", "--n", "2", "--q-numeric", "1.3"], 0),
+    (["covariance", "--n", "2", "--q-numeric", "1.3"], 0),
+    (["rmatrix", "--algebra", "sl", "--n", "2", "--q-numeric", "1.3"], 0),
+    (["verify-map", "--n", "2", "--q-numeric", "0"], 2),
+    (["verify-map", "--n", "13"], 2),
+]
+
+#: functions no command enters, each kept for the reason given
+KEPT = {
+    "linalg.rank_numeric":
+        "wrapped by the perfbench span linalg.rank_numeric, which the "
+        "benchmark's tests require to resolve",
+    "chain.chain_residuals":
+        "wrapped by the perfbench span chain.residuals, which the "
+        "benchmark's tests require to resolve",
+    "linalg._clear_denominators":
+        "the Bareiss fallback of linalg.rank, reached only by a set whose "
+        "leading columns collide",
+    "deform.build_inverse_map":
+        "reserved for the Poincare rank certificate (ROADMAP item 2)",
+    "deform.GeneratorSet.all_generators":
+        "read by build_inverse_map",
+    "rmatrix.build_permutation":
+        "reserved for the classical control of the PBW engine (ROADMAP "
+        "item 1)",
+    "deform.GeneratorSet.to_json":
+        "writes the --input files that verify-map reads",
+    "fock.FockOperator.to_json":
+        "writes the operators of a --input generator set",
+    "linalg.SparseMatrix.first_nonzero":
+        "read by the tests as the residual's first entry",
+    "linalg.SparseMatrix.nnz":
+        "read by the tests and by SparseMatrix.__repr__",
+}
+
+_PROFILED_RUN = """
+import contextlib, io, json, sys
+
+entered = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add(frame.f_code)
+
+
+sys.setprofile(profile)
+from qclifford.cli import main
+
+codes = []
+for argv in json.loads(sys.stdin.read()):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "entered": sorted(
+    {(code.co_filename, code.co_qualname) for code in entered})}))
+"""
+
+
+def defined_functions():
+    """``module.qualname`` of every non-dunder ``def`` in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for qualname in _qualnames(tree.body, ""):
+            name = qualname.rsplit(".", 1)[-1]
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{path.stem}.{qualname}"
+
+
+def _qualnames(body, prefix: str):
+    """The ``__qualname__`` of each def in ``body``, nested ones included."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _qualnames(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name
+            yield from _qualnames(_own_statements(node),
+                                  f"{prefix}{node.name}.<locals>.")
+
+
+def _own_statements(node):
+    """The statements of a def's body, with compound statements opened."""
+    todo = list(node.body)
+    while todo:
+        stmt = todo.pop(0)
+        yield stmt
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                todo += getattr(stmt, field, [])
+
+
+def test_package_holds_only_command_code():
+    from test_golden import CASES, GOLDEN
+
+    runs = [([*argv, "--output", "json"],
+             json.loads((GOLDEN / f"{case}.json").read_text(
+                 encoding="utf-8"))["exit_code"])
+            for case, argv in sorted(CASES.items())] + EXTRA_RUNS
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", _PROFILED_RUN], cwd=GOLDEN, env=env,
+        input=json.dumps([argv for argv, _ in runs]), capture_output=True,
+        text=True, timeout=120, check=True)
+    result = json.loads(child.stdout)
+    assert result["codes"] == [code for _, code in runs]
+    entered = {f"{Path(filename).stem}.{qualname}"
+               for filename, qualname in result["entered"]
+               if Path(filename).resolve().parent == PACKAGE}
+    defined = set(defined_functions())
+    # an allowlist entry must name a def that no command enters
+    assert sorted(set(KEPT) - defined) == []
+    assert sorted(set(KEPT) & entered) == []
+    unreached = sorted(defined - entered - set(KEPT))
+    assert unreached == [], f"no command enters {unreached}"

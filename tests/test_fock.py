@@ -6,10 +6,11 @@ from itertools import product
 import pytest
 
 from qclifford.deform import poincare_rank, undeformed_set
-from qclifford.fock import (FockOperator, NormalPolynomial, build_generators,
-                            identity, normal_form, number_op, q_exponent,
-                            word_to_operator)
+from qclifford.fock import (FockOperator, build_generators, identity,
+                            number_op, q_exponent)
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power
+
+from oracles import NormalPolynomial, normal_form, word_to_operator
 
 
 def car_residuals(n):

@@ -39,10 +39,10 @@ SETTINGS = settings(max_examples=100, deadline=None)
 #: a module-algebra check is 84 reports, so fewer examples
 SLOW_SETTINGS = settings(max_examples=25, deadline=None)
 
-DEFORMED = build_deforming_map(2, check=False)
+DEFORMED = build_deforming_map(2)
 PLAIN = undeformed_set(2)
 SETS = {2: (DEFORMED, PLAIN),
-        3: (build_deforming_map(3, check=False), undeformed_set(3))}
+        3: (build_deforming_map(3), undeformed_set(3))}
 DATA = {"frozen": deformed_js(), "mirror": deformed_js(convention=MIRROR_CONVENTION),
         "classical": deformed_js(ONE)}
 assert DATA["frozen"].convention == FROZEN_CONVENTION

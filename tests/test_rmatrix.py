@@ -41,10 +41,6 @@ class TestBraidMatrix:
             entries = {v for _, _, v in build_rhat_sl(n).iter_entries()}
             assert entries <= allowed
 
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            build_rhat_sl(1)
-
 
 class TestPermutation:
     def test_involution(self):
