@@ -184,8 +184,12 @@ def lexicographic_experiment(m: int, n: int, scales=None,
     built unchecked, and the creator and annihilator reports, which do
     not depend on the variant, are shared by every variant.
     """
+    if m < 1:
+        raise ValueError(f"the copy count m must be at least 1, not {m}")
+    if n < 1:
+        raise ValueError(f"the mode count n must be at least 1, not {n}")
     total = m * n
-    if total < 1 or total > _MAX_EXPERIMENT_MODES:
+    if total > _MAX_EXPERIMENT_MODES:
         raise ValueError(
             f"experiment supports 1..{_MAX_EXPERIMENT_MODES} total modes")
     if scales is not None and len(scales) != m:

@@ -26,6 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__, chain, deform, hopf
+from .linalg import MAX_DIM, dim_guard_error
 from .report import CONVENTIONS, RelationReport, summarize
 from .rmatrix import (RMatrix, build_rhat_sl, check_braid, check_hecke,
                       projector_sp)
@@ -144,6 +145,9 @@ def cmd_rmatrix(args) -> int:
         if args.n < 2:
             raise ValueError(f"--algebra sl needs --n of at least 2, "
                              f"not {args.n}")
+        if args.n ** 3 > MAX_DIM:   # check_braid builds the n^3 cube
+            raise dim_guard_error(f"--algebra sl --n {args.n}: "
+                                  f"n^3 = {args.n ** 3}")
         rhat = build_rhat_sl(args.n)
         reports = [check_hecke(rhat), check_braid(rhat)]
         matrix = rhat.subst(point) if point is not None else rhat

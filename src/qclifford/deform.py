@@ -41,9 +41,9 @@ reconstructs the undeformed generators as polynomials in the deformed
 ones, and the Poincare-series check computes the exact rank of all 4^N
 ordered monomials over Q(q).  Each monomial is built as a creator-subset
 product times an annihilator-subset product, every subset product
-extending the product of its prefix by one generator, and the rank is
-decided by the echelon certificate of :func:`linalg.rank` (distinct
-leading columns), with Bareiss elimination when leading columns collide.
+extending the product of its prefix by one generator, and
+:func:`linalg.rank` keeps rows with distinct leading columns without
+arithmetic and eliminates over Q(q) only when leading columns collide.
 """
 
 from __future__ import annotations
@@ -334,9 +334,9 @@ def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
 
     The rank is exact over Q(q) and allowed up to 6 modes.  The ordered
     monomials of a faithful set have pairwise distinct leading columns,
-    so the echelon certificate decides full rank without elimination; a
-    degenerate set falls back to fraction-free elimination.  Rank
-    deficiency is a result, not an error.
+    so the echelon certificate decides full rank without elimination; on
+    a degenerate set the colliding rows are eliminated.  Rank deficiency
+    is a result, not an error.
     """
     check_rank_modes(gens.modes)
     return exact_rank(_monomial_rows(gens)), 4 ** gens.modes

@@ -1,14 +1,12 @@
 """Exact sparse linear algebra over Q(q).
 
 Provides the shared :class:`SparseMatrix` container (dict-of-columns per
-row, zero entries never stored) plus rank and inversion routines.  The
-rank over Q(q) is decided by an echelon certificate first: nonzero rows
-whose leading (lowest) columns are pairwise distinct are linearly
-independent over any field, so their count is the rank.  When leading
-columns collide it falls back to one-step fraction-free (Bareiss)
-elimination on denominator-cleared rows, which keeps every intermediate
-value a polynomial and every division exact.  :func:`rank_numeric` is the
-same field elimination over plain :class:`fractions.Fraction` entries.
+row, zero entries never stored), the fused sum-of-products kernel, and
+one sparse forward elimination over a field behind the exact rank over
+Q(q), the rank over :class:`fractions.Fraction` entries and the inverse.
+Rows whose leading (lowest) columns are pairwise distinct are linearly
+independent over any field, and the elimination keeps such rows without
+arithmetic, so on them the rank is a count.
 """
 
 from __future__ import annotations
@@ -334,126 +332,77 @@ def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rank
+# elimination over a field: rank and inversion
 # ---------------------------------------------------------------------------
 
-def _clear_denominators(row: dict[int, RationalFunction]) -> dict[int, Poly]:
-    """Scale a row by the lcm of its denominators; entries become Poly."""
-    lcm = Poly.const(1)
-    for v in row.values():
-        g = Poly.gcd(lcm, v.den)
-        lcm = lcm * v.den.div_exact(g)
-    return {c: v.num * lcm.div_exact(v.den) for c, v in row.items()}
+def _eliminate(work: dict, pivot: dict, col: int) -> None:
+    """Subtract from work, in place, the multiple of pivot that clears
+    work[col].  That entry is dropped without being computed, and so is
+    every sum that cancels to zero."""
+    factor = work.pop(col) / pivot[col]
+    for c, v in pivot.items():
+        if c == col:
+            continue
+        s = work[c] - factor * v if c in work else -(factor * v)
+        if s:
+            work[c] = s
+        else:
+            del work[c]
 
 
-def rank(rows) -> int:
-    """Exact rank of a collection of sparse rows over Q(q).
+def _echelon(rows) -> dict[int, dict]:
+    """The rows reduced to distinct leading columns, keyed by their lead.
 
-    ``rows`` is an iterable of dicts mapping column index to
-    RationalFunction.  If the leading columns of the nonzero rows are
-    pairwise distinct, the rows are independent (sorted by leading column
-    they form an echelon matrix) and their count is returned at once.
-    Otherwise fraction-free elimination runs: rows are cleared to
-    polynomial entries, then Bareiss updates keep all intermediates in
-    Z[q] with exact divisions only.
+    ``rows`` is read once, as an iterable of dicts mapping column index to
+    a field entry (RationalFunction or Fraction; zero entries count as
+    absent).  A row is reduced by the kept row with its leading (lowest)
+    column until its lead is new, and is then kept, or until it vanishes.
+    A row whose lead is new on arrival is kept with no arithmetic: rows
+    with pairwise distinct leads are independent over any field (an
+    echelon certificate), so the ordered monomials of a faithful set are
+    only counted.  The number of kept rows is the rank.
     """
-    nonzero = []
-    for r in rows:
-        row = {c: v for c, v in r.items() if not v.is_zero}
-        if row:
-            nonzero.append(row)
-    if len({min(row) for row in nonzero}) == len(nonzero):
-        return len(nonzero)
-    active = [_clear_denominators(r) for r in nonzero]
-    rank_count = 0
-    prev_pivot = Poly.const(1)
-    while active:
-        # smallest row first keeps the fill-in low
-        active.sort(key=len)
-        pivot_row = active.pop(0)
-        pivot_col = min(pivot_row)
-        pivot_val = pivot_row[pivot_col]
-        rank_count += 1
-        updated = []
-        for row in active:
-            coeff = row.get(pivot_col)
-            out: dict[int, Poly] = {}
-            cols = set(row)
-            if coeff is not None:
-                cols |= set(pivot_row)
-            for c in cols:
-                if c == pivot_col:
-                    continue
-                term = row.get(c, Poly()) * pivot_val
-                if coeff is not None:
-                    term = term - pivot_row.get(c, Poly()) * coeff
-                if not term.is_zero:
-                    out[c] = term.div_exact(prev_pivot)
-            if out:
-                updated.append(out)
-        active = updated
-        prev_pivot = pivot_val
-    return rank_count
-
-
-def rank_numeric(rows) -> int:
-    """Rank of rows with Fraction entries (exact field elimination)."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    count = 0
+    pivots: dict[int, dict] = {}
     for row in rows:
-        work = {c: Fraction(v) for c, v in row.items() if v != 0}
+        work = {c: v for c, v in row.items() if v}
         while work:
             lead = min(work)
             if lead not in pivots:
                 pivots[lead] = work
-                count += 1
                 break
-            piv = pivots[lead]
-            factor = work[lead] / piv[lead]
-            for c, v in piv.items():
-                s = work.get(c, Fraction(0)) - factor * v
-                if s:
-                    work[c] = s
-                else:
-                    work.pop(c, None)
-        # empty work: row dependent
-    return count
+            _eliminate(work, pivots[lead], lead)
+    return pivots
 
 
-# ---------------------------------------------------------------------------
-# dense inversion over the field
-# ---------------------------------------------------------------------------
+def rank(rows) -> int:
+    """Exact rank over Q(q) of an iterable of sparse rows, each a dict
+    mapping column index to RationalFunction (see :func:`_echelon`)."""
+    return len(_echelon(rows))
+
+
+def rank_numeric(rows) -> int:
+    """Rank of rows with Fraction entries, by the same field elimination."""
+    return len(_echelon({c: Fraction(v) for c, v in row.items()}
+                        for row in rows))
+
 
 def invert_dense(matrix: SparseMatrix) -> SparseMatrix:
     """The inverse of a matrix over Q(q), as its class.
 
-    The entries are copied to dense rows, which Gauss-Jordan elimination
-    reduces to the identity.  Raises ValueError("matrix is singular") when
-    no inverse exists.
+    Row r is extended by the unit entry in column n + r and the n rows are
+    brought to echelon form; the matrix is invertible iff their leads are
+    exactly 0..n-1.  Back-substitution from the last lead then clears each
+    row's other left-half entries, and the right half over the lead entry
+    is the inverse row.  Raises ValueError("matrix is singular") when no
+    inverse exists.
     """
     n = matrix.dim
-    work = [[matrix.get(r, c) for c in range(n)] for r in range(n)]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if not work[r][col].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = work[col][col]
-        work[col] = [v / scale for v in work[col]]
-        inv[col] = [v / scale for v in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor.is_zero:
-                continue
-            work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
-            inv[r] = [a - factor * b for a, b in zip(inv[r], inv[col])]
-    return matrix._clone([{c: v for c, v in enumerate(row) if not v.is_zero}
-                          for row in inv])
+    pivots = _echelon({**row, n + r: ONE} for r, row in enumerate(matrix.rows))
+    if set(pivots) != set(range(n)):
+        raise ValueError("matrix is singular")
+    for lead in reversed(range(n)):
+        row = pivots[lead]
+        for c in [c for c in row if lead < c < n]:
+            _eliminate(row, pivots[c], c)
+    return matrix._clone([{c - n: v / row[r] for c, v in row.items() if c >= n}
+                          for r, row in sorted(pivots.items())])

@@ -343,6 +343,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        return bool(self.num.coeffs)    # as for Fraction: false iff zero
+
     # -- field operations ---------------------------------------------------
     # values are immutable and canonical, so a zero operand can hand back
     # an existing value instead of building an equal one

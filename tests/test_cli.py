@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qclifford import cli, deform, fock
+from qclifford import chain, cli, deform, fock
 from qclifford.cli import main
 from qclifford.deform import (MapConstructionError, build_deforming_map,
                               undeformed_set)
@@ -248,6 +248,18 @@ class TestRMatrixCommand:
         assert code == 2 and out == ""
         assert f"--algebra sl needs --n of at least 2, not {n}" in err
 
+    @pytest.mark.parametrize("n", [17, 1000000])
+    def test_sl_refuses_n_above_the_guard(self, capsys, monkeypatch, n):
+        # check_braid works on the n^3 cube, so n^3 may not pass MAX_DIM
+        def refuse(_n):
+            raise AssertionError("the braid matrix was built")
+        monkeypatch.setattr(cli, "build_rhat_sl", refuse)
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sl",
+                             "--n", str(n))
+        assert code == 2 and out == ""
+        assert (f"--algebra sl --n {n}: n^3 = {n ** 3} outside the supported "
+                f"range (dimension guard 4096)") in err
+
     def test_sp_findings_always_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "rhat.json"
         path.write_text(json.dumps(build_rhat_sl(2).to_json()))
@@ -421,6 +433,23 @@ class TestChainCommand:
                              "3", "--scales", "1,q,q^2")
         assert code == 2 and out == ""
         assert "expected 2 scale factors" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--m", "-2", "--n", "-3", "--variant", "diagonal-mixed"],
+         "the copy count m must be at least 1, not -2"),
+        (["--m", "-1", "--n", "-2"],
+         "the copy count m must be at least 1, not -1"),
+        (["--m", "2", "--n", "-3"],
+         "the mode count n must be at least 1, not -3"),
+    ], ids=["m-2-n-3", "m-1-n-2", "n-3"])
+    def test_sizes_below_one_are_refused_before_the_map(
+            self, capsys, monkeypatch, argv, message):
+        # m*n inside 1..6 does not make both counts positive
+        def refuse(_modes):
+            raise AssertionError("the deforming map was built")
+        monkeypatch.setattr(chain, "build_deforming_map", refuse)
+        code, out, err = run(capsys, "chain-experiment", *argv)
+        assert code == 2 and out == "" and message in err
 
     def test_q_numeric_is_refused(self, capsys):
         code, out, err = run(capsys, "chain-experiment", "--q-numeric", "1.3")

@@ -127,9 +127,6 @@ KEPT = {
     "chain.chain_residuals":
         "wrapped by the perfbench span chain.residuals, which the "
         "benchmark's tests require to resolve",
-    "linalg._clear_denominators":
-        "the Bareiss fallback of linalg.rank, reached only by a set whose "
-        "leading columns collide",
     "deform.build_inverse_map":
         "reserved for the Poincare rank certificate (ROADMAP item 2)",
     "deform.GeneratorSet.all_generators":

@@ -1,18 +1,15 @@
-"""Property tests of ``linalg.rank`` and ``linalg.product_sum``.
+"""Property tests of the ``linalg`` elimination and ``linalg.product_sum``.
 
-``rank`` returns the count of the nonzero rows at once when their leading
-columns are pairwise distinct (an echelon certificate) and runs Bareiss
-elimination otherwise.  Both paths must agree with the rank over Q(q)
-that sympy computes in the field of fractions.
-
-``product_sum`` adds every product coeff * X[r, k] * Y[k, c] into an
-unreduced numerator/denominator pair and reduces each entry once; it
-must equal start + sum (X * Y).scale(coeff) formed with the matrix
-operations, entry for entry in canonical form, with no stored zero.
-A ``report.RelationReport`` reduces only the first surviving entry and
-builds the residual when it is read; its exact-zero flag, worst entry and
-residual must be those of the matrix-operations residual, read off with
-its own ``is_zero`` and ``first_nonzero``.
+``rank``, ``rank_numeric`` and ``invert_dense`` share one sparse forward
+elimination over a field.  A row whose leading column is new is kept with
+no arithmetic, so rows with pairwise distinct leads (an echelon
+certificate) are only counted, and colliding leads are eliminated.  Each
+entry point is checked against sympy: ``rank`` against the rank over Q(q)
+in the field of fractions, with and without colliding leads;
+``rank_numeric`` against the rank over Q on Fraction rows with planted
+dependencies; ``invert_dense`` against sympy's inverse over Q(q), and its
+singular verdict against a zero determinant, on SparseMatrix and RMatrix
+inputs, each of which comes back as its own class.
 """
 
 import pytest
@@ -20,12 +17,16 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
+from fractions import Fraction  # noqa: E402
+
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from qclifford.fock import FockOperator, identity, zero  # noqa: E402
-from qclifford.linalg import product_sum, rank  # noqa: E402
+from qclifford.linalg import (SparseMatrix, invert_dense,  # noqa: E402
+                              product_sum, rank, rank_numeric)
 from qclifford.report import RelationReport  # noqa: E402
+from qclifford.rmatrix import RMatrix  # noqa: E402
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
@@ -51,13 +52,16 @@ def row_sets(draw, max_rows=6):
     return ncols, rows
 
 
-def sympy_rank(ncols: int, rows) -> int:
-    if not rows:
-        return 0
+def field_matrix(ncols: int, rows) -> DomainMatrix:
+    """The rows as a sympy matrix over the field of fractions Q(q)."""
     dense = [[_FIELD.from_sympy(sympy.sympify(str(row.get(c, ZERO))
                                               .replace("^", "**")))
               for c in range(ncols)] for row in rows]
-    return DomainMatrix(dense, (len(rows), ncols), _FIELD).rank()
+    return DomainMatrix(dense, (len(rows), ncols), _FIELD)
+
+
+def sympy_rank(ncols: int, rows) -> int:
+    return field_matrix(ncols, rows).rank() if rows else 0
 
 
 def combine(a: dict, b: dict, x, y) -> dict:
@@ -87,6 +91,83 @@ def test_rank_with_colliding_leads(case, data, x, y):
     expected = sympy_rank(ncols, rows)
     assert expected == sympy_rank(ncols, extended)
     assert rank(extended) == expected == rank(rows)
+
+
+#: ints and Fractions, zero listed often; explicit zeros count as absent
+NUMBERS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3))
+numbers = st.sampled_from(NUMBERS)
+nonzero_numbers = st.sampled_from([v for v in NUMBERS if v])
+
+
+@st.composite
+def planted_fraction_rows(draw):
+    """(ncols, base rows, base rows with dependent rows planted among them)."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    rows = [{c: draw(numbers) for c in range(ncols) if draw(st.booleans())}
+            for _ in range(nrows)]
+    planted = list(rows)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        a, b = (draw(st.sampled_from(rows)) for _ in range(2))
+        x, y = draw(nonzero_numbers), draw(nonzero_numbers)
+        planted.append({c: x * a.get(c, 0) + y * b.get(c, 0)
+                        for c in {*a, *b}})
+    return ncols, rows, draw(st.permutations(planted))
+
+
+def rational_rank(ncols: int, rows) -> int:
+    dense = [[sympy.QQ(Fraction(row.get(c, 0)).numerator,
+                       Fraction(row.get(c, 0)).denominator)
+              for c in range(ncols)] for row in rows]
+    return DomainMatrix(dense, (len(rows), ncols), sympy.QQ).rank()
+
+
+@SETTINGS
+@given(planted_fraction_rows())
+def test_rank_numeric_matches_sympy(case):
+    ncols, rows, planted = case
+    expected = rational_rank(ncols, rows)
+    assert rational_rank(ncols, planted) == expected
+    assert rank_numeric(planted) == expected == rank_numeric(rows)
+
+
+@st.composite
+def square_matrices(draw):
+    """A SparseMatrix of dimension 1..4 or an RMatrix of block dimension
+    1 or 2 over the palette; one row may be planted as a multiple of
+    another, which makes the matrix singular."""
+    n = draw(st.sampled_from((None, 1, 2)))
+    dim = draw(st.integers(min_value=1, max_value=4)) if n is None else n * n
+    rows = [{c: draw(entries) for c in range(dim)} for _ in range(dim)]
+    if dim > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        x = draw(nonzero_entries)
+        rows[i] = {c: x * v for c, v in rows[j].items()}
+    rows = [{c: v for c, v in row.items() if not v.is_zero} for row in rows]
+    return SparseMatrix(dim, rows) if n is None else RMatrix(n, rows, "drawn")
+
+
+#: a braid-shaped matrix whose second and third rows are equal
+SINGULAR_BLOCKS = RMatrix(2, [{0: Q}, {1: ONE, 2: ONE}, {1: ONE, 2: ONE},
+                              {3: Q}], kind="drawn")
+
+
+@SETTINGS
+@given(square_matrices())
+@example(SINGULAR_BLOCKS)
+def test_invert_dense_matches_sympy(matrix):
+    expected = field_matrix(matrix.dim, matrix.rows)
+    if expected.det() == _FIELD.zero:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            invert_dense(matrix)
+        return
+    inverse = invert_dense(matrix)
+    assert type(inverse) is type(matrix) and inverse.dim == matrix.dim
+    if isinstance(matrix, RMatrix):
+        assert (inverse.n, inverse.kind) == (matrix.n, matrix.kind)
+    got = field_matrix(inverse.dim, inverse.rows)
+    assert got.to_list() == expected.inv().to_list()
+    assert all(not v.is_zero for row in inverse.rows for v in row.values())
 
 
 #: Laurent monomials and generic denominators, so that products of

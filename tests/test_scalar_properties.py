@@ -5,7 +5,8 @@
 shifts by a constant or monomial operand, negation of a
 ``RationalFunction`` takes no gcd, and ``RationalFunction`` addition and
 multiplication hand back an existing value when an operand is zero.  Each
-must agree with the general definition on every input.
+must agree with the general definition on every input.  The truth value
+of a ``RationalFunction`` is false exactly for zero, as for a Fraction.
 Random ``RationalFunction`` values also survive the text round trip and
 satisfy the field axioms, with equality meaning equal canonical forms.
 """
@@ -166,6 +167,16 @@ class TestZeroShortcuts:
 
 
 nonzero_rationals = rationals.filter(lambda x: not x.is_zero)
+
+
+class TestTruthValue:
+    @SETTINGS
+    @given(rationals)
+    def test_false_iff_zero(self, x):
+        # the zero test that linalg's elimination applies to every entry,
+        # as it does to a Fraction
+        assert bool(x) == (not x.is_zero) == (to_sympy(x.num) != 0)
+        assert not x - x and not x * 0
 
 
 class TestNegation:
