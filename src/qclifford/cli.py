@@ -151,7 +151,7 @@ def cmd_rmatrix(args) -> int:
         rhat = build_rhat_sl(args.n)
         reports = [check_hecke(rhat), check_braid(rhat)]
         matrix = rhat.subst(point) if point is not None else rhat
-        doc["matrix"] = matrix.to_json()
+        doc["matrix"] = matrix.to_json("braid-sl")
         if point is not None:
             doc["matrix"]["q"] = str(point)
         return _finish(doc, args, reports)
@@ -165,7 +165,7 @@ def cmd_rmatrix(args) -> int:
         raise ValueError(f"--n {args.n} does not match the n = {rhat.n} "
                          f"of {args.input}")
     projector, idempotency = projector_sp(rhat)
-    doc["projector"] = projector.to_json()
+    doc["projector"] = projector.to_json("projector-sp")
     return _finish(doc, args, [idempotency], exit_code=0)
 
 

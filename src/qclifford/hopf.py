@@ -11,20 +11,23 @@ n_1 - n_2 only takes the values -1, 0, 1 there.  The adjoint action is
 
     x |> a  =  sigma_q(x_(1)) . a . sigma_q(S x_(2)),
 
-summed over the coproduct.  Two mirror-image coproduct conventions exist;
-the covariance of the dressed generators under the fixed fundamental
-representation rho_q(K) = diag(q, q^-1) is the arbiter, and it selects
+summed over the coproduct.  Of the two mirror-image coproduct
+conventions, the covariance of the dressed generators under the fixed
+fundamental representation rho_q(K) = diag(q, q^-1) (each rho a 2 x 2
+:class:`linalg.SparseMatrix`) selects one, and it is frozen here as the
+module constants :data:`COPRODUCT`, :data:`ANTIPODE` and :data:`COUNIT`:
 
     D(E) = E @ 1 + K @ E,    D(F) = F @ Kinv + 1 @ F,    D(K) = K @ K,
     S(E) = -Kinv E,          S(F) = -F K,                S(K) = Kinv.
 
-The rejected mirror convention stays available as a negative control.
+The rejected mirror convention is a negative control of the tests.
 Invariance checkers compare x |> I against eps(x) I for both the
 deformed action and the classical commutator action, and the closed-form
 identity relating the deformed quadratic invariant to the classical one
 is verified eigenvalue by eigenvalue.
 
-Every residual is a term table start + sum coeff X Y for the one relation
+Every residual, the defining relations that :func:`deformed_js` checks
+included, is a term table start + sum coeff X Y for the one relation
 evaluator, :class:`report.RelationReport`, which forms no product matrix.
 The operands are computed once per check call: each x |> a, each
 sigma(x_(1)) . a and each b . sigma(S x_(2)); the sigma word images and
@@ -44,44 +47,27 @@ from itertools import product
 from . import fock
 from .deform import GeneratorSet
 from .fock import FockOperator, build_generators
+from .linalg import SparseMatrix
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, ZERO, q_number
 
 
-#: convention tags: names describe the E-coproduct shape
-FROZEN_CONVENTION = "E@1+K@E"
-MIRROR_CONVENTION = "E@K+1@E"
-
-_TABLES = {
-    FROZEN_CONVENTION: {
-        "coproduct": {
-            "E": [(("E",), ()), (("K",), ("E",))],
-            "F": [(("F",), ("Kinv",)), ((), ("F",))],
-            "K": [(("K",), ("K",))],
-            "Kinv": [(("Kinv",), ("Kinv",))],
-        },
-        "antipode": {
-            "E": (-1, ("Kinv", "E")),
-            "F": (-1, ("F", "K")),
-            "K": (1, ("Kinv",)),
-            "Kinv": (1, ("K",)),
-        },
-    },
-    MIRROR_CONVENTION: {
-        "coproduct": {
-            "E": [(("E",), ("K",)), ((), ("E",))],
-            "F": [(("F",), ()), (("Kinv",), ("F",))],
-            "K": [(("K",), ("K",))],
-            "Kinv": [(("Kinv",), ("Kinv",))],
-        },
-        "antipode": {
-            "E": (-1, ("E", "Kinv")),
-            "F": (-1, ("K", "F")),
-            "K": (1, ("Kinv",)),
-            "Kinv": (1, ("K",)),
-        },
-    },
+#: the frozen Hopf structure, written as text in the ledger
+#: report.CONVENTIONS: name -> [(left word, right word)]
+COPRODUCT = {
+    "E": [(("E",), ()), (("K",), ("E",))],
+    "F": [(("F",), ("Kinv",)), ((), ("F",))],
+    "K": [(("K",), ("K",))],
+    "Kinv": [(("Kinv",), ("Kinv",))],
 }
+#: name -> (sign, word)
+ANTIPODE = {
+    "E": (-1, ("Kinv", "E")),
+    "F": (-1, ("F", "K")),
+    "K": (1, ("Kinv",)),
+    "Kinv": (1, ("K",)),
+}
+COUNIT = {"E": ZERO, "F": ZERO, "K": ONE, "Kinv": ONE}
 
 GENERATOR_NAMES = ("E", "F", "K")
 
@@ -92,11 +78,11 @@ class HopfAlgebraData:
 
     q_scalar: RationalFunction
     sigma: dict          # name -> FockOperator image
-    rho: dict            # name -> 2x2 matrix (tuple of tuples) over Q(q)
-    coproduct: dict      # name -> list of (left word, right word)
-    counit: dict         # name -> RationalFunction
-    antipode: dict       # name -> (sign, word)
-    convention: str
+    rho: dict            # name -> 2x2 SparseMatrix over Q(q)
+    # the frozen Hopf structure: class attributes, not fields
+    coproduct = COPRODUCT
+    antipode = ANTIPODE
+    counit = COUNIT
     # word -> sigma(word), and word -> sandwich pairs, each built once
     _sigma_words: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -126,10 +112,10 @@ class HopfAlgebraData:
             self._sandwiches[word] = pairs
         return pairs
 
-    def rho_word(self, word):
-        mat = ((ONE, ZERO), (ZERO, ONE))
+    def rho_word(self, word) -> SparseMatrix:
+        mat = SparseMatrix(2, [{0: ONE}, {1: ONE}])
         for name in word:
-            mat = _mul2(mat, self.rho[name])
+            mat = mat * self.rho[name]
         return mat
 
     def antipode_word(self, word):
@@ -152,13 +138,6 @@ class HopfAlgebraData:
         return pairs
 
 
-def _mul2(a, b):
-    return tuple(
-        tuple(sum((a[r][k] * b[k][c] for k in range(2)), ZERO)
-              for c in range(2))
-        for r in range(2))
-
-
 def _weight_diagonal(q_scalar: RationalFunction, exponent_sign: int) -> FockOperator:
     """Diagonal q^(sign * (n_1 - n_2)) on the two-mode space."""
     rows = []
@@ -168,13 +147,12 @@ def _weight_diagonal(q_scalar: RationalFunction, exponent_sign: int) -> FockOper
     return FockOperator(2, rows)
 
 
-def deformed_js(q_scalar: RationalFunction = Q,
-                convention: str = FROZEN_CONVENTION) -> HopfAlgebraData:
+def deformed_js(q_scalar: RationalFunction = Q) -> HopfAlgebraData:
     """Build the deformed Jordan-Schwinger data and self-check it.
 
-    The defining relations K E Kinv = q^2 E, K F Kinv = q^-2 F,
-    [E, F] = (K - Kinv)/(q - q^-1) and K Kinv = 1 are verified as exact
-    matrix identities before the data is returned.
+    The defining relations K Kinv = 1, K E Kinv = q^2 E, K F Kinv = q^-2 F
+    and [E, F] = (K - Kinv)/(q - q^-1) are each decided by a
+    :class:`report.RelationReport` before the data is returned.
     """
     pairs = build_generators(2)
     sigma = {
@@ -184,43 +162,40 @@ def deformed_js(q_scalar: RationalFunction = Q,
         "Kinv": _weight_diagonal(q_scalar, -1),
     }
     rho = {
-        "E": ((ZERO, ONE), (ZERO, ZERO)),
-        "F": ((ZERO, ZERO), (ONE, ZERO)),
-        "K": ((q_scalar, ZERO), (ZERO, q_scalar ** -1)),
-        "Kinv": ((q_scalar ** -1, ZERO), (ZERO, q_scalar)),
+        "E": SparseMatrix(2, [{1: ONE}, {}]),
+        "F": SparseMatrix(2, [{}, {0: ONE}]),
+        "K": SparseMatrix(2, [{0: q_scalar}, {1: q_scalar ** -1}]),
+        "Kinv": SparseMatrix(2, [{0: q_scalar ** -1}, {1: q_scalar}]),
     }
-    tables = _TABLES[convention]
-    data = HopfAlgebraData(
-        q_scalar=q_scalar,
-        sigma=sigma,
-        rho=rho,
-        coproduct=tables["coproduct"],
-        counit={"E": ZERO, "F": ZERO, "K": ONE, "Kinv": ONE},
-        antipode=tables["antipode"],
-        convention=convention,
-    )
+    data = HopfAlgebraData(q_scalar=q_scalar, sigma=sigma, rho=rho)
     _self_check(data)
     return data
 
 
 def _self_check(data: HopfAlgebraData) -> None:
+    """Raise ValueError naming the first defining relation that fails."""
     q0 = data.q_scalar
     E, F, K, Kinv = (data.sigma[n] for n in ("E", "F", "K", "Kinv"))
-    ident = fock.identity(2)
-    if K * Kinv != ident:
-        raise ValueError("K Kinv = 1 fails")
-    if K * E * Kinv != E.scale(q0 * q0):
-        raise ValueError("K E Kinv = q^2 E fails")
-    if K * F * Kinv != F.scale(q0 ** -2):
-        raise ValueError("K F Kinv = q^-2 F fails")
-    bracket = E * F - F * E
+    zero, ident = fock.zero(2), fock.identity(2)
     gap = q0 - q0 ** -1
     if gap.is_zero:
         # degenerate point (q = +-1): the bracket is the bare weight n1 - n2
-        if bracket != fock.number_op(2, 1) - fock.number_op(2, 2):
-            raise ValueError("[E, F] classical limit fails")
-    elif bracket != (K - Kinv).scale(gap ** -1):
-        raise ValueError("[E, F] = (K - Kinv)/(q - q^-1) fails")
+        bracket = "[E, F] classical limit"
+        weight = [(-ONE, fock.number_op(2, 1), ident),
+                  (ONE, fock.number_op(2, 2), ident)]
+    else:
+        bracket = "[E, F] = (K - Kinv)/(q - q^-1)"
+        weight = [(-gap ** -1, K, ident), (gap ** -1, Kinv, ident)]
+    identities = [
+        ("K Kinv = 1", -ident, [(ONE, K, Kinv)]),
+        ("K E Kinv = q^2 E", zero, [(ONE, K * E, Kinv), (-q0 * q0, E, ident)]),
+        ("K F Kinv = q^-2 F", zero, [(ONE, K * F, Kinv), (-q0 ** -2, F, ident)]),
+        (bracket, zero, [(ONE, E, F), (-ONE, F, E)] + weight),
+    ]
+    for relation, start, terms in identities:
+        if not RelationReport("hopf-self-check", (), relation, start,
+                              terms).exact_zero:
+            raise ValueError(f"{relation} fails")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +345,7 @@ def check_covariance(gens: GeneratorSet,
                 "covariance-creator", (x, i),
                 f"{x} |> {label} = rho({x})^j_{i} Adag_j", zero,
                 actions.terms((x,), label, gens.creators[i - 1])
-                + [(-rho_x[j - 1][i - 1], gens.creators[j - 1], ident)
+                + [(-rho_x.get(j - 1, i - 1), gens.creators[j - 1], ident)
                    for j in (1, 2)]))
         sign, s_word = data.antipode_word((x,))
         rho_sx = data.rho_word(s_word)
@@ -380,7 +355,8 @@ def check_covariance(gens: GeneratorSet,
                 "covariance-annihilator", (x, i),
                 f"{x} |> {label} = rho(S {x})^{i}_j A^j", zero,
                 actions.terms((x,), label, gens.annihilators[i - 1])
-                + [(-sign * rho_sx[i - 1][j - 1], gens.annihilators[j - 1], ident)
+                + [(-sign * rho_sx.get(i - 1, j - 1), gens.annihilators[j - 1],
+                    ident)
                    for j in (1, 2)]))
     return reports
 

@@ -12,9 +12,8 @@ arithmetic, so on them the rank is a count.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
 
-from .scalar import ONE, Poly, RationalFunction, ZERO, _coerce, parse_rational
+from .scalar import ONE, RationalFunction, ZERO, _coerce, parse_rational
 
 
 #: largest matrix dimension that is built or read (Fock dimension 2^12)
@@ -224,29 +223,6 @@ class SparseMatrix:
 # fused sum of products
 # ---------------------------------------------------------------------------
 
-def _add_fraction(n0: Poly, d0: Poly, num: Poly, den: Poly) -> tuple:
-    """The unreduced pair n0/d0 + num/den.
-
-    Equal denominators add numerators; two monomials c*q^k meet over
-    lcm(c) * q^max(k); any other pair is cross-multiplied.
-    """
-    if d0.coeffs == den.coeffs:
-        return n0 + num, d0
-    if d0.is_monomial and den.is_monomial:
-        k0, k1 = d0.degree, den.degree
-        c0, c1 = d0.lc, den.lc
-        lcm = c0 * c1 // _int_gcd(c0, c1)
-        k = max(k0, k1)
-        return (_shift(n0, k - k0, lcm // c0) + _shift(num, k - k1, lcm // c1),
-                Poly((0,) * k + (lcm,)))
-    return n0 * den + num * d0, d0 * den
-
-
-def _shift(p: Poly, k: int, m: int) -> Poly:
-    """m * q^k * p."""
-    return Poly((0,) * k + tuple(c * m for c in p.coeffs))
-
-
 def product_sum_rows(start: SparseMatrix, terms):
     """Yield (r, row) for each nonzero row of start + sum coeff * X * Y
     over (coeff, X, Y), unreduced and in ascending row order.
@@ -256,8 +232,9 @@ def product_sum_rows(start: SparseMatrix, terms):
     term before it is yielded, and no row after it is read until the next
     one is requested.  No intermediate matrix is built: each output entry
     is an unreduced (num, den) pair of polynomials to which every product
-    coeff * X[r, k] * Y[k, c] is added in term order (see
-    :func:`_add_fraction`).  An entry X[r, k] whose Y row k is empty
+    coeff * X[r, k] * Y[k, c] is added in term order: over an equal
+    denominator the numerators add, and any other pair is
+    cross-multiplied.  An entry X[r, k] whose Y row k is empty
     contributes nothing and is skipped before coeff * X[r, k] is formed;
     on the deforming map about 45 % of the X entries meet an empty row,
     since each generator's nonzero rows are half of the basis.  An entry
@@ -287,11 +264,15 @@ def product_sum_rows(start: SparseMatrix, terms):
                     if entry is None:
                         out[c] = num, den
                         continue
-                    entry = _add_fraction(*entry, num, den)
-                    if entry[0].is_zero:
+                    n0, d0 = entry
+                    if d0.coeffs == den.coeffs:
+                        num, den = n0 + num, d0
+                    else:
+                        num, den = n0 * den + num * d0, d0 * den
+                    if num.is_zero:
                         del out[c]
                     else:
-                        out[c] = entry
+                        out[c] = num, den
         if out:
             yield r, out
 

@@ -37,30 +37,31 @@ class RMatrix(SparseMatrix):
     :meth:`block` reads an entry by its two index pairs.
     """
 
-    __slots__ = ("n", "kind")
+    __slots__ = ("n",)
 
     # the shared sparse product, bound on this class so that products of
     # braid-type matrices can be timed apart from Fock-space ones
     __mul__ = SparseMatrix.__mul__
 
-    def __init__(self, n: int, rows=None, kind: str = "user-supplied"):
+    def __init__(self, n: int, rows=None):
         super().__init__(n * n, rows)
         self.n = n
-        self.kind = kind
 
     def _clone(self, rows):
-        return RMatrix(self.n, rows, self.kind)
+        return RMatrix(self.n, rows)
 
     def block(self, i: int, j: int, h: int, k: int) -> RationalFunction:
         """Entry with upper (row) pair (i, j) and lower (column) pair (h, k)."""
         n = self.n
         return self.get((i - 1) * n + (j - 1), (h - 1) * n + (k - 1))
 
-    def to_json(self) -> dict:
+    def to_json(self, kind: str = "user-supplied") -> dict:
+        """The matrix as JSON, tagged with ``kind`` (say "braid-sl"); a
+        reader ignores the tag."""
         return {
             "n": self.n,
             "dim": self.dim,
-            "kind": self.kind,
+            "kind": kind,
             "entries": [[r, c, str(v)] for r, c, v in self.iter_entries()],
         }
 
@@ -76,11 +77,10 @@ class RMatrix(SparseMatrix):
             raise dim_guard_error(f"dim = {dim}")
         if dim != n * n:
             raise ValueError(f"dim = {dim} is not n^2 = {n * n} for n = {n}")
-        return cls(n, read_rows(json_field(doc, "entries", field), dim),
-                   str(doc.get("kind", "user-supplied")))
+        return cls(n, read_rows(json_field(doc, "entries", field), dim))
 
     def __repr__(self):
-        return f"<RMatrix n={self.n} dim={self.dim} kind={self.kind}>"
+        return f"<RMatrix n={self.n} dim={self.dim}>"
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +100,14 @@ def build_rhat_sl(n: int) -> RMatrix:
         for j in range(i + 1, n):
             rows[i * n + j] = {i * n + j: omega, j * n + i: ONE}
             rows[j * n + i] = {i * n + j: ONE}
-    return RMatrix(n, rows, kind="braid-sl")
+    return RMatrix(n, rows)
 
 
 def build_permutation(n: int) -> RMatrix:
     """The permutation matrix P with P^{ij}_{hk} = delta^i_k delta^j_h."""
     if n < 1:
         raise ValueError("build_permutation expects n >= 1")
-    return RMatrix(n, [{j * n + i: ONE} for i in range(n) for j in range(n)],
-                   kind="permutation")
+    return RMatrix(n, [{j * n + i: ONE} for i in range(n) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +163,7 @@ def projector_sl(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RMatrix:
     if not check_hecke(rhat, q_scalar).exact_zero:
         raise ValueError("input is not an sl-type braid matrix")
     qinv = q_scalar ** -1
-    p = (rhat + rhat.identity_like().scale(qinv)).scale((q_scalar + qinv) ** -1)
-    return RMatrix(rhat.n, p.rows, kind="projector-sl")
+    return (rhat + rhat.identity_like().scale(qinv)).scale((q_scalar + qinv) ** -1)
 
 
 def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
@@ -182,7 +180,7 @@ def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
         raise ZeroDivisionError("sp symmetrizer denominator vanishes identically")
     inv = denom ** -1
     ident = rhat.identity_like()
-    zero = RMatrix(n, kind="projector-sp")
+    zero = RMatrix(n)
     p = product_sum(zero,
                     [(inv, rhat, rhat),
                      ((q_power(-1 - n) + q_power(-1)) * inv, rhat, ident),

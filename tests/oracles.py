@@ -10,7 +10,8 @@ public names alone:
 - the gamma-function quotient of the deforming map's normalization;
 - conjugated realizations alpha . X . alpha^-1;
 - the chain controls: copy relabelling and the q = 1 degeneration;
-- the classical commutator action and the degree <= 2 invariant builders.
+- the classical commutator action and the degree <= 2 invariant builders;
+- the mirror-image Hopf structure, which the covariance suite rejects.
 
 Words are sequences of signed mode indices: +i stands for the creator
 adag_i, -i for the annihilator a^i.
@@ -24,7 +25,8 @@ from qclifford.chain import VARIANTS, chain_residuals
 from qclifford.deform import (GeneratorSet, build_deforming_map,
                               undeformed_set)
 from qclifford.fock import FockOperator, identity, zero
-from qclifford.hopf import InvariantElement, invariant_number
+from qclifford.hopf import (ANTIPODE, COPRODUCT, HopfAlgebraData,
+                            InvariantElement, deformed_js, invariant_number)
 from qclifford.linalg import invert_dense
 from qclifford.report import RelationReport
 from qclifford.rmatrix import build_permutation
@@ -263,3 +265,25 @@ def degree_two_invariant_basis():
         ]
 
     return basis(plain, ""), basis(dressed, "_q")
+
+
+# ---------------------------------------------------------------------------
+# the mirror Hopf structure
+# ---------------------------------------------------------------------------
+
+class MirrorHopfData(HopfAlgebraData):
+    """The mirror-image convention D(E) = E@K + 1@E, D(F) = F@1 + Kinv@F,
+    S(E) = -E Kinv, S(F) = -K F on the same sigma and rho: a negative
+    control that the covariance of the dressed generators rejects."""
+
+    coproduct = {**COPRODUCT,
+                 "E": [(("E",), ("K",)), ((), ("E",))],
+                 "F": [(("F",), ()), (("Kinv",), ("F",))]}
+    antipode = {**ANTIPODE, "E": (-1, ("E", "Kinv")), "F": (-1, ("K", "F"))}
+
+
+def mirror_js(q_scalar: RationalFunction = Q) -> MirrorHopfData:
+    """The mirror Hopf structure on the self-checked data of
+    ``hopf.deformed_js``."""
+    data = deformed_js(q_scalar)
+    return MirrorHopfData(data.q_scalar, data.sigma, data.rho)

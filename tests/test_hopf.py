@@ -5,16 +5,16 @@ import pytest
 from qclifford import hopf
 from qclifford.deform import build_deforming_map, undeformed_set
 from qclifford.fock import build_generators, identity, number_op
-from qclifford.hopf import (FROZEN_CONVENTION, MIRROR_CONVENTION,
-                            act, check_covariance,
+from qclifford.hopf import (GENERATOR_NAMES, act, check_covariance,
                             check_module_algebra, classical_js,
                             deformed_js, invariance_check,
                             invariant_number, verify_I1_identity)
 from qclifford.linalg import SparseMatrix
+from qclifford.report import CONVENTIONS
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power
 
 from oracles import (classical_act, degree_two_invariant_basis,
-                     invariant_from_tensor)
+                     invariant_from_tensor, mirror_js)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,73 @@ class TestDeformedBilinears:
         js = classical_js()
         ratio = (data.sigma["K"] - identity(2)).scale((Q - ONE) ** -1)
         assert ratio.subst(Fraction(1)) == js["j0"].scale(2)
+
+
+def _doubled_creator_1(n_modes):
+    """build_generators with adag_1 doubled, so sigma(E) = adag_1 a^2 is
+    doubled and sigma(F) = adag_2 a^1 is not."""
+    (adag_1, a_1), *rest = build_generators(n_modes)
+    return [(adag_1.scale(2), a_1), *rest]
+
+
+class TestSelfCheck:
+    def test_doubled_weight_fails_the_e_conjugation(self, monkeypatch):
+        weight = hopf._weight_diagonal
+        monkeypatch.setattr(hopf, "_weight_diagonal",
+                            lambda q_scalar, sign: weight(q_scalar, 2 * sign))
+        with pytest.raises(ValueError, match=r"^K E Kinv = q\^2 E fails$"):
+            deformed_js()
+
+    @pytest.mark.parametrize("q_scalar, message", [
+        (Q, r"^\[E, F\] = \(K - Kinv\)/\(q - q\^-1\) fails$"),
+        (ONE, r"^\[E, F\] classical limit fails$"),
+        (-ONE, r"^\[E, F\] classical limit fails$")])
+    def test_doubled_e_fails_the_bracket(self, monkeypatch, q_scalar, message):
+        monkeypatch.setattr(hopf, "build_generators", _doubled_creator_1)
+        with pytest.raises(ValueError, match=message):
+            deformed_js(q_scalar)
+
+    @pytest.mark.parametrize("q_scalar", [ONE, -ONE])
+    def test_degenerate_points_build(self, q_scalar):
+        data = deformed_js(q_scalar)
+        bracket = data.sigma["E"] * data.sigma["F"] \
+            - data.sigma["F"] * data.sigma["E"]
+        assert bracket == number_op(2, 1) - number_op(2, 2)
+
+
+def _word(word):
+    return " ".join(word) or "1"
+
+
+class TestFrozenConvention:
+    """The ledger's text and the tables the action runs on agree."""
+
+    def test_coproduct_matches_the_ledger(self):
+        text = "; ".join(
+            f"D({x}) = " + " + ".join(f"{_word(left)}@{_word(right)}"
+                                      for left, right in hopf.COPRODUCT[x])
+            for x in GENERATOR_NAMES)
+        assert text == CONVENTIONS["coproduct"]
+        assert hopf.COPRODUCT["Kinv"] == [(("Kinv",), ("Kinv",))]
+
+    def test_antipode_matches_the_ledger(self):
+        text = "; ".join(
+            f"S({x}) = {'-' if sign < 0 else ''}{_word(word)}"
+            for x in GENERATOR_NAMES for sign, word in [hopf.ANTIPODE[x]])
+        assert text == CONVENTIONS["antipode"]
+        assert hopf.ANTIPODE["Kinv"] == (1, ("K",))
+
+    def test_counit_matches_the_ledger(self):
+        names_by_value = {}
+        for x, value in hopf.COUNIT.items():
+            names_by_value.setdefault(str(value), []).append(f"eps({x})")
+        text = "; ".join(" = ".join(names) + f" = {value}"
+                         for value, names in names_by_value.items())
+        assert text == CONVENTIONS["counit"]
+
+    def test_data_reads_the_frozen_tables(self, data):
+        assert (data.coproduct, data.antipode, data.counit) == \
+            (hopf.COPRODUCT, hopf.ANTIPODE, hopf.COUNIT)
 
 
 class TestClassicalBilinears:
@@ -157,14 +224,13 @@ class TestCovariance:
         assert any(not r.exact_zero for r in reports)
 
     def test_exactly_one_convention_passes(self, lastf2):
-        frozen = deformed_js(convention=FROZEN_CONVENTION)
-        mirror = deformed_js(convention=MIRROR_CONVENTION)
+        frozen = deformed_js()
+        mirror = mirror_js()
         assert all(r.exact_zero for r in check_covariance(lastf2, frozen))
         assert any(not r.exact_zero for r in check_covariance(lastf2, mirror))
 
     def test_k_rows_use_fundamental_weights(self, data):
-        assert data.rho["K"] == ((Q, parse_rational("0")),
-                                 (parse_rational("0"), q_power(-1)))
+        assert data.rho["K"] == SparseMatrix(2, [{0: Q}, {1: q_power(-1)}])
 
     def test_classical_point_reduces_to_commutator_covariance(self, plain2):
         at_one = deformed_js(ONE)

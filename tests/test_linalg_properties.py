@@ -144,12 +144,12 @@ def square_matrices(draw):
         x = draw(nonzero_entries)
         rows[i] = {c: x * v for c, v in rows[j].items()}
     rows = [{c: v for c, v in row.items() if not v.is_zero} for row in rows]
-    return SparseMatrix(dim, rows) if n is None else RMatrix(n, rows, "drawn")
+    return SparseMatrix(dim, rows) if n is None else RMatrix(n, rows)
 
 
 #: a braid-shaped matrix whose second and third rows are equal
 SINGULAR_BLOCKS = RMatrix(2, [{0: Q}, {1: ONE, 2: ONE}, {1: ONE, 2: ONE},
-                              {3: Q}], kind="drawn")
+                              {3: Q}])
 
 
 @SETTINGS
@@ -164,7 +164,7 @@ def test_invert_dense_matches_sympy(matrix):
     inverse = invert_dense(matrix)
     assert type(inverse) is type(matrix) and inverse.dim == matrix.dim
     if isinstance(matrix, RMatrix):
-        assert (inverse.n, inverse.kind) == (matrix.n, matrix.kind)
+        assert inverse.n == matrix.n
     got = field_matrix(inverse.dim, inverse.rows)
     assert got.to_list() == expected.inv().to_list()
     assert all(not v.is_zero for row in inverse.rows for v in row.values())
