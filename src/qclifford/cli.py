@@ -250,7 +250,12 @@ def cmd_chain_experiment(args) -> int:
     variants = chain.VARIANTS if args.variant == "both" else (args.variant,)
     scales = None
     if args.scales:
-        scales = [parse_rational(s) for s in args.scales.split(",")]
+        scales = []
+        for i, text in enumerate(args.scales.split(",")):
+            try:
+                scales.append(parse_rational(text))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise type(exc)(f"--scales[{i}]: {exc}") from None
     findings = chain.lexicographic_experiment(args.m, args.n, scales=scales,
                                               variants=variants)
     experiment: dict = {k: findings[k] for k in

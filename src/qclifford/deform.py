@@ -134,10 +134,6 @@ def undeformed_set(n_modes: int) -> GeneratorSet:
 class MapConstructionError(ValueError):
     """A candidate generator set failed its defining relation check."""
 
-    def __init__(self, message, failing_report: RelationReport | None = None):
-        super().__init__(message)
-        self.failing_report = failing_report
-
 
 # ---------------------------------------------------------------------------
 # relation residuals
@@ -225,7 +221,7 @@ def map_relations(gens: GeneratorSet) -> list[RelationReport]:
         if not rep.exact_zero:
             raise MapConstructionError(
                 f"deforming map violates {rep.family} relation "
-                f"{rep.indices}: worst entry {rep.worst_entry()}", rep)
+                f"{rep.indices}: worst entry {rep.worst_entry()}")
     return reports
 
 

@@ -60,8 +60,9 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
 
     Every entry is checked before the rows are allocated: it must be a
     list of two integer indices inside the matrix and a string value, and
-    an error names it as ``field[i]``.  A later entry for the same position
-    replaces an earlier one, and a zero value is not stored.
+    an error names it as ``field[i]``, as does an error in its text.  A
+    later entry for the same position replaces an earlier one, and a zero
+    value is not stored.
     """
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of [row, col, text] entries")
@@ -76,8 +77,11 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
             raise ValueError(f"{field}[{i}]: entry {entry} lies outside the "
                              f"{dim} x {dim} matrix")
     rows: list[dict] = [{} for _ in range(dim)]
-    for r, c, text in entries:
-        value = parse_rational(text)
+    for i, (r, c, text) in enumerate(entries):
+        try:
+            value = parse_rational(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise type(exc)(f"{field}[{i}]: {exc}") from None
         if value.is_zero:
             rows[r].pop(c, None)
         else:

@@ -21,8 +21,10 @@ Negative powers of q are ordinary field elements: q^-1 is the fraction
 
 Text form follows a fixed grammar, e.g. ``(q^2 - 1)/(q + 1)``: terms in
 descending powers, ``^`` for exponents, both sides parenthesized whenever
-the denominator is not 1.  :func:`parse_rational` accepts the same
-grammar (plus negative exponents such as ``q^-2`` for convenience).
+the denominator is not 1.  :func:`parse_rational` reads one side, or two
+split at the one ``/``.  A side is a sum of terms ``[signs][c[*]][q[^[-]e]]``
+(a sign is needed before every term but the first), with whitespace between
+pieces and any number of matching parentheses around the whole side.
 """
 
 from __future__ import annotations
@@ -513,128 +515,56 @@ def q_number(m: int, base: RationalFunction) -> RationalFunction:
 #: side of a text fraction may span; the dense coefficient tuple grows with it
 _MAX_EXPONENT_SPAN = 10_000
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(q)|(\^)|(\*)|(\+)|(-)|(/)|(\()|(\)))")
+#: one term: a run of signs, an optional coefficient with an optional
+#: ``*``, then an optional ``q`` with an optional ``^``, ``-`` and digits
+_TERM = re.compile(
+    r"([-+\s]*)(?:(\d+)\s*\*?)?\s*(?:(q)\s*(?:(\^)\s*(-?)\s*(\d*))?)?\s*")
 
 
-def _tokenize(text: str):
-    tokens = []
+def _parse_laurent(side: str) -> RationalFunction:
+    """Parse a sum of terms c*q^e with integer (possibly negative) e,
+    inside any number of matching outer parentheses."""
+    text = side.strip()
+    while text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1].strip()
+    if not text:
+        raise ValueError(f"could not parse {side!r}: empty expression")
+    terms: dict[int, int] = {}
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"could not parse {text!r} at position {pos}")
+        m = _TERM.match(text, pos)
+        signs, coeff, q, caret, minus, digits = m.groups()
+        problem = ("no term" if coeff is None and q is None else
+                   "missing operator" if terms and not signs.strip() else
+                   "malformed exponent" if caret and not digits else None)
+        if problem:
+            raise ValueError(f"could not parse {side!r}: {problem} at "
+                             f"{text[pos:]!r}")
+        exp = int(minus + digits) if caret else 1 if q else 0
+        value = (-1) ** signs.count("-") * (int(coeff) if coeff else 1)
+        terms[exp] = terms.get(exp, 0) + value
         pos = m.end()
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        else:
-            for i, name in ((2, "q"), (3, "^"), (4, "*"), (5, "+"),
-                            (6, "-"), (7, "/"), (8, "("), (9, ")")):
-                if m.group(i):
-                    tokens.append((name, None))
-                    break
-    return tokens
-
-
-def _split_top_level_slash(tokens):
-    depth = 0
-    for i, (kind, _) in enumerate(tokens):
-        if kind == "(":
-            depth += 1
-        elif kind == ")":
-            depth -= 1
-        elif kind == "/" and depth == 0:
-            return tokens[:i], tokens[i + 1:]
-    return tokens, None
-
-
-def _strip_outer_parens(tokens):
-    while (len(tokens) >= 2 and tokens[0][0] == "(" and tokens[-1][0] == ")"):
-        depth = 0
-        closes_at_end = True
-        for i, (kind, _) in enumerate(tokens):
-            if kind == "(":
-                depth += 1
-            elif kind == ")":
-                depth -= 1
-                if depth == 0 and i != len(tokens) - 1:
-                    closes_at_end = False
-                    break
-        if not closes_at_end:
-            break
-        tokens = tokens[1:-1]
-    return tokens
-
-
-def _parse_laurent(tokens) -> RationalFunction:
-    """Parse a sum of terms c*q^e with integer (possibly negative) e."""
-    tokens = _strip_outer_parens(tokens)
-    if not tokens:
-        raise ValueError("empty expression")
-    terms: dict[int, int] = {}
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        saw_sign = False
-        while i < n and tokens[i][0] in ("+", "-"):
-            if tokens[i][0] == "-":
-                sign = -sign
-            saw_sign = True
-            i += 1
-        if i >= n:
-            raise ValueError("dangling sign in expression")
-        if not saw_sign and terms and i != 0:
-            raise ValueError("missing operator between terms")
-        coeff = None
-        if tokens[i][0] == "int":
-            coeff = tokens[i][1]
-            i += 1
-            if i < n and tokens[i][0] == "*":
-                i += 1
-        exp = 0
-        if i < n and tokens[i][0] == "q":
-            i += 1
-            exp = 1
-            if i < n and tokens[i][0] == "^":
-                i += 1
-                esign = 1
-                if i < n and tokens[i][0] == "-":
-                    esign = -1
-                    i += 1
-                if i >= n or tokens[i][0] != "int":
-                    raise ValueError("malformed exponent")
-                exp = esign * tokens[i][1]
-                i += 1
-        elif coeff is None:
-            raise ValueError(f"unexpected token {tokens[i][0]!r}")
-        if coeff is None:
-            coeff = 1
-        terms[exp] = terms.get(exp, 0) + sign * coeff
-    low = min(terms) if terms else 0
-    shift = -low if low < 0 else 0
-    if terms and max(max(terms), 0) + shift > _MAX_EXPONENT_SPAN:
-        raise ValueError(f"exponents span more than {_MAX_EXPONENT_SPAN} powers of q")
-    coeffs = [0] * (max(terms) + shift + 1 if terms else 1)
+    high, shift = max(terms), max(-min(terms), 0)
+    if max(high, 0) + shift > _MAX_EXPONENT_SPAN:
+        raise ValueError(f"the exponents of {side!r} span more than "
+                         f"{_MAX_EXPONENT_SPAN} powers of q")
+    coeffs = [0] * (high + shift + 1)
     for e, c in terms.items():
         coeffs[e + shift] = c
     return RationalFunction(Poly(coeffs), Poly.q_power(shift))
 
 
 def parse_rational(text: str) -> RationalFunction:
-    """Parse the fixed text grammar, e.g. ``(q^2 - 1)/(q + 1)``."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty expression")
-    left, right = _split_top_level_slash(tokens)
-    value = _parse_laurent(left)
-    if right is not None:
-        more, rest = _split_top_level_slash(right)
-        if rest is not None:
-            raise ValueError("more than one top-level '/'")
-        den = _parse_laurent(more)
+    """Parse the fixed text grammar, e.g. ``(q^2 - 1)/(q + 1)``: one side,
+    or two split at the one ``/``."""
+    sides = text.split("/")
+    if len(sides) > 2:
+        raise ValueError(f"could not parse {text!r}: more than one '/'")
+    value = _parse_laurent(sides[0])
+    if len(sides) == 2:
+        den = _parse_laurent(sides[1])
         if den.is_zero:
-            raise ZeroDivisionError("division by zero polynomial")
+            raise ZeroDivisionError(f"division by zero: the denominator "
+                                    f"{sides[1]!r} is 0")
         value = value / den
     return value

@@ -183,6 +183,16 @@ class TestVerifyMap:
         assert code == 2 and out == ""
         assert f"error: {field}" in err
 
+    def test_parse_error_names_the_entry(self, capsys, tmp_path):
+        doc = build_deforming_map(2).to_json()
+        doc["creators"][0]["entries"][0][2] = "2q q"
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: creators[0].entries[0]: could not parse "
+                       "'2q q': missing operator at 'q'\n")
+
     @pytest.mark.parametrize("doc, message", [
         ({"modes": 1, "creators": [{"n_modes": 1}],
           "annihilators": [{"n_modes": 1}]},
@@ -286,6 +296,16 @@ class TestRMatrixCommand:
                              "--input", str(path))
         assert code == 2 and out == ""
         assert "error: entries[1] is not [row, col, text]" in err
+
+    def test_parse_error_names_the_entry(self, capsys, tmp_path):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps({"n": 2, "entries": [[0, 0, "q"],
+                                                        [1, 2, "q^^2"]]}))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: entries[1]: could not parse 'q^^2': "
+                       "malformed exponent at 'q^^2'\n")
 
     @pytest.mark.parametrize("doc, message", [
         ({"n": 2}, 'braid matrix has no "entries"'),
@@ -433,6 +453,12 @@ class TestChainCommand:
                              "3", "--scales", "1,q,q^2")
         assert code == 2 and out == ""
         assert "expected 2 scale factors" in err
+
+    def test_parse_error_names_the_scale(self, capsys):
+        code, out, err = run(capsys, "chain-experiment", "--scales", "1,q)")
+        assert code == 2 and out == ""
+        assert err == ("error: --scales[1]: could not parse 'q)': "
+                       "no term at ')'\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--m", "-2", "--n", "-3", "--variant", "diagonal-mixed"],

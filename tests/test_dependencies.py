@@ -6,8 +6,10 @@ standard library, read from the source with :mod:`ast`.  No module reads
 the environment either: every bound is a constant in the source.  No
 module memoizes with ``functools.lru_cache``, ``functools.cache`` or
 ``functools.cached_property`` either: a memo would keep every value it
-was handed alive until the command ends.  And the package holds only code
-that a command runs: test-only oracles live in ``tests/oracles.py``.
+was handed alive until the command ends.  Every module but the
+re-exporting ``__init__.py`` reads each name it imports.  And the package
+holds only code that a command runs: test-only oracles live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -100,6 +102,41 @@ def test_memoizer_scan_sees_each_form(tmp_path):
     assert list(memoizer_uses(path)) == [
         "from functools import cached_property", "functools.lru_cache",
         "functools.cache"]
+
+
+def unused_imports(path: Path):
+    """The names a source file imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0]
+                         for alias in node.names]
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py"))
+                                        - {PACKAGE / "__init__.py"}),
+                         ids=lambda path: path.name)
+def test_package_imports_only_names_it_reads(path):
+    # __init__.py only re-exports, so its imports are never read there
+    assert unused_imports(path) == []
+
+
+def test_unused_import_scan_sees_each_form(tmp_path):
+    path = tmp_path / "imports.py"
+    path.write_text("from __future__ import annotations\n"
+                    "import os.path\n"
+                    "import re as regex\n"
+                    "from math import gcd as _int_gcd, lcm\n"
+                    "from .scalar import Q\n"
+                    "x = lcm(2, 3) + Q\n")
+    assert unused_imports(path) == ["os", "regex", "_int_gcd"]
 
 
 # ---------------------------------------------------------------------------

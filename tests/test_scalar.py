@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -174,3 +175,64 @@ class TestTextForm:
     def test_parse_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("(q)/(0)")
+
+
+#: accepted corners of the text grammar, with their values
+ACCEPTED = [
+    ("2*", RationalFunction(Poly((2,)))),
+    ("2q", RationalFunction(Poly((0, 2)))),
+    ("2 * q", RationalFunction(Poly((0, 2)))),
+    ("--q", Q),
+    ("+-+q", -Q),
+    ("- - 3", RationalFunction(Poly((3,)))),
+    ("q ^ - 2", q_power(-2)),
+    ("q^0", ONE),
+    ("q - q", ZERO),
+    ("\t( (q + 1) )\n", Q + ONE),
+    ("((q))/(((2)))", Q / 2),
+    (" ( q^2 - 1 ) / ( q + 1 ) ", Q - ONE),
+    ("q^-2 - 1", q_power(-2) - ONE),
+]
+
+#: rejected corners of the text grammar, with their exception classes
+REJECTED = [
+    ("(q)+(1)", ValueError),
+    ("((q)/(1))", ValueError),
+    ("(1/2)", ValueError),
+    ("q^+2", ValueError),
+    ("q^--2", ValueError),
+    ("q^", ValueError),
+    ("1//2", ValueError),
+    ("1/2/3", ValueError),
+    ("*q", ValueError),
+    ("2 3", ValueError),
+    ("q q", ValueError),
+    ("q +", ValueError),
+    ("()", ValueError),
+    ("1/", ValueError),
+    ("x", ValueError),
+    ("1/0", ZeroDivisionError),
+    ("0/(q - q)", ZeroDivisionError),
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("text, value", ACCEPTED,
+                             ids=[text for text, _ in ACCEPTED])
+    def test_accepted(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text, error", REJECTED,
+                             ids=[text for text, _ in REJECTED])
+    def test_rejected(self, text, error):
+        with pytest.raises(error) as info:
+            parse_rational(text)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("text, side", [
+        ("q^^2", "q^^2"), ("(q)/(2q q)", "(2q q)"),
+        ("(q^20000)/(1)", "(q^20000)"), ("q/(q - q)", "(q - q)")])
+    def test_message_quotes_the_failing_side(self, text, side):
+        with pytest.raises((ValueError, ZeroDivisionError),
+                           match=re.escape(repr(side))):
+            parse_rational(text)

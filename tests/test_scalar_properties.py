@@ -9,6 +9,9 @@ must agree with the general definition on every input.  The truth value
 of a ``RationalFunction`` is false exactly for zero, as for a Fraction.
 Random ``RationalFunction`` values also survive the text round trip and
 satisfy the field axioms, with equality meaning equal canonical forms.
+Text drawn term by term (sign runs, optional coefficients and ``*``,
+exponents, whitespace, redundant parentheses, an optional denominator)
+parses to the value summed from the same terms.
 """
 
 import pytest
@@ -19,7 +22,7 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qclifford.scalar import (ONE, ZERO, Poly, RationalFunction,  # noqa: E402
-                              parse_rational)
+                              parse_rational, q_power)
 
 SETTINGS = settings(max_examples=200, deadline=None)
 FIELD_SETTINGS = settings(max_examples=100, deadline=None)
@@ -196,6 +199,57 @@ class TestTextRoundTrip:
     @given(rationals)
     def test_negation_round_trips(self, x):
         assert parse_rational(str(-x)) == -x
+
+
+SPACES = st.text(st.sampled_from(" \t\n\u3000"), max_size=2)
+EXPONENTS = st.integers(min_value=-40, max_value=40)
+
+
+@st.composite
+def term_texts(draw, first: bool):
+    """One term as (text, value): a sign run (required after the first
+    term), an optional coefficient and ``*``, and an optional q^e."""
+    signs = draw(st.lists(st.sampled_from("+-"), min_size=0 if first else 1,
+                          max_size=3))
+    coeff = draw(st.none() | st.integers(min_value=0, max_value=99))
+    exp = draw(EXPONENTS if coeff is None else st.none() | EXPONENTS)
+    text = "".join(sign + draw(SPACES) for sign in signs)
+    if coeff is not None:
+        text += str(coeff) + draw(SPACES)
+        if exp is not None and draw(st.booleans()):
+            text += "*" + draw(SPACES)
+    if exp is not None:
+        text += "q"
+        if exp != 1 or draw(st.booleans()):
+            text += (draw(SPACES) + "^" + draw(SPACES)
+                     + ("-" + draw(SPACES) if exp < 0 else "") + str(abs(exp)))
+    value = (-1) ** signs.count("-") * (1 if coeff is None else coeff)
+    return text, value * q_power(exp or 0)
+
+
+@st.composite
+def side_texts(draw):
+    """A sum of one to four terms, with whitespace and redundant outer
+    parentheses, as (text, value)."""
+    count = draw(st.integers(min_value=1, max_value=4))
+    terms = [draw(term_texts(first=i == 0)) for i in range(count)]
+    text = "".join(draw(SPACES) + t for t, _ in terms) + draw(SPACES)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        text = draw(SPACES) + "(" + text + ")" + draw(SPACES)
+    return text, sum((v for _, v in terms), ZERO)
+
+
+class TestGrammar:
+    @SETTINGS
+    @given(side_texts(), st.none() | side_texts())
+    def test_parse_equals_the_terms_summed(self, num, den):
+        if den is None:
+            assert parse_rational(num[0]) == num[1]
+        elif den[1].is_zero:
+            with pytest.raises(ZeroDivisionError):
+                parse_rational(f"{num[0]}/{den[0]}")
+        else:
+            assert parse_rational(f"{num[0]}/{den[0]}") == num[1] / den[1]
 
 
 class TestFieldAxioms:
