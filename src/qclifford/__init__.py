@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .scalar import (ONE, PoleError, Poly, Q, RationalFunction, ZERO,
                      parse_rational, q_number, q_power)
-from .fock import (FockOperator, build_generators, identity, number_op,
-                   q_exponent)
+from .fock import build_generators, identity, number_op, q_exponent
 from .rmatrix import (RMatrix, build_permutation, build_rhat_sl, check_braid,
                       check_hecke, projector_sl, projector_sp)
 from .deform import (GeneratorSet, MapConstructionError, build_deforming_map,

@@ -6,17 +6,17 @@ families checked here, for copy indices alpha <= beta, are
 
     creators:      C[a,i] C[b,j] + q Rn[(hk),(ij)] C[b,h] C[a,k] = 0
     annihilators:  A[a,j] A[b,i] + q Rn[(ij),(hk)] A[b,k] A[a,h] = 0
-    mixed (diagonal-mixed variant):
-        A[a,i] C[b,j] + q^-1 Rn[(ih),(jk)] C[b,h] A[a,k]
-            = delta_ij delta_ab
-    mixed (RM-braided-mixed variant):
+    mixed:
         A[a,i] C[b,j] + RMinv[(ag),(bd)] Rn[(ih),(jk)] C[g,h] A[d,k]
             = delta_ij delta_ab
 
-with summation over repeated lower-pair indices.  For M = 1 the three
-families have the same zero set as the single-copy relation system, and
-at q = 1 with permutation matrices everything collapses to plain
-anticommutation relations on M*N modes.
+with summation over repeated lower-pair indices.  A mixed variant is its
+copy braid RM: q P_M for diagonal-mixed, whose inverse q^-1 P_M leaves
+the term q^-1 Rn[(ih),(jk)] C[b,h] A[a,k], and the sl(M) braid matrix
+for RM-braided-mixed.  For M = 1 the three families have the same zero
+set as the single-copy relation system, and at q = 1 with permutation
+matrices everything collapses to plain anticommutation relations on M*N
+modes.
 
 No realization of the chain generators is asserted correct here: the
 lexicographic experiment dresses the M*N modes as one big system and
@@ -40,7 +40,7 @@ from . import fock
 from .deform import GeneratorSet, build_deforming_map
 from .linalg import invert_dense
 from .report import RelationReport, summarize
-from .rmatrix import RMatrix, build_rhat_sl
+from .rmatrix import RMatrix, build_permutation, build_rhat_sl
 from .scalar import ONE, Q, RationalFunction
 
 VARIANTS = ("diagonal-mixed", "RM-braided-mixed")
@@ -60,14 +60,6 @@ def _copies(gens: GeneratorSet, n: int):
                for i, j in product(range(1, n + 1), repeat=2)]
     return (m, dict(zip(keys, gens.creators)),
             dict(zip(keys, gens.annihilators)), indices)
-
-
-def _copy_braid(variant: str, m: int) -> RMatrix | None:
-    """The copy braid matrix ``variant`` reads: the sl(M) braid matrix for
-    RM-braided-mixed, None for diagonal-mixed."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    return build_rhat_sl(m) if variant == "RM-braided-mixed" else None
 
 
 def ordering_residuals(gens: GeneratorSet, rhat_n: RMatrix,
@@ -103,34 +95,28 @@ def ordering_residuals(gens: GeneratorSet, rhat_n: RMatrix,
 def mixed_residuals(gens: GeneratorSet, rhat_n: RMatrix,
                     rhat_m: RMatrix | None = None,
                     q_scalar: RationalFunction = Q) -> list[RelationReport]:
-    """The chain-mixed reports: RM-braided-mixed when ``rhat_m`` is
-    given, diagonal-mixed when it is None."""
+    """The chain-mixed reports over the copy braid ``rhat_m``: the sl(M)
+    braid matrix for RM-braided-mixed, q P_M (the default) for
+    diagonal-mixed."""
     m, cre, ann, indices = _copies(gens, rhat_n.n)
+    if rhat_m is None:
+        rhat_m = build_permutation(m).scale(q_scalar)
+    if rhat_m.n != m:
+        raise ValueError(f"rhat_m block dimension {rhat_m.n} is not "
+                         f"the copy count {m}")
+    rm_inv = invert_dense(rhat_m)
     zero, minus_one = fock.zero(gens.modes), -fock.identity(gens.modes)
     mode_pairs = list(product(range(1, rhat_n.n + 1), repeat=2))
-    if rhat_m is None:
-        qinv_rn = rhat_n.scale(q_scalar ** -1)
-
-        def mixed_terms(alpha, beta, i, j):
-            return [(qinv_rn.block(i, h, j, k), cre[beta, h], ann[alpha, k])
-                    for h, k in mode_pairs]
-    else:
-        if rhat_m.n != m:
-            raise ValueError(f"rhat_m block dimension {rhat_m.n} is not "
-                             f"the copy count {m}")
-        rm_inv = invert_dense(rhat_m)
-
-        def mixed_terms(alpha, beta, i, j):
-            return [(rm_inv.block(alpha, gamma, beta, delta)
-                     * rhat_n.block(i, h, j, k), cre[gamma, h], ann[delta, k])
-                    for gamma, delta in product(range(1, m + 1), repeat=2)
-                    for h, k in mode_pairs]
     return [RelationReport(
         "chain-mixed", (alpha, beta, i, j),
         f"A[{alpha}{i}] C[{beta}{j}] + braided reorder "
         f"= delta_{i}{j} delta_{alpha}{beta}",
         minus_one if i == j and alpha == beta else zero,
-        [(ONE, ann[alpha, i], cre[beta, j])] + mixed_terms(alpha, beta, i, j))
+        [(ONE, ann[alpha, i], cre[beta, j])]
+        + [(rm_inv.block(alpha, gamma, beta, delta)
+            * rhat_n.block(i, h, j, k), cre[gamma, h], ann[delta, k])
+           for gamma, delta in product(range(1, m + 1), repeat=2)
+           for h, k in mode_pairs])
         for alpha, beta, i, j in indices]
 
 
@@ -173,7 +159,7 @@ def scale_copies(gens: GeneratorSet, scales) -> GeneratorSet:
 # ---------------------------------------------------------------------------
 
 def lexicographic_experiment(m: int, n: int, scales=None,
-                             variants=VARIANTS) -> dict:
+                             variants=VARIANTS) -> tuple[dict, list]:
     """Dress the M*N modes as one big system and test every chain family.
 
     The generators come from the single-system deforming map applied to
@@ -182,7 +168,8 @@ def lexicographic_experiment(m: int, n: int, scales=None,
     hold is an empirical finding of this run, and the report states each
     verdict explicitly.  Each relation is evaluated once: the map is
     built unchecked, and the creator and annihilator reports, which do
-    not depend on the variant, are shared by every variant.
+    not depend on the variant, are shared by every variant.  Returns the
+    experiment document and the reports of every variant, in order.
     """
     if m < 1:
         raise ValueError(f"the copy count m must be at least 1, not {m}")
@@ -194,35 +181,36 @@ def lexicographic_experiment(m: int, n: int, scales=None,
             f"experiment supports 1..{_MAX_EXPERIMENT_MODES} total modes")
     if scales is not None and len(scales) != m:
         raise ValueError(f"expected {m} scale factors")
-    rhat_ms = {variant: _copy_braid(variant, m) for variant in variants}
+    if not set(variants) <= set(VARIANTS):
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    # each variant's copy braid; None is mixed_residuals' default, q P_M
+    rhat_ms = {variant: build_rhat_sl(m) if variant == "RM-braided-mixed"
+               else None for variant in variants}
     gens = build_deforming_map(total)
     if scales is not None:
         gens = scale_copies(gens, scales)
     rhat_n = build_rhat_sl(n)
-    findings: dict = {
+    experiment: dict = {
         "m_copies": m,
         "n_modes": n,
         "scales": [str(s) for s in scales] if scales is not None else None,
         "realization": "deforming map on M*N modes, copy-major order",
         "variants": {},
     }
+    relations: list = []
     ordering = ordering_residuals(gens, rhat_n)
     for variant, rhat_m in rhat_ms.items():
         reports = ordering + mixed_residuals(gens, rhat_n, rhat_m)
         families: dict = {}
-        for rep in reports:
-            entry = families.setdefault(
-                rep.family, {"total": 0, "exact_zero": 0, "failing": []})
-            entry["total"] += 1
-            if rep.exact_zero:
-                entry["exact_zero"] += 1
-            else:
-                entry["failing"].append(list(rep.indices))
-        for entry in families.values():
-            entry["holds"] = entry["exact_zero"] == entry["total"]
-        findings["variants"][variant] = {
+        for family in dict.fromkeys(rep.family for rep in reports):
+            group = [rep for rep in reports if rep.family == family]
+            failing = [list(rep.indices) for rep in group if not rep.exact_zero]
+            families[family] = {"total": len(group),
+                                "exact_zero": len(group) - len(failing),
+                                "failing": failing, "holds": not failing}
+        experiment["variants"][variant] = {
             "families": families,
             "summary": summarize(reports),
-            "reports": reports,
         }
-    return findings
+        relations += reports
+    return experiment, relations

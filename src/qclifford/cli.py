@@ -30,7 +30,7 @@ from .linalg import MAX_DIM, dim_guard_error
 from .report import CONVENTIONS, RelationReport, summarize
 from .rmatrix import (RMatrix, build_rhat_sl, check_braid, check_hecke,
                       projector_sp)
-from .scalar import PoleError, parse_rational
+from .scalar import MAX_INT_DIGITS, PoleError, parse_rational
 
 
 def _document(args, command: str) -> dict:
@@ -126,8 +126,15 @@ def _spot_check(reports: list[RelationReport], gens: deform.GeneratorSet,
 
 
 def _load_json(path: str) -> dict:
+    """The JSON document in ``path``, its integers bounded in digits."""
+    def bounded_int(text: str) -> int:
+        if (digits := len(text.lstrip("-"))) > MAX_INT_DIGITS:
+            raise ValueError(f"{path}: a JSON integer of {digits} digits "
+                             f"exceeds {MAX_INT_DIGITS}")
+        return int(text)
+
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=bounded_int)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +263,8 @@ def cmd_chain_experiment(args) -> int:
                 scales.append(parse_rational(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise type(exc)(f"--scales[{i}]: {exc}") from None
-    findings = chain.lexicographic_experiment(args.m, args.n, scales=scales,
-                                              variants=variants)
-    experiment: dict = {k: findings[k] for k in
-                        ("m_copies", "n_modes", "scales", "realization")}
-    experiment["variants"] = {}
-    relations = []
-    for variant, data in findings["variants"].items():
-        experiment["variants"][variant] = {
-            "families": data["families"],
-            "summary": data["summary"],
-        }
-        relations += data["reports"]
-    doc["experiment"] = experiment
+    doc["experiment"], relations = chain.lexicographic_experiment(
+        args.m, args.n, scales=scales, variants=variants)
     return _finish(doc, args, relations, exit_code=0)  # findings, never a failure
 
 

@@ -53,8 +53,9 @@ from fractions import Fraction
 from itertools import product
 
 from . import fock
-from .fock import FockOperator, build_generators, ordered_monomials, q_exponent
-from .linalg import json_field, json_int, json_object, rank as exact_rank
+from .fock import build_generators, ordered_monomials, q_exponent, read_operator
+from .linalg import (SparseMatrix, json_field, json_int, json_object,
+                     rank as exact_rank)
 from .report import RelationReport
 from .rmatrix import RMatrix, build_rhat_sl, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
@@ -91,11 +92,13 @@ class GeneratorSet:
                             [op.subst(point) for op in self.annihilators])
 
     def to_json(self) -> dict:
-        return {
-            "modes": self.modes,
-            "creators": [op.to_json() for op in self.creators],
-            "annihilators": [op.to_json() for op in self.annihilators],
-        }
+        """The set as the document :meth:`from_json` reads."""
+        doc: dict = {"modes": self.modes}
+        for key, ops in (("creators", self.creators),
+                         ("annihilators", self.annihilators)):
+            doc[key] = [{"n_modes": self.modes, "dim": op.dim, "entries": [
+                [r, c, str(v)] for r, c, v in op.iter_entries()]} for op in ops]
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "GeneratorSet":
@@ -110,9 +113,9 @@ class GeneratorSet:
             raise ValueError(f"modes = {modes} does not match the "
                              f"{len(creators)} creators and "
                              f"{len(annihilators)} annihilators")
-        return cls([FockOperator.from_json(d, f"creators[{i}]")
+        return cls([read_operator(d, f"creators[{i}]")
                     for i, d in enumerate(creators)],
-                   [FockOperator.from_json(d, f"annihilators[{i}]")
+                   [read_operator(d, f"annihilators[{i}]")
                     for i, d in enumerate(annihilators)])
 
 
@@ -204,10 +207,10 @@ def build_deforming_map(n_modes: int) -> GeneratorSet:
     creators = []
     for i, (adag, _) in enumerate(build_generators(n_modes), start=1):
         dress = q_exponent(deformation_weights(n_modes, i)).rows
-        creators.append(FockOperator(n_modes, [
+        creators.append(SparseMatrix(adag.dim, [
             {c: v * dress[r][r] for c, v in row.items()}
             for r, row in enumerate(adag.rows)]))
-    return GeneratorSet(creators, [op.star() for op in creators])
+    return GeneratorSet(creators, [op.transpose() for op in creators])
 
 
 def map_relations(gens: GeneratorSet) -> list[RelationReport]:
@@ -261,7 +264,7 @@ def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
     n_modes = deformed.modes
     qq = Q * Q
     ident = fock.identity(n_modes)
-    occupations: list[FockOperator | None] = [None] * (n_modes + 1)
+    occupations: list[SparseMatrix | None] = [None] * (n_modes + 1)
     accumulated = ident  # q^(2 * sum of later occupations)
     for j in range(n_modes, 0, -1):
         occ = accumulated * (deformed.creators[j - 1] * deformed.annihilators[j - 1])
@@ -353,13 +356,14 @@ def check_rank_modes(n: int) -> None:
 def star_compatibility(gens: GeneratorSet, q_point=None) -> RelationReport:
     """Check star(A^i) = Adag_i for every mode.
 
-    The one report covers the N per-mode residuals star(A^i) - Adag_i:
-    its residual is the first nonzero one (or mode 1's), so it is exact
-    zero iff every mode is, and its worst entry is that mode's.  When
+    At real q star fixes the scalars: it is the plain transpose.  The one
+    report covers the N per-mode residuals star(A^i) - Adag_i: its
+    residual is the first nonzero one (or mode 1's), so it is exact zero
+    iff every mode is, and its worst entry is that mode's.  When
     ``q_point`` is given (a real q > 0), ``numeric_max_abs`` is the worst
     numeric deviation over all modes, not only the reported one.
     """
-    residuals = [gens.annihilators[i].star() - gens.creators[i]
+    residuals = [gens.annihilators[i].transpose() - gens.creators[i]
                  for i in range(gens.modes)]
     report = RelationReport(
         "star", tuple(range(1, gens.modes + 1)),

@@ -46,7 +46,7 @@ from itertools import product
 
 from . import fock
 from .deform import GeneratorSet
-from .fock import FockOperator, build_generators
+from .fock import build_generators
 from .linalg import SparseMatrix
 from .report import RelationReport
 from .scalar import ONE, Q, RationalFunction, ZERO, q_number
@@ -77,7 +77,7 @@ class HopfAlgebraData:
     """Generator table for U_q sl(2) together with its Fock realization."""
 
     q_scalar: RationalFunction
-    sigma: dict          # name -> FockOperator image
+    sigma: dict          # name -> image on the two-mode Fock space
     rho: dict            # name -> 2x2 SparseMatrix over Q(q)
     # the frozen Hopf structure: class attributes, not fields
     coproduct = COPRODUCT
@@ -89,7 +89,7 @@ class HopfAlgebraData:
     _sandwiches: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
-    def sigma_word(self, word) -> FockOperator:
+    def sigma_word(self, word) -> SparseMatrix:
         word = tuple(word)
         op = self._sigma_words.get(word)
         if op is None:
@@ -138,13 +138,13 @@ class HopfAlgebraData:
         return pairs
 
 
-def _weight_diagonal(q_scalar: RationalFunction, exponent_sign: int) -> FockOperator:
+def _weight_diagonal(q_scalar: RationalFunction, exponent_sign: int) -> SparseMatrix:
     """Diagonal q^(sign * (n_1 - n_2)) on the two-mode space."""
     rows = []
     for state in range(4):
         m = ((state >> 1) & 1) - (state & 1)
         rows.append({state: q_scalar ** (exponent_sign * m)})
-    return FockOperator(2, rows)
+    return SparseMatrix(4, rows)
 
 
 def deformed_js(q_scalar: RationalFunction = Q) -> HopfAlgebraData:
@@ -202,7 +202,7 @@ def _self_check(data: HopfAlgebraData) -> None:
 # actions
 # ---------------------------------------------------------------------------
 
-def act(x, a: FockOperator, data: HopfAlgebraData) -> FockOperator:
+def act(x, a: SparseMatrix, data: HopfAlgebraData) -> SparseMatrix:
     """Adjoint action of a generator monomial: sandwich through the
     coproduct with the antipode on the right leg.
 
@@ -210,18 +210,18 @@ def act(x, a: FockOperator, data: HopfAlgebraData) -> FockOperator:
     independent of the relation kernel the checkers run on.
     """
     word = (x,) if isinstance(x, str) else tuple(x)
-    total = fock.zero(a.n_modes)
+    total = SparseMatrix(a.dim)
     for sign, left, s_word in data.sandwich(word):
         total = total + _right(data, _left(data, left, a), s_word).scale(sign)
     return total
 
 
-def _left(data: HopfAlgebraData, word: tuple, a: FockOperator) -> FockOperator:
+def _left(data: HopfAlgebraData, word: tuple, a: SparseMatrix) -> SparseMatrix:
     """sigma(word) . a, with no product for the empty word."""
     return data.sigma_word(word) * a if word else a
 
 
-def _right(data: HopfAlgebraData, b: FockOperator, word: tuple) -> FockOperator:
+def _right(data: HopfAlgebraData, b: SparseMatrix, word: tuple) -> SparseMatrix:
     """b . sigma(word), with no product for the empty word."""
     return b * data.sigma_word(word) if word else b
 
@@ -244,12 +244,12 @@ class _Actions:
             value = self._memo[key] = build()
         return value
 
-    def act(self, word: tuple, label: str, a: FockOperator) -> FockOperator:
+    def act(self, word: tuple, label: str, a: SparseMatrix) -> SparseMatrix:
         """x |> a for a word x."""
         return self._once(("act", word, label), lambda: act(word, a, self.data))
 
-    def terms(self, word: tuple, la: str, a: FockOperator, lb: str | None = None,
-              b: FockOperator | None = None) -> list:
+    def terms(self, word: tuple, la: str, a: SparseMatrix, lb: str | None = None,
+              b: SparseMatrix | None = None) -> list:
         """Terms (sign, sigma(x_(1)) . a, b . sigma(S x_(2))) of x |> (ab),
         or of x |> a when b is None."""
         data = self.data
@@ -367,7 +367,7 @@ def check_covariance(gens: GeneratorSet,
 
 @dataclass
 class InvariantElement:
-    expression: FockOperator
+    expression: SparseMatrix
     label: str
 
 
@@ -387,8 +387,8 @@ def invariance_check(element: InvariantElement, data: HopfAlgebraData,
     commutator action (for which eps vanishes on the generators).
     """
     expr = element.expression
-    ident = fock.identity(expr.n_modes)
-    zero = fock.zero(expr.n_modes)
+    ident = expr.identity_like()
+    zero = SparseMatrix(expr.dim)
     reports = []
     if mode == "deformed":
         actions = _Actions(data)
@@ -428,5 +428,5 @@ def verify_I1_identity(gens: GeneratorSet) -> RelationReport:
     return RelationReport(
         "invariant-identity", ("I1_q",),
         "sum_i Adag_i A^i = (q^-2m - 1)/(q^-2 - 1) on each "
-        "occupation-m eigenspace", FockOperator(gens.modes, rows),
+        "occupation-m eigenspace", SparseMatrix(1 << gens.modes, rows),
         [(ONE, c, a) for c, a in zip(gens.creators, gens.annihilators)])

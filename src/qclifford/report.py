@@ -5,8 +5,9 @@ A check never returns a bare boolean: it returns a
 inspected and a report can be serialized.  ``exact_zero`` is decided
 exactly over Q(q), never by a float comparison.  The
 :class:`RelationReport` constructor is the one relation evaluator: every
-checker writes its residual as start + sum coeff X Y and hands the term
-table to it, and a report is built no other way.
+checker writes its residual as start + sum coeff X Y, over plain
+SparseMatrix operands (every Fock-space operator is one) or RMatrix ones,
+and hands the term table to it, and a report is built no other way.
 """
 
 from __future__ import annotations
@@ -45,19 +46,18 @@ CONVENTIONS = {
 class RelationReport:
     """The report on the residual start + sum coeff X Y over (coeff, X, Y).
 
-    ``start`` is a matrix of the residual's class (a FockOperator, an
-    RMatrix or a plain SparseMatrix: the zero operator, or minus the
-    identity for a relation with a delta term); zero coefficients
-    contribute nothing.  The residual's rows are decided in order by
-    :func:`linalg.product_sum_rows`, and the constructor takes only the
-    first nonzero one: ``exact_zero`` holds iff there is none, which is
-    iff the relation holds over Q(q).  A passing report keeps no row.  A
-    failing one stops at its first surviving row and keeps it with the
-    suspended row generator; only the row's first entry, the worst entry,
-    is reduced.  ``residual``, the canonical residual, finishes the
-    generator when it is first read and is cached.  ``numeric_max_abs``
-    is set by the caller only when a numeric spot check at some q was
-    requested.
+    ``start`` is a matrix of the residual's class (an RMatrix or a plain
+    SparseMatrix: the zero operator, or minus the identity for a relation
+    with a delta term); zero coefficients contribute nothing.  The
+    residual's rows are decided in order by :func:`linalg.product_sum_rows`,
+    and the constructor takes only the first nonzero one: ``exact_zero``
+    holds iff there is none, which is iff the relation holds over Q(q).  A
+    passing report keeps no row.  A failing one stops at its first surviving
+    row and keeps it with the suspended row generator; only the row's first
+    entry, the worst entry, is reduced.  ``residual``, the canonical
+    residual, finishes the generator when it is first read and is cached.
+    ``numeric_max_abs`` is set by the caller only when a numeric spot check
+    at some q was requested.
     """
 
     __slots__ = ("family", "indices", "relation", "numeric_max_abs",

@@ -515,6 +515,9 @@ def q_number(m: int, base: RationalFunction) -> RationalFunction:
 #: side of a text fraction may span; the dense coefficient tuple grows with it
 _MAX_EXPONENT_SPAN = 10_000
 
+#: most digits of an integer read from text (Python's default int() limit)
+MAX_INT_DIGITS = 4300
+
 #: one term: a run of signs, an optional coefficient with an optional
 #: ``*``, then an optional ``q`` with an optional ``^``, ``-`` and digits
 _TERM = re.compile(
@@ -530,6 +533,9 @@ def _parse_laurent(side: str) -> RationalFunction:
     if not text:
         raise ValueError(f"could not parse {side!r}: empty expression")
     terms: dict[int, int] = {}
+    # int() reads a digit run only without its leading zeros and when it is
+    # short; an exponent of more digits than the span has lies past it
+    width = len(str(_MAX_EXPONENT_SPAN))
     pos = 0
     while pos < len(text):
         m = _TERM.match(text, pos)
@@ -540,8 +546,16 @@ def _parse_laurent(side: str) -> RationalFunction:
         if problem:
             raise ValueError(f"could not parse {side!r}: {problem} at "
                              f"{text[pos:]!r}")
-        exp = int(minus + digits) if caret else 1 if q else 0
-        value = (-1) ** signs.count("-") * (int(coeff) if coeff else 1)
+        exp = 1 if q else 0
+        if caret:
+            run = digits.lstrip("0") or "0"
+            exp = ((int(run) if len(run) <= width else _MAX_EXPONENT_SPAN + 1)
+                   * (-1 if minus else 1))
+        run = (coeff.lstrip("0") or "0") if coeff else "1"
+        if len(run) > MAX_INT_DIGITS:
+            raise ValueError(f"could not parse {side!r}: a coefficient of "
+                             f"{len(run)} digits exceeds {MAX_INT_DIGITS}")
+        value = (-1) ** signs.count("-") * (int(run) if coeff else 1)
         terms[exp] = terms.get(exp, 0) + value
         pos = m.end()
     high, shift = max(terms), max(-min(terms), 0)

@@ -1,4 +1,5 @@
-"""A time limit for every test.
+"""A time limit for every test, and a fixture that forbids int() in the
+scalar module.
 
 ``pytest-timeout`` is not a dependency, so each test runs under
 :func:`faulthandler.dump_traceback_later`: a test still running after
@@ -12,6 +13,8 @@ import faulthandler
 import os
 
 import pytest
+
+from qclifford import scalar
 
 TIME_LIMIT_S = 60
 
@@ -35,3 +38,12 @@ def time_limit(request):
                                       file=request.config.stash[STDERR_FD])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.fixture
+def int_never_called(monkeypatch):
+    """Make any int() call inside the scalar module fail the test, so a
+    test can show that a digit run was refused before int() read it."""
+    def refuse(*args):
+        raise AssertionError(f"int{args} was called")
+    monkeypatch.setattr(scalar, "int", refuse, raising=False)

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from qclifford.chain import VARIANTS, chain_residuals
 from qclifford.deform import (GeneratorSet, build_deforming_map,
                               undeformed_set)
-from qclifford.fock import FockOperator, identity, zero
+from qclifford.fock import identity, zero
 from qclifford.hopf import (ANTIPODE, COPRODUCT, HopfAlgebraData,
                             InvariantElement, deformed_js, invariant_number)
-from qclifford.linalg import invert_dense
+from qclifford.linalg import SparseMatrix, invert_dense
 from qclifford.report import RelationReport
 from qclifford.rmatrix import build_permutation
 from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
@@ -37,7 +37,7 @@ from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
 # normal ordering
 # ---------------------------------------------------------------------------
 
-def word_to_operator(word, gens) -> FockOperator:
+def word_to_operator(word, gens) -> SparseMatrix:
     """Plain matrix product of the generators named by ``word``."""
     n_modes = len(gens)
     op = identity(n_modes)
@@ -70,7 +70,7 @@ class NormalPolynomial:
                 raise ValueError(f"malformed ordered monomial {(cre, ann)}")
         self.terms = {k: v for k, v in self.terms.items() if not v.is_zero}
 
-    def to_operator(self, gens) -> FockOperator:
+    def to_operator(self, gens) -> SparseMatrix:
         op = zero(self.n_modes)
         for (cre, ann), coeff in self.terms.items():
             word = [*cre, *(-i for i in ann)]
@@ -166,7 +166,8 @@ def gamma_ratio(m: int) -> RationalFunction:
     return num / den
 
 
-def conjugate_realization(gens: GeneratorSet, alpha: FockOperator) -> GeneratorSet:
+def conjugate_realization(gens: GeneratorSet,
+                          alpha: SparseMatrix) -> GeneratorSet:
     """New realization alpha . X . alpha^-1 for an invertible alpha."""
     try:
         alpha_inv = invert_dense(alpha)
@@ -216,7 +217,7 @@ def classical_chain_check(m: int, n: int,
 # classical action and invariant builders
 # ---------------------------------------------------------------------------
 
-def classical_act(name: str, a: FockOperator, js: dict) -> FockOperator:
+def classical_act(name: str, a: SparseMatrix, js: dict) -> SparseMatrix:
     """Commutator action of a classical generator."""
     g = js[name]
     return g * a - a * g

@@ -192,7 +192,7 @@ def test_criterion_13_chain_degenerations():
             assert chain_rep.residual == single_rep.residual
         for variant in VARIANTS:
             assert all(r.exact_zero for r in classical_chain_check(2, 2, variant))
-        findings = lexicographic_experiment(2, 2)
+        findings, _ = lexicographic_experiment(2, 2)
         for variant in VARIANTS:
             families = findings["variants"][variant]["families"]
             assert set(families) == {"chain-creator", "chain-annihilator",

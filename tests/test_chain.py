@@ -33,7 +33,7 @@ class TestSpecValidation:
         diag = mixed_residuals(gens, rn)
         braided = mixed_residuals(gens, rn, rm)
         assert [r.exact_zero for r in diag] != [r.exact_zero for r in braided]
-        findings = lexicographic_experiment(2, 2)
+        findings, _ = lexicographic_experiment(2, 2)
         for variant, reports in (("diagonal-mixed", diag),
                                  ("RM-braided-mixed", braided)):
             failing = findings["variants"][variant]["families"][
@@ -115,12 +115,12 @@ class TestDegenerations:
 
 @pytest.fixture(scope="module")
 def findings():
-    return lexicographic_experiment(2, 2)
+    return lexicographic_experiment(2, 2)[0]
 
 
 class TestLexicographicExperiment:
     def test_single_copy_realization_holds(self):
-        findings = lexicographic_experiment(1, 2)
+        findings, _ = lexicographic_experiment(1, 2)
         for variant_data in findings["variants"].values():
             assert all(entry["holds"]
                        for entry in variant_data["families"].values())
@@ -161,7 +161,7 @@ class TestLexicographicExperiment:
         assert all(r.exact_zero for r in intra)
 
     def test_scale_factors_leave_verdicts_unchanged(self, findings):
-        scaled = lexicographic_experiment(2, 2, scales=[ONE, Q])
+        scaled, _ = lexicographic_experiment(2, 2, scales=[ONE, Q])
         for variant in VARIANTS:
             for family, entry in findings["variants"][variant]["families"].items():
                 scaled_entry = scaled["variants"][variant]["families"][family]
@@ -241,9 +241,8 @@ class TestLexicographicExperiment:
         monkeypatch.setattr(RationalFunction, "__init__", counted)
         scales = [parse_rational("(2*q^2 + q + 3)/(q + 2)"),
                   parse_rational("(q^2 + 3)/(3*q + 1)")]
-        findings = lexicographic_experiment(2, 2, scales=scales)
-        reports = {id(rep): rep for data in findings["variants"].values()
-                   for rep in data["reports"]}.values()
+        _, relations = lexicographic_experiment(2, 2, scales=scales)
+        reports = {id(rep): rep for rep in relations}.values()
         for rep in reports:
             rep.to_json()
         failing = [rep for rep in reports if not rep.exact_zero]
@@ -264,9 +263,8 @@ class TestLexicographicExperiment:
         monkeypatch.setattr(RelationReport, "__init__", recorded)
         scales = [parse_rational("(q^2 + 3)/(3*q + 1)"),
                   parse_rational("(2*q^2 + q + 3)/(q + 2)")]
-        findings = lexicographic_experiment(2, 3, scales=scales)
-        reports = {id(rep): rep for data in findings["variants"].values()
-                   for rep in data["reports"]}.values()
+        _, relations = lexicographic_experiment(2, 3, scales=scales)
+        reports = {id(rep): rep for rep in relations}.values()
         for rep in reports:
             rep.to_json()
         failing = [rep for rep in reports if not rep.exact_zero]
@@ -287,3 +285,39 @@ class TestLexicographicExperiment:
     def test_experiment_guard(self):
         with pytest.raises(ValueError):
             lexicographic_experiment(4, 2)
+
+
+def _plant_entry(gens: GeneratorSet) -> GeneratorSet:
+    """gens with the diagonal entry 2 added at (0, 0) of the first creator."""
+    first = gens.creators[0]
+    rows = [dict(row) for row in first.rows]
+    rows[0][0] = ONE + ONE
+    return GeneratorSet((linalg.SparseMatrix(first.dim, rows),)
+                        + gens.creators[1:], gens.annihilators)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["map", "planted"])
+@pytest.mark.parametrize("q_scalar", [Q, ONE], ids=["Q", "ONE"])
+@pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1),
+                                  (3, 2)])
+def test_diagonal_mixed_is_the_braided_formula_over_q_permutation(
+        m, n, q_scalar, planted):
+    # (q P_M)^-1 = q^-1 P_M, so the diagonal-mixed copy term is the
+    # braided one over the copy braid q P_M, failing reports included
+    scales = [parse_rational(text) for text in
+              ("(q + 2)/(3*q + 1)", "2*q^2 + 1", "(q^2 + 3)/(q)")[:m]]
+    gens = scale_copies(build_deforming_map(m * n), scales)
+    if planted:
+        gens = _plant_entry(gens)
+    rn = build_rhat_sl(n)
+    diagonal = mixed_residuals(gens, rn, q_scalar=q_scalar)
+    braided = mixed_residuals(gens, rn, build_permutation(m).scale(q_scalar),
+                              q_scalar=q_scalar)
+    assert len(diagonal) == len(braided) == m * (m + 1) // 2 * n * n
+    for a, b in zip(diagonal, braided):
+        assert a.indices == b.indices
+        assert a.exact_zero == b.exact_zero
+        assert a.worst_entry() == b.worst_entry()
+        assert a.residual == b.residual
+    if planted:
+        assert any(not rep.exact_zero for rep in diagonal)

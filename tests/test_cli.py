@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qclifford import chain, cli, deform, fock
+from qclifford import chain, cli, deform, fock, scalar
 from qclifford.cli import main
 from qclifford.deform import (MapConstructionError, build_deforming_map,
                               undeformed_set)
@@ -324,6 +324,17 @@ class TestRMatrixCommand:
                              "--input", str(path))
         assert code == 2 and out == ""
         assert f"error: {message}\n" == err
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_long_json_integer_names_the_file(self, capsys, tmp_path,
+                                              int_never_called, digits):
+        path = tmp_path / "rhat.json"
+        path.write_text('{"n": ' + "7" * digits + ', "entries": []}')
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: a JSON integer of {digits} digits "
+                       f"exceeds {scalar.MAX_INT_DIGITS}\n")
 
     def test_braid_dimension_not_n_squared_exits_two(self, capsys, tmp_path):
         path = tmp_path / "rhat.json"

@@ -168,13 +168,8 @@ KEPT = {
         "reserved for the Poincare rank certificate (ROADMAP item 2)",
     "deform.GeneratorSet.all_generators":
         "read by build_inverse_map",
-    "rmatrix.build_permutation":
-        "reserved for the classical control of the PBW engine (ROADMAP "
-        "item 1)",
     "deform.GeneratorSet.to_json":
         "writes the --input files that verify-map reads",
-    "fock.FockOperator.to_json":
-        "writes the operators of a --input generator set",
     "linalg.SparseMatrix.first_nonzero":
         "read by the tests as the residual's first entry",
     "linalg.SparseMatrix.nnz":
@@ -264,3 +259,28 @@ def test_package_holds_only_command_code():
     assert sorted(set(KEPT) & entered) == []
     unreached = sorted(defined - entered - set(KEPT))
     assert unreached == [], f"no command enters {unreached}"
+
+
+def sparse_matrix_subclasses():
+    """The names of the package's classes that derive from SparseMatrix,
+    directly or through another class of the package."""
+    bases = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bases.update({node.name: {ast.unparse(base).rsplit(".", 1)[-1]
+                                  for base in node.bases}
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ClassDef)})
+    found: set = set()
+    while True:
+        derived = {name for name, names in bases.items()
+                   if names & (found | {"SparseMatrix"})}
+        if derived == found:
+            return sorted(found)
+        found = derived
+
+
+def test_rmatrix_is_the_one_sparse_matrix_subclass():
+    # a Fock-space operator is a plain SparseMatrix of dimension 2^N; only
+    # RMatrix adds something, the pair indexing that block() reads
+    assert sparse_matrix_subclasses() == ["RMatrix"]

@@ -24,11 +24,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from qclifford import fock  # noqa: E402
 from qclifford.deform import (GeneratorSet, build_deforming_map,  # noqa: E402
                               undeformed_set)
-from qclifford.fock import FockOperator  # noqa: E402
 from qclifford.hopf import (GENERATOR_NAMES, InvariantElement,  # noqa: E402
                             act, check_covariance, check_module_algebra,
                             classical_js, deformed_js, invariance_check,
                             invariant_number, verify_I1_identity)
+from qclifford.linalg import SparseMatrix  # noqa: E402
 from qclifford.rmatrix import (RMatrix, _braid_factor, build_rhat_sl,  # noqa: E402
                                check_braid, check_hecke, projector_sp)
 from qclifford.scalar import (ONE, Q, RationalFunction,  # noqa: E402
@@ -164,7 +164,7 @@ def reference_I1(gens):
     lhs = fock.zero(gens.modes)
     for c, a in zip(gens.creators, gens.annihilators):
         lhs = lhs + c * a
-    rhs = FockOperator(gens.modes, [
+    rhs = SparseMatrix(1 << gens.modes, [
         {s: q_number(bin(s).count("1"), Q ** -2)} if bin(s).count("1") else {}
         for s in range(1 << gens.modes)])
     res = lhs - rhs
@@ -205,7 +205,7 @@ def planted(gens: GeneratorSet, index: int, r: int, c: int,
     ops = list(gens.all_generators())
     rows = [dict(row) for row in ops[index].rows]
     rows[r][c] = value
-    ops[index] = FockOperator(gens.modes, rows)
+    ops[index] = SparseMatrix(1 << gens.modes, rows)
     n = gens.modes
     return GeneratorSet(ops[:n], ops[n:])
 
@@ -271,7 +271,7 @@ def test_covariance_matches_matrix_ops(which, gens):
 @SETTINGS
 @given(data_choices, st.one_of(
     generator_sets().map(lambda g: invariant_number(g, "I1")),
-    sparse_rows(4).map(lambda rows: InvariantElement(FockOperator(2, rows),
+    sparse_rows(4).map(lambda rows: InvariantElement(SparseMatrix(4, rows),
                                                      "random"))))
 def test_invariance_matches_matrix_ops(which, element):
     data = DATA[which]

@@ -6,7 +6,7 @@ import pytest
 from qclifford.linalg import (SparseMatrix, invert_dense, product_sum,
                               product_sum_rows, rank, rank_numeric)
 from qclifford.report import CONVENTIONS, RelationReport, summarize
-from qclifford.fock import FockOperator, identity
+from qclifford.fock import identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
 from qclifford.scalar import ONE, Poly, Q, RationalFunction, ZERO, q_power
 
@@ -24,8 +24,8 @@ class TestSparseMatrix:
         assert ident * ident == ident
 
     def test_identity_like_keeps_class_and_shape(self):
-        ident = FockOperator(4).identity_like()
-        assert type(ident) is FockOperator and ident.n_modes == 4
+        ident = SparseMatrix(16).identity_like()
+        assert type(ident) is SparseMatrix
         assert len(ident.rows) == ident.dim == 16 and ident.get(10, 10) == ONE
         assert ident == identity(4)
         rhat = build_rhat_sl(2)

@@ -22,7 +22,7 @@ from fractions import Fraction  # noqa: E402
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from qclifford.fock import FockOperator, identity, zero  # noqa: E402
+from qclifford.fock import identity, zero  # noqa: E402
 from qclifford.linalg import (SparseMatrix, invert_dense,  # noqa: E402
                               product_sum, rank, rank_numeric)
 from qclifford.report import RelationReport  # noqa: E402
@@ -191,7 +191,7 @@ def operators(draw, n_modes):
     rows = [{} for _ in range(dim)]
     for r, c, v in cells:
         rows[r][c] = v
-    return FockOperator(n_modes, rows)
+    return SparseMatrix(dim, rows)
 
 
 @st.composite
@@ -223,7 +223,7 @@ def assert_same_residual(got, expected):
 
 
 def _one_entry(value):
-    return FockOperator(2, [{0: value}, {}, {}, {}])
+    return SparseMatrix(4, [{0: value}, {}, {}, {}])
 
 
 #: two monomial denominators with coprime coefficients meet in entry (0, 0)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qclifford import scalar
 from qclifford.scalar import (ONE, PoleError, Poly, Q, RationalFunction, ZERO,
                               parse_rational, q_number, q_power)
 
@@ -175,6 +176,38 @@ class TestTextForm:
     def test_parse_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("(q)/(0)")
+
+
+class TestDigitRuns:
+    """A digit run is measured before int() converts it, so a long run
+    never reaches Python's own limit on int() from text."""
+
+    def test_long_coefficient_refused_unconverted(self, int_never_called):
+        text = "1" * 5000 + "*q + 1"
+        with pytest.raises(ValueError, match=re.escape(
+                f"could not parse {text!r}: a coefficient of 5000 digits "
+                f"exceeds {scalar.MAX_INT_DIGITS}")):
+            parse_rational(text)
+
+    def test_long_exponent_refused_unconverted(self, int_never_called):
+        for text in ("q^" + "1" * 5000, "q^-" + "9" * 5000 + " + q"):
+            with pytest.raises(ValueError, match="span more than 10000"):
+                parse_rational(text)
+
+    def test_zero_padded_exponent(self):
+        assert rf("q^" + "0" * 5000 + "2") == q_power(2)
+        assert rf("q^-" + "0" * 5000 + "2") == q_power(-2)
+        assert rf("q^" + "0" * 5000) == ONE
+
+    def test_zero_padded_coefficient(self):
+        assert rf("0" * 5000 + "7*q") == 7 * Q
+        assert rf("0" * 5000 + " + q") == Q
+
+    def test_coefficient_bound_is_inclusive(self):
+        run = "9" * scalar.MAX_INT_DIGITS
+        assert rf(run).num.coeffs == (int(run),)
+        with pytest.raises(ValueError, match="a coefficient of 4301 digits"):
+            rf("9" + run)
 
 
 #: accepted corners of the text grammar, with their values
