@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over Q(q).
 
 Provides the shared :class:`SparseMatrix` container (dict-of-columns per
-row, zero entries never stored), the fused sum-of-products kernel, and
-one sparse forward elimination over a field behind the exact rank over
-Q(q), the rank over :class:`fractions.Fraction` entries and the inverse.
+row, zero entries never stored), the fraction-free sum-of-products
+kernel, which reads each matrix in its cleared form (rows over Z[q] over
+one common denominator, derived once per matrix), and one sparse forward
+elimination over a field behind the exact rank over Q(q), the rank over
+:class:`fractions.Fraction` entries and the inverse.
 Rows whose leading (lowest) columns are pairwise distinct are linearly
 independent over any field, and the elimination keeps such rows without
 arithmetic, so on them the rank is a count.
@@ -12,8 +14,10 @@ arithmetic, so on them the rank is a count.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _int_gcd, lcm as _int_lcm
 
-from .scalar import ONE, RationalFunction, ZERO, _coerce, parse_rational
+from .scalar import (ONE, Poly, RationalFunction, ZERO, _coerce, _poly,
+                     parse_rational)
 
 
 #: largest matrix dimension that is built or read (Fock dimension 2^12)
@@ -97,13 +101,14 @@ class SparseMatrix:
     matrices and never mutate their inputs.
     """
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "rows", "_cleared")
 
     def __init__(self, dim: int, rows=None):
         self.dim = dim
         if rows is None:
             rows = tuple({} for _ in range(dim))
         self.rows = tuple(rows)
+        self._cleared = None
 
     def _clone(self, rows):
         return SparseMatrix(self.dim, rows)
@@ -128,6 +133,22 @@ class SparseMatrix:
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
+
+    def cleared(self) -> tuple:
+        """The matrix as (d, rows) with X = rows / d: d, the lcm of the
+        entry denominators in the split form of :func:`_split` (None for a
+        matrix with no entries), and rows over Z[q], each mapping a column
+        to a field element with denominator 1.
+
+        Derived on the first call and kept on the matrix, so it lives as
+        long as the matrix does.  A matrix with no entries or with every
+        denominator 1 is its own cleared form: its rows are returned as
+        they are, with no arithmetic.
+        """
+        if self._cleared is None:
+            self._cleared = _clear(self.rows)
+        den, rows = self._cleared
+        return den, self.rows if rows is None else rows
 
     # -- arithmetic -----------------------------------------------------------
     def _check_dim(self, other):
@@ -224,65 +245,193 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fused sum of products
+# cleared form and the fraction-free sum of products
 # ---------------------------------------------------------------------------
 
-def product_sum_rows(start: SparseMatrix, terms):
-    """Yield (r, row) for each nonzero row of start + sum coeff * X * Y
-    over (coeff, X, Y), unreduced and in ascending row order.
+#: the denominator 1 in split form (see :func:`_split`)
+_UNIT = (0, 1, None)
 
-    The term table (coeff.num, coeff.den, X.rows, Y.rows) is built once,
-    with zero coefficients dropped; then each row is finished over every
-    term before it is yielded, and no row after it is read until the next
-    one is requested.  No intermediate matrix is built: each output entry
-    is an unreduced (num, den) pair of polynomials to which every product
-    coeff * X[r, k] * Y[k, c] is added in term order: over an equal
-    denominator the numerators add, and any other pair is
-    cross-multiplied.  An entry X[r, k] whose Y row k is empty
-    contributes nothing and is skipped before coeff * X[r, k] is formed;
-    on the deforming map about 45 % of the X entries meet an empty row,
-    since each generator's nonzero rows are half of the basis.  An entry
-    whose numerator cancels to zero is the exact zero and is dropped at
-    once, without a gcd; every kept pair has a nonzero numerator over a
-    nonzero denominator, so the sum is zero iff no row is yielded.
+#: the zero of Z[q], to which each entry's first product is added, and
+#: the one, the denominator of every entry of a cleared form
+_ZERO, _ONE = Poly(), Poly((1,))
+
+
+def _split(cs: tuple) -> tuple:
+    """The canonical denominator with coefficient tuple cs as (k, c, p),
+    with den = q^k * c * p.
+
+    c > 0 is the integer content, and p is None for 1, or else primitive
+    with a nonzero constant term and a positive leading coefficient.
+    Products of such parts are again such parts, so the lcm of two split
+    denominators is taken part by part, and only the p parts can need a
+    gcd.
+    """
+    if cs == (1,):
+        return _UNIT
+    k = 0
+    while not cs[k]:
+        k += 1
+    if k == len(cs) - 1:
+        return k, cs[k], None
+    rest = cs[k:]
+    c = _int_gcd(*rest)
+    return k, c, _poly(rest if c == 1 else tuple([x // c for x in rest]))
+
+
+def _times(a: Poly | None, b: Poly | None) -> Poly | None:
+    """The product of two p parts of :func:`_split`, None standing for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+def _lcm_poly(a: Poly | None, b: Poly) -> Poly:
+    """The lcm of two p parts of :func:`_split`, a None for 1; a gcd is
+    taken only when both are nontrivial and differ."""
+    if a is None or a.coeffs == b.coeffs:
+        return b
+    return a * b.div_exact(Poly.gcd(a, b))
+
+
+def _shift(p: Poly | None, k: int, c: int) -> Poly:
+    """q^k * c * p, p None for 1, formed on the coefficient tuple."""
+    cs = (1,) if p is None else p.coeffs
+    return _poly((0,) * k + (cs if c == 1 else tuple([c * x for x in cs])))
+
+
+def _cofactor(den: tuple, k: int, c: int, p: Poly | None,
+              num: Poly | None = None) -> Poly | None:
+    """num * den / (q^k * c * p) as a Poly, for a split denominator den
+    that q^k * c * p divides; None stands for num = 1 and for the result
+    1.  No product is formed for a unit factor."""
+    dk, dc, dp = den
+    out = num
+    if dp is not p and (p is None or dp.coeffs != p.coeffs):
+        quo = dp if p is None else dp.div_exact(p)
+        out = quo if out is None else out * quo
+    if dk != k or dc != c:
+        out = _shift(out, dk - k, dc // c)
+    return out
+
+
+def _den_poly(den: tuple) -> Poly:
+    """A split denominator as one Poly."""
+    k, c, p = den
+    return _shift(p, k, c)
+
+
+def _over_one(num: Poly) -> RationalFunction:
+    """num as the field element num/1, which is canonical with no gcd."""
+    out = object.__new__(RationalFunction)
+    out.num, out.den = num, _ONE
+    return out
+
+
+def _clear(rows) -> tuple:
+    """(d, rows over Z[q]) of :meth:`SparseMatrix.cleared`, rows None for
+    a matrix that is its own cleared form: one with no entries (d None) or
+    with every denominator 1.  Otherwise each numerator is multiplied by
+    its denominator's cofactor in d, q^j * s * (d's p part / its own)."""
+    dens = {v.den.coeffs for row in rows for v in row.values()}
+    if not dens:
+        return None, None
+    if dens == {(1,)}:
+        return _UNIT, None
+    parts = {cs: _split(cs) for cs in dens}
+    dk, dc, dp = _UNIT
+    for k, c, p in parts.values():
+        dk, dc = max(dk, k), _int_lcm(dc, c)
+        if p is not None:
+            dp = _lcm_poly(dp, p)
+    lifts = {cs: (dk - k, dc // c, _cofactor((0, 1, dp), 0, 1, p))
+             for cs, (k, c, p) in parts.items()}
+    cleared = []
+    for row in rows:
+        out = {} if row else row
+        for col, v in row.items():
+            j, s, quo = lifts[v.den.coeffs]
+            num = v.num if quo is None else v.num * quo
+            out[col] = _over_one(_shift(num, j, s) if j or s != 1 else num)
+        cleared.append(out)
+    return (dk, dc, dp), cleared
+
+
+def product_sum_rows(start: SparseMatrix, terms):
+    """Yield (r, row, den) for each nonzero row of start + sum coeff * X * Y
+    over (coeff, X, Y), in ascending row order: the row's entries are
+    polynomials over the one common denominator den of the whole sum.
+
+    Every operand is read in its cleared form (:meth:`SparseMatrix.cleared`:
+    X = X~/d_X with X~ over Z[q], each entry read through its numerator),
+    so a term has the one denominator D = coeff.den * d_X * d_Y, and den
+    is the lcm L of start's d and of every D, in the split form of
+    :func:`_split`.  The term table
+    (m, X~ rows, Y~ rows) with m = coeff.num * L / D is built once, with
+    zero coefficients and terms with an empty operand dropped, and no
+    product is formed for a unit factor.  Each row of L * residual is
+    then finished over every term before it is yielded, and no row after
+    it is read until the next one is requested: m * X~[r, k] * Y~[k, c]
+    is added to its entry in term order with Poly additions only.  An
+    entry X~[r, k] whose Y~ row k is empty contributes nothing and is
+    skipped before m * X~[r, k] is formed; on the deforming map about
+    45 % of the X entries meet an empty row, since each generator's
+    nonzero rows are half of the basis.  An entry whose sum cancels is the
+    exact zero and is dropped at once, so the residual is zero iff no row
+    is yielded, and an entry's value is RationalFunction(sum, L).
     """
     dim = start.dim
+    sden, srows = start.cleared()
+    dk, dc, dp = sden or _UNIT
     table = []
     for coeff, x, y in terms:
-        if coeff.is_zero:
+        num = coeff.num
+        if not num.coeffs:
             continue
         if x.dim != dim or y.dim != dim:
             raise ValueError(f"dimension mismatch: {dim} vs {x.dim} x {y.dim}")
-        table.append((coeff.num, coeff.den, x.rows, y.rows))
-    for r, row in enumerate(start.rows):
-        out = {c: (v.num, v.den) for c, v in row.items()}
-        for cn, cd, xrows, yrows in table:
+        dx, xrows = x.cleared()
+        dy, yrows = y.cleared()
+        if dx is None or dy is None:
+            continue
+        cd = coeff.den.coeffs
+        k, c, p = _UNIT if cd == (1,) else _split(cd)
+        if dx is not _UNIT:
+            k, c, p = k + dx[0], c * dx[1], _times(p, dx[2])
+        if dy is not _UNIT:
+            k, c, p = k + dy[0], c * dy[1], _times(p, dy[2])
+        if k > dk:
+            dk = k
+        if dc % c:
+            dc = _int_lcm(dc, c)
+        if p is not None and p is not dp:
+            dp = _lcm_poly(dp, p)
+        table.append((num, k, c, p, xrows, yrows))
+    den = dk, dc, dp
+    table = [(num if k == dk and c == dc and p is dp
+              else _cofactor(den, k, c, p, num), xrows, yrows)
+             for num, k, c, p, xrows, yrows in table]
+    lift = sden and _cofactor(den, *sden)
+    for r, srow in enumerate(srows):
+        out = {c: v.num if lift is None else v.num * lift
+               for c, v in srow.items()}
+        for m, xrows, yrows in table:
             for k, xv in xrows[r].items():
                 yrow = yrows[k]
                 if not yrow:
                     continue
-                xn, xd = cn * xv.num, cd * xv.den
+                xm = m * xv.num
                 for c, yv in yrow.items():
-                    num, den = xn * yv.num, xd * yv.den
-                    entry = out.get(c)
-                    if entry is None:
-                        out[c] = num, den
-                        continue
-                    n0, d0 = entry
-                    if d0.coeffs == den.coeffs:
-                        num, den = n0 + num, d0
+                    total = out.get(c, _ZERO) + xm * yv.num
+                    if total.coeffs:
+                        out[c] = total
                     else:
-                        num, den = n0 * den + num * d0, d0 * den
-                    if num.is_zero:
-                        del out[c]
-                    else:
-                        out[c] = num, den
+                        out.pop(c, None)
         if out:
-            yield r, out
+            yield r, out, den
 
 
 def first_entry(first):
-    """(row, col, value) of a row (r, row) yielded by
+    """(row, col, value) of a row (r, row, den) yielded by
     :func:`product_sum_rows`, or None for None.
 
     The entry is the one :meth:`SparseMatrix.first_nonzero` names when the
@@ -291,18 +440,18 @@ def first_entry(first):
     """
     if first is None:
         return None
-    r, row = first
+    r, row, den = first
     c = min(row)
-    return r, c, RationalFunction(*row[c])
+    return r, c, RationalFunction(row[c], _den_poly(den))
 
 
 def reduce_rows(start: SparseMatrix, rows) -> SparseMatrix:
-    """The (r, row) pairs of :func:`product_sum_rows` as a matrix of
-    canonical entries, of the class of start."""
+    """The rows of :func:`product_sum_rows` as a matrix of canonical
+    entries, of the class of start."""
     out: list[dict] = [{} for _ in range(start.dim)]
-    for r, row in rows:
-        out[r] = {c: RationalFunction(num, den)
-                  for c, (num, den) in row.items()}
+    for r, row, den in rows:
+        den = _den_poly(den)
+        out[r] = {c: RationalFunction(num, den) for c, num in row.items()}
     return start._clone(out)
 
 

@@ -50,12 +50,14 @@ class RelationReport:
     SparseMatrix: the zero operator, or minus the identity for a relation
     with a delta term); zero coefficients contribute nothing.  The
     residual's rows are decided in order by :func:`linalg.product_sum_rows`,
-    and the constructor takes only the first nonzero one: ``exact_zero``
-    holds iff there is none, which is iff the relation holds over Q(q).  A
-    passing report keeps no row.  A failing one stops at its first surviving
-    row and keeps it with the suspended row generator; only the row's first
-    entry, the worst entry, is reduced.  ``residual``, the canonical
-    residual, finishes the generator when it is first read and is cached.
+    fraction-free over one common denominator, and the constructor takes
+    only the first nonzero one: ``exact_zero`` holds iff there is none,
+    which is iff the relation holds over Q(q).  Deciding a relation takes
+    no gcd.  A passing report keeps no row.  A failing one stops at its
+    first surviving row and keeps it with the suspended row generator;
+    only the row's first entry, the worst entry, is reduced, by one gcd.
+    ``residual``, the canonical residual, finishes the generator when it
+    is first read and is cached.
     ``numeric_max_abs`` is set by the caller only when a numeric spot check
     at some q was requested.
     """

@@ -515,8 +515,12 @@ def q_number(m: int, base: RationalFunction) -> RationalFunction:
 #: side of a text fraction may span; the dense coefficient tuple grows with it
 _MAX_EXPONENT_SPAN = 10_000
 
-#: most digits of an integer read from text (Python's default int() limit)
+#: most digits of an integer read from text or held by a parsed value
+#: (Python's default limit on int() from text and str() of an int)
 MAX_INT_DIGITS = 4300
+
+#: the least integer of more than MAX_INT_DIGITS digits
+_DIGIT_BOUND = 10 ** MAX_INT_DIGITS
 
 #: one term: a run of signs, an optional coefficient with an optional
 #: ``*``, then an optional ``q`` with an optional ``^``, ``-`` and digits
@@ -570,7 +574,13 @@ def _parse_laurent(side: str) -> RationalFunction:
 
 def parse_rational(text: str) -> RationalFunction:
     """Parse the fixed text grammar, e.g. ``(q^2 - 1)/(q + 1)``: one side,
-    or two split at the one ``/``."""
+    or two split at the one ``/``.
+
+    Each digit run is bounded before int() reads it, and the canonical
+    value is refused when a coefficient of it, a sum of runs or a
+    coefficient of the reduced quotient, has more than
+    :data:`MAX_INT_DIGITS` digits, so that no str() of it can fail.
+    """
     sides = text.split("/")
     if len(sides) > 2:
         raise ValueError(f"could not parse {text!r}: more than one '/'")
@@ -581,4 +591,7 @@ def parse_rational(text: str) -> RationalFunction:
             raise ZeroDivisionError(f"division by zero: the denominator "
                                     f"{sides[1]!r} is 0")
         value = value / den
+    if any(abs(c) >= _DIGIT_BOUND for c in value.num.coeffs + value.den.coeffs):
+        raise ValueError(f"could not parse {text!r}: its value has a "
+                         f"coefficient of more than {MAX_INT_DIGITS} digits")
     return value

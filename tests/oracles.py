@@ -11,7 +11,10 @@ public names alone:
 - conjugated realizations alpha . X . alpha^-1;
 - the chain controls: copy relabelling and the q = 1 degeneration;
 - the classical commutator action and the degree <= 2 invariant builders;
-- the mirror-image Hopf structure, which the covariance suite rejects.
+- the mirror-image Hopf structure, which the covariance suite rejects;
+- the relation kernel as it was before the cleared form: every product
+  summed as an unreduced fraction pair, unequal denominators
+  cross-multiplied.
 
 Words are sequences of signed mode indices: +i stands for the creator
 adag_i, -i for the annihilator a^i.
@@ -288,3 +291,63 @@ def mirror_js(q_scalar: RationalFunction = Q) -> MirrorHopfData:
     ``hopf.deformed_js``."""
     data = deformed_js(q_scalar)
     return MirrorHopfData(data.q_scalar, data.sigma, data.rho)
+
+
+# ---------------------------------------------------------------------------
+# the fraction-pair relation kernel
+# ---------------------------------------------------------------------------
+
+def fraction_pair_rows(start: SparseMatrix, terms):
+    """Yield (r, row) for each nonzero row of start + sum coeff * X * Y
+    over (coeff, X, Y), in ascending row order, each entry an unreduced
+    (num, den) pair of polynomials.
+
+    The relation kernel before the cleared form of ``linalg``: every
+    product coeff * X[r, k] * Y[k, c] is added to its entry in term
+    order, over an equal denominator by adding numerators and over any
+    other by cross-multiplying; an entry whose numerator cancels is
+    dropped.  An X entry whose Y row is empty is skipped, and no row
+    after a yielded one is read until the next is requested.
+    """
+    dim = start.dim
+    table = []
+    for coeff, x, y in terms:
+        if coeff.is_zero:
+            continue
+        if x.dim != dim or y.dim != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {x.dim} x {y.dim}")
+        table.append((coeff.num, coeff.den, x.rows, y.rows))
+    for r, row in enumerate(start.rows):
+        out = {c: (v.num, v.den) for c, v in row.items()}
+        for cn, cd, xrows, yrows in table:
+            for k, xv in xrows[r].items():
+                yrow = yrows[k]
+                if not yrow:
+                    continue
+                xn, xd = cn * xv.num, cd * xv.den
+                for c, yv in yrow.items():
+                    num, den = xn * yv.num, xd * yv.den
+                    entry = out.get(c)
+                    if entry is None:
+                        out[c] = num, den
+                        continue
+                    n0, d0 = entry
+                    if d0.coeffs == den.coeffs:
+                        num, den = n0 + num, d0
+                    else:
+                        num, den = n0 * den + num * d0, d0 * den
+                    if num.is_zero:
+                        del out[c]
+                    else:
+                        out[c] = num, den
+        if out:
+            yield r, out
+
+
+def fraction_pair_residual(start: SparseMatrix, terms) -> SparseMatrix:
+    """The rows of :func:`fraction_pair_rows` as a matrix of canonical
+    entries, of the class of start."""
+    rows: list = [{} for _ in range(start.dim)]
+    for r, row in fraction_pair_rows(start, terms):
+        rows[r] = {c: RationalFunction(num, den) for c, (num, den) in row.items()}
+    return start._clone(rows)

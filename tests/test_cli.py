@@ -543,6 +543,14 @@ class TestEvalCommand:
         assert code == 2
         assert "q - 1" in err
 
+    def test_summed_coefficient_past_the_digit_bound_exits_two(self, capsys):
+        run9 = "9" * scalar.MAX_INT_DIGITS
+        code, out, err = run(capsys, "eval", f"{run9} + {run9}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: could not parse ")
+        assert err.endswith(f"its value has a coefficient of more than "
+                            f"{scalar.MAX_INT_DIGITS} digits\n")
+
     def test_float_overflow_exits_two(self, capsys):
         code, out, err = run(capsys, "eval", "q^2", "--q-numeric", "1e200")
         assert code == 2 and out == ""

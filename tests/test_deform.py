@@ -10,7 +10,8 @@ from qclifford.deform import (GeneratorSet, MapConstructionError,
 from qclifford.fock import build_generators, identity, q_exponent
 from qclifford.linalg import SparseMatrix, rank_numeric
 from qclifford.rmatrix import build_permutation, build_rhat_sl
-from qclifford.scalar import ONE, Q, ZERO, q_power
+from qclifford.report import RelationReport
+from qclifford.scalar import ONE, Poly, Q, ZERO, q_power
 
 from oracles import conjugate_realization, word_to_operator
 
@@ -107,6 +108,52 @@ class TestRelationChecker:
         assert families == {"creator-creator", "annihilator-annihilator", "mixed"}
         indices = [r.indices for r in reports if r.family == "mixed"]
         assert indices == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+class TestRelationKernelGcds:
+    """The relation kernel sums over one common denominator, so deciding a
+    relation takes no gcd; only a printed entry is reduced."""
+
+    @pytest.fixture
+    def kernel_gcds(self, monkeypatch):
+        """The Poly.gcd calls made while a RelationReport is built."""
+        calls, inside = [], []
+        gcd, init = Poly.gcd, RelationReport.__init__
+
+        def counting_gcd(a, b):
+            if inside:
+                calls.append((a, b))
+            return gcd(a, b)
+
+        def tracked_init(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                init(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Poly, "gcd", staticmethod(counting_gcd))
+        monkeypatch.setattr(RelationReport, "__init__", tracked_init)
+        return calls
+
+    def test_passing_map_relations_take_no_gcd(self, kernel_gcds):
+        reports = deform.map_relations(build_deforming_map(4))
+        assert len(reports) == 48 and all(r.exact_zero for r in reports)
+        assert kernel_gcds == []
+
+    def test_failing_report_takes_one_gcd_for_its_printed_entry(
+            self, kernel_gcds, monkeypatch):
+        gens = build_deforming_map(4)
+        broken = GeneratorSet([gens.creators[0].scale(2), *gens.creators[1:]],
+                              gens.annihilators)
+        reports = relation_residuals(broken, build_rhat_sl(4))
+        failing = [r for r in reports if not r.exact_zero]
+        assert failing and kernel_gcds == []
+        printed, gcd = [], Poly.gcd
+        monkeypatch.setattr(Poly, "gcd", staticmethod(
+            lambda a, b: printed.append((a, b)) or gcd(a, b)))
+        assert failing[0].worst_entry().endswith(")")
+        assert len(printed) == 1
 
 
 class TestInverseMap:

@@ -1,4 +1,4 @@
-"""Property tests of the ``linalg`` elimination and ``linalg.product_sum``.
+"""Property tests of the ``linalg`` elimination and the relation kernel.
 
 ``rank``, ``rank_numeric`` and ``invert_dense`` share one sparse forward
 elimination over a field.  A row whose leading column is new is kept with
@@ -10,6 +10,11 @@ in the field of fractions, with and without colliding leads;
 dependencies; ``invert_dense`` against sympy's inverse over Q(q), and its
 singular verdict against a zero determinant, on SparseMatrix and RMatrix
 inputs, each of which comes back as its own class.
+
+The relation kernel (``linalg.product_sum_rows``, which reads every
+operand in its cleared form over one common denominator) is checked
+against two oracles: plain matrix products, scalings and sums, and the
+fraction-pair kernel it replaced (``oracles.fraction_pair_rows``).
 """
 
 import pytest
@@ -28,6 +33,8 @@ from qclifford.linalg import (SparseMatrix, invert_dense,  # noqa: E402
 from qclifford.report import RelationReport  # noqa: E402
 from qclifford.rmatrix import RMatrix  # noqa: E402
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power  # noqa: E402
+
+from oracles import fraction_pair_residual  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -262,3 +269,36 @@ def test_relation_report_matches_matrix_ops(case):
                                     else f"{first[2]} at ({first[0]}, {first[1]})")
     assert_same_residual(report.residual, expected)
     assert report.residual is report.residual
+
+
+@st.composite
+def kernel_cases(draw):
+    """A product sum with a planted cancellation that the cleared form
+    must find across different denominators: a term (c, X, Y) and the
+    term (-c * s, X / s, Y) for a nonzero scalar s of the palette, whose
+    denominators are monomial, integer or non-monomial."""
+    start, terms = draw(product_sums())
+    coeff, x, y = draw(st.sampled_from(terms))
+    s = draw(st.sampled_from(OPERATOR_PALETTE))
+    position = draw(st.integers(0, len(terms)))
+    terms.insert(position, (-coeff * s, x.scale(s ** -1), y))
+    return start, terms
+
+
+def worst_text(residual) -> str:
+    first = residual.first_nonzero()
+    return "0" if first is None else f"{first[2]} at ({first[0]}, {first[1]})"
+
+
+@SETTINGS
+@given(st.one_of(product_sums(), kernel_cases()))
+@example(MONOMIAL_MEETING)
+def test_cleared_kernel_matches_both_oracles(case):
+    start, terms = case
+    by_ops = by_matrix_ops(start, terms)
+    by_pairs = fraction_pair_residual(start, terms)
+    report = RelationReport("f", (), "", start, terms)
+    assert report.exact_zero == by_ops.is_zero == by_pairs.is_zero
+    assert report.worst_entry() == worst_text(by_ops) == worst_text(by_pairs)
+    assert_same_residual(report.residual, by_ops)
+    assert_same_residual(by_pairs, by_ops)

@@ -1,3 +1,4 @@
+import builtins
 import random
 import re
 import tracemalloc
@@ -202,6 +203,30 @@ class TestDigitRuns:
     def test_zero_padded_coefficient(self):
         assert rf("0" * 5000 + "7*q") == 7 * Q
         assert rf("0" * 5000 + " + q") == Q
+
+    @pytest.mark.parametrize("text", [
+        "{run} + {run}", "{run}*q + {run}*q - 1", "({run} + {run})/(q + 1)",
+        "q/({run}*q + {run}*q + 1)"])
+    def test_summed_coefficient_refused_before_str(self, monkeypatch, text):
+        # each run has the largest digit count a run may have; the value's
+        # coefficient 2 * run has one digit more, and str() is never reached
+        text = text.format(run="9" * scalar.MAX_INT_DIGITS)
+
+        def refuse(value=""):
+            if isinstance(value, int) and abs(value) >= 10 ** 4300:
+                raise AssertionError("str() was called on the long value")
+            return builtins.str(value)
+
+        monkeypatch.setattr(scalar, "str", refuse, raising=False)
+        with pytest.raises(ValueError, match=re.escape(
+                f"its value has a coefficient of more than "
+                f"{scalar.MAX_INT_DIGITS} digits")):
+            parse_rational(text)
+
+    def test_summed_coefficient_at_the_bound_is_kept(self):
+        run = "4" * scalar.MAX_INT_DIGITS
+        assert rf(f"{run} + {run}").num.coeffs == (2 * int(run),)
+        assert len(str(rf(f"{run} + {run}"))) == scalar.MAX_INT_DIGITS
 
     def test_coefficient_bound_is_inclusive(self):
         run = "9" * scalar.MAX_INT_DIGITS
