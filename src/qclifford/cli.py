@@ -285,74 +285,69 @@ def cmd_eval(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_OUTPUT = ("--output",), {"choices": ("text", "json"), "default": "text"}
+
+_Q_NUMERIC = ("--q-numeric",), {
+    "dest": "q_numeric", "default": None,
+    "help": "rational point for an exact numeric substitution "
+            "(decimals allowed, e.g. 1.3)"}
+
+#: each subcommand's help line, its function and its arguments, in order
+#: as (flags, keyword options) of ``add_argument``
+_COMMANDS = {
+    "rmatrix": ("build/validate braid matrices", cmd_rmatrix, [
+        (("--algebra",), {"choices": ("sl", "sp"), "default": "sl"}),
+        (("--n",), {"type": int, "default": None}),
+        (("--input",), {"default": None, "help": "JSON file with a "
+                        "user-supplied braid matrix (sp)"}),
+        _OUTPUT, _Q_NUMERIC]),
+    "verify-map": ("check the deforming map relations", cmd_verify_map, [
+        (("--n",), {"type": int, "default": None,
+                    "help": "mode count of the built-in map (default 2); "
+                            "with --input it must match the file's modes"}),
+        (("--input",), {"default": None, "help": "JSON file with a "
+                        "user-supplied generator set"}),
+        _OUTPUT, _Q_NUMERIC]),
+    "poincare": ("ordered-monomial rank check", cmd_poincare, [
+        (("--n",), {"type": int, "default": 2}), _OUTPUT]),
+    "covariance": ("quantum-group covariance checks", cmd_covariance, [
+        (("--n",), {"type": int, "default": 2}), _OUTPUT, _Q_NUMERIC]),
+    "invariants": ("invariant subalgebra checks", cmd_invariants, [
+        (("--n",), {"type": int, "default": 2}), _OUTPUT, _Q_NUMERIC]),
+    "chain-experiment": ("multi-copy relation findings (always exit 0)",
+                         cmd_chain_experiment, [
+        (("--m",), {"type": int, "default": 2}),
+        (("--n",), {"type": int, "default": 2}),
+        (("--variant",), {"choices": (*chain.VARIANTS, "both"),
+                          "default": "both"}),
+        (("--scales",), {"default": None, "help": "comma-separated per-copy "
+                         "scale factors, e.g. '1,q'"}),
+        _OUTPUT]),
+    "eval": ("canonicalize/evaluate a scalar expression", cmd_eval, [
+        (("expression",), {}), _OUTPUT, _Q_NUMERIC]),
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The ``qclifford`` parser with every subcommand listed.
+
+    Only the subcommands that ``commands`` names get their arguments, or
+    all of them when it is None.  argparse hands a subcommand's arguments
+    to its own parser, so a parser built with the arguments of every
+    subcommand named in argv parses argv, and prints its help and its
+    errors, exactly as the full parser does.
+    """
     parser = argparse.ArgumentParser(
         prog="qclifford",
         description="exact verification of q-deformed Clifford algebra "
                     "constructions")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--output", choices=("text", "json"), default="text")
-
-    def q_numeric(p):
-        p.add_argument("--q-numeric", dest="q_numeric", default=None,
-                       help="rational point for an exact numeric substitution "
-                            "(decimals allowed, e.g. 1.3)")
-
-    p = sub.add_parser("rmatrix", help="build/validate braid matrices")
-    p.add_argument("--algebra", choices=("sl", "sp"), default="sl")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--input", default=None,
-                   help="JSON file with a user-supplied braid matrix (sp)")
-    common(p)
-    q_numeric(p)
-    p.set_defaults(func=cmd_rmatrix)
-
-    p = sub.add_parser("verify-map", help="check the deforming map relations")
-    p.add_argument("--n", type=int, default=None,
-                   help="mode count of the built-in map (default 2); with "
-                        "--input it must match the file's modes")
-    p.add_argument("--input", default=None,
-                   help="JSON file with a user-supplied generator set")
-    common(p)
-    q_numeric(p)
-    p.set_defaults(func=cmd_verify_map)
-
-    p = sub.add_parser("poincare", help="ordered-monomial rank check")
-    p.add_argument("--n", type=int, default=2)
-    common(p)
-    p.set_defaults(func=cmd_poincare)
-
-    p = sub.add_parser("covariance", help="quantum-group covariance checks")
-    p.add_argument("--n", type=int, default=2)
-    common(p)
-    q_numeric(p)
-    p.set_defaults(func=cmd_covariance)
-
-    p = sub.add_parser("invariants", help="invariant subalgebra checks")
-    p.add_argument("--n", type=int, default=2)
-    common(p)
-    q_numeric(p)
-    p.set_defaults(func=cmd_invariants)
-
-    p = sub.add_parser("chain-experiment",
-                       help="multi-copy relation findings (always exit 0)")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--variant", choices=(*chain.VARIANTS, "both"),
-                   default="both")
-    p.add_argument("--scales", default=None,
-                   help="comma-separated per-copy scale factors, e.g. '1,q'")
-    common(p)
-    p.set_defaults(func=cmd_chain_experiment)
-
-    p = sub.add_parser("eval", help="canonicalize/evaluate a scalar expression")
-    p.add_argument("expression")
-    common(p)
-    q_numeric(p)
-    p.set_defaults(func=cmd_eval)
-
+    for name, (help_text, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if commands is None or name in commands:
+            for flags, options in arguments:
+                p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -369,10 +364,10 @@ def _join_q_numeric(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = _join_q_numeric(sys.argv[1:] if argv is None else list(argv))
+    parser = build_parser(set(argv))
     try:
-        args = parser.parse_args(
-            _join_q_numeric(sys.argv[1:] if argv is None else list(argv)))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

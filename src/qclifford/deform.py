@@ -40,11 +40,14 @@ decided calls :func:`map_relations`, which fails loudly on any convention
 drift, so each relation is decided once per run.  The inverse map
 reconstructs the undeformed generators as polynomials in the deformed
 ones, and the Poincare-series check computes the exact rank of all 4^N
-ordered monomials over Q(q).  Each monomial is built as a creator-subset
-product times an annihilator-subset product, every subset product
-extending the product of its prefix by one generator, and
-:func:`linalg.rank` keeps rows with distinct leading columns without
-arithmetic and eliminates over Q(q) only when leading columns collide.
+ordered monomials over Q(q).  Each monomial is a creator-subset product
+times an annihilator-subset product, every subset product extending the
+product of its prefix by one generator, and is handed to
+:func:`linalg.rank` as a lazy row: its Fock rows are formed one at a
+time, on request.  The rank keeps a row whose leading column is new
+after reading it up to its first nonzero Fock row, with no arithmetic,
+and reads rows in full and eliminates over Q(q) only when leading
+columns collide.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from itertools import product
 from . import fock
 from .fock import build_generators, ordered_monomials, q_exponent, read_operator
 from .linalg import (SparseMatrix, json_field, json_int, json_object,
-                     rank as exact_rank)
+                     rank as exact_rank, row_product)
 from .report import RelationReport
 from .rmatrix import RMatrix, build_rhat_sl, projector_sl
 from .scalar import ONE, PoleError, Q, RationalFunction
@@ -292,51 +295,67 @@ def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
 # Poincare series
 # ---------------------------------------------------------------------------
 
-_EXACT_MODE_LIMIT = 6
+_EXACT_MODE_LIMIT = 7
 
 
-def _subset_products(generators, subsets) -> dict:
+def _subset_products(generators, subsets, unit: SparseMatrix) -> dict:
     """Product of the generators named by each ascending subset.
 
     Subsets arrive with every prefix before its extensions, so each
     product is its prefix's product times one generator; the empty
-    subset maps to None (the identity, never multiplied).
+    subset maps to unit, the identity, which is never multiplied.
     """
-    products: dict = {(): None}
+    products: dict = {(): unit}
     for subset in subsets:
         if subset:
-            prefix = products[subset[:-1]]
-            last = generators[subset[-1] - 1]
-            products[subset] = last if prefix is None else prefix * last
+            prefix, last = subset[:-1], generators[subset[-1] - 1]
+            products[subset] = products[prefix] * last if prefix else last
     return products
 
 
 def _monomial_rows(gens: GeneratorSet):
-    """Each ordered monomial in the given generators, flattened to a row."""
+    """Each ordered monomial in the given generators as a lazy row of
+    :func:`linalg.rank`: a generator over the nonzero Fock rows r of
+    left * right, each flattened to the columns r * 2^N + c.
+
+    left is the monomial's creator-subset product and right its
+    annihilator-subset product.  Only the nonzero rows of left are
+    visited, and a Fock row is formed only when the rank asks for it, so
+    on a faithful set, whose monomials the rank tells apart by their
+    first nonzero Fock row, each monomial forms one row.
+    """
     n = gens.modes
-    dim = 1 << n
     monomials = ordered_monomials(n)
     subsets = [ann for cre, ann in monomials if not cre]  # all, prefixes first
-    cre_products = _subset_products(gens.creators, subsets)
-    ann_products = _subset_products(gens.annihilators, subsets)
+    unit = fock.identity(n)
+    lefts = _subset_products(gens.creators, subsets, unit)
+    rights = _subset_products(gens.annihilators, subsets, unit)
+    nonzero = {cre: [(r, row) for r, row in enumerate(op.rows) if row]
+               for cre, op in lefts.items()}
     for cre, ann in monomials:
-        left, right = cre_products[cre], ann_products[ann]
-        if left is None:
-            op = fock.identity(n) if right is None else right
-        else:
-            op = left if right is None else left * right
-        yield {r * dim + c: v for r, row in enumerate(op.rows)
-               for c, v in row.items()}
+        yield _fock_rows(nonzero[cre], rights[ann].rows, unit.dim)
+
+
+def _fock_rows(left: list, right, dim: int):
+    """The nonzero rows of left * right in ascending order, each flattened
+    to the columns r * dim + c; left is given as its nonzero rows (r, row)
+    and right as its rows."""
+    for r, lrow in left:
+        row = row_product(lrow, right)
+        if row:
+            yield {r * dim + c: v for c, v in row.items()}
 
 
 def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     """(rank of the 4^N ordered monomials, expected value 4^N).
 
-    The rank is exact over Q(q) and allowed up to 6 modes.  The ordered
-    monomials of a faithful set have pairwise distinct leading columns,
-    so the echelon certificate decides full rank without elimination; on
-    a degenerate set the colliding rows are eliminated.  Rank deficiency
-    is a result, not an error.
+    The rank is exact over Q(q) and allowed up to 7 modes.  It is one
+    :func:`linalg.rank` over the 4^N lazy rows of :func:`_monomial_rows`.
+    The ordered monomials of a faithful set have pairwise distinct
+    leading columns, so the echelon certificate decides full rank from
+    each monomial's first nonzero Fock row, with no elimination; on a
+    degenerate set the colliding rows are read in full and eliminated.
+    Rank deficiency is a result, not an error.
     """
     check_rank_modes(gens.modes)
     return exact_rank(_monomial_rows(gens)), 4 ** gens.modes

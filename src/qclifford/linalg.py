@@ -8,7 +8,9 @@ elimination over a field behind the exact rank over Q(q), the rank over
 :class:`fractions.Fraction` entries and the inverse.
 Rows whose leading (lowest) columns are pairwise distinct are linearly
 independent over any field, and the elimination keeps such rows without
-arithmetic, so on them the rank is a count.
+arithmetic, so on them the rank is a count.  A row may arrive in pieces
+of ascending columns, and such a row is read only up to the piece that
+gives its lead unless the lead collides.
 """
 
 from __future__ import annotations
@@ -91,6 +93,20 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
         else:
             rows[r][c] = value
     return rows
+
+
+def row_product(arow: dict, brows) -> dict:
+    """The row arow of a matrix times the matrix with rows brows, as a
+    sparse row: every sum that cancels to zero is dropped."""
+    out: dict[int, RationalFunction] = {}
+    for k, av in arow.items():
+        for c, bv in brows[k].items():
+            s = out.get(c, ZERO) + av * bv
+            if s.is_zero:
+                out.pop(c, None)
+            else:
+                out[c] = s
+    return out
 
 
 class SparseMatrix:
@@ -178,18 +194,8 @@ class SparseMatrix:
     def __mul__(self, other):
         if isinstance(other, SparseMatrix):
             self._check_dim(other)
-            rows = []
-            for arow in self.rows:
-                out: dict[int, RationalFunction] = {}
-                for k, av in arow.items():
-                    for c, bv in other.rows[k].items():
-                        s = out.get(c, ZERO) + av * bv
-                        if s.is_zero:
-                            out.pop(c, None)
-                        else:
-                            out[c] = s
-                rows.append(out)
-            return self._clone(rows)
+            return self._clone([row_product(arow, other.rows)
+                                for arow in self.rows])
         return NotImplemented
 
     def scale(self, factor) -> "SparseMatrix":
@@ -487,30 +493,49 @@ def _eliminate(work: dict, pivot: dict, col: int) -> None:
 def _echelon(rows) -> dict[int, dict]:
     """The rows reduced to distinct leading columns, keyed by their lead.
 
-    ``rows`` is read once, as an iterable of dicts mapping column index to
-    a field entry (RationalFunction or Fraction; zero entries count as
-    absent).  A row is reduced by the kept row with its leading (lowest)
-    column until its lead is new, and is then kept, or until it vanishes.
-    A row whose lead is new on arrival is kept with no arithmetic: rows
-    with pairwise distinct leads are independent over any field (an
-    echelon certificate), so the ordered monomials of a faithful set are
-    only counted.  The number of kept rows is the rank.
+    ``rows`` is read once.  A row is a dict mapping column index to a
+    field entry (RationalFunction or Fraction; zero entries count as
+    absent), or an iterable of such dicts, its pieces, whose columns
+    increase from one piece to the next.  Pieces are read only up to the
+    first nonzero one, whose lowest column is then the row's lead.  A row
+    whose lead is new on arrival is kept with no arithmetic, and the rest
+    of its pieces stays unread: rows with pairwise distinct leads are
+    independent over any field (an echelon certificate), so the ordered
+    monomials of a faithful set are only counted, each read up to its
+    first nonzero piece.  A row whose lead is taken is read in full and
+    reduced by the kept row with that lead, which is read in full first,
+    until its lead is new, and it is then kept, or until it vanishes.
+
+    The number of kept rows is the rank.  A kept row that arrived as a
+    dict is complete; one that arrived as pieces may hold only the pieces
+    read so far.
     """
     pivots: dict[int, dict] = {}
+    unread: dict[int, object] = {}
     for row in rows:
-        work = {c: v for c, v in row.items() if v}
+        pieces = iter((row,) if isinstance(row, dict) else row)
+        work = {}
+        for piece in pieces:
+            work = {c: v for c, v in piece.items() if v}
+            if work:
+                break
         while work:
             lead = min(work)
             if lead not in pivots:
-                pivots[lead] = work
+                pivots[lead], unread[lead] = work, pieces
                 break
-            _eliminate(work, pivots[lead], lead)
+            pivot = pivots[lead]
+            for rest, into in ((pieces, work), (unread[lead], pivot)):
+                for piece in rest:
+                    into.update((c, v) for c, v in piece.items() if v)
+            _eliminate(work, pivot, lead)
     return pivots
 
 
 def rank(rows) -> int:
-    """Exact rank over Q(q) of an iterable of sparse rows, each a dict
-    mapping column index to RationalFunction (see :func:`_echelon`)."""
+    """Exact rank over Q(q) of an iterable of sparse rows with
+    RationalFunction entries, each a dict or an iterable of pieces (see
+    :func:`_echelon`)."""
     return len(_echelon(rows))
 
 

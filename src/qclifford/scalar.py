@@ -284,6 +284,9 @@ def _poly(coeffs: tuple) -> Poly:
 
 
 def _poly_text(p: Poly) -> str:
+    """p in the text grammar; a coefficient of more than
+    :data:`MAX_INT_DIGITS` digits, which no parsed value holds but a
+    computed one can, is refused before str() reaches it."""
     if p.is_zero:
         return "0"
     parts = []
@@ -292,6 +295,10 @@ def _poly_text(p: Poly) -> str:
         if c == 0:
             continue
         mag = abs(c)
+        if mag >= _DIGIT_BOUND:
+            raise ValueError(f"cannot print a computed value: it has a "
+                             f"coefficient of more than {MAX_INT_DIGITS} "
+                             f"digits")
         if k == 0:
             body = str(mag)
         else:

@@ -14,7 +14,9 @@ public names alone:
 - the mirror-image Hopf structure, which the covariance suite rejects;
 - the relation kernel as it was before the cleared form: every product
   summed as an unreduced fraction pair, unequal denominators
-  cross-multiplied.
+  cross-multiplied;
+- the full dict rows of the lazy ordered-monomial rows that the
+  Poincare rank reads.
 
 Words are sequences of signed mode indices: +i stands for the creator
 adag_i, -i for the annihilator a^i.
@@ -34,6 +36,18 @@ from qclifford.linalg import SparseMatrix, invert_dense
 from qclifford.report import RelationReport
 from qclifford.rmatrix import build_permutation
 from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
+
+
+# ---------------------------------------------------------------------------
+# full rows
+# ---------------------------------------------------------------------------
+
+def full_rows(rows) -> list[dict]:
+    """Each row of :func:`linalg.rank` read in full as one dict: a dict
+    row as it is, a row of pieces with every piece merged."""
+    return [dict(row) if isinstance(row, dict)
+            else {c: v for piece in row for c, v in piece.items()}
+            for row in rows]
 
 
 # ---------------------------------------------------------------------------

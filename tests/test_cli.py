@@ -336,6 +336,22 @@ class TestRMatrixCommand:
         assert err == (f"error: {path}: a JSON integer of {digits} digits "
                        f"exceeds {scalar.MAX_INT_DIGITS}\n")
 
+    def test_unprintable_computed_entry_exits_two(self, capsys, tmp_path):
+        # each entry is at the digit bound, and the failing relation's
+        # worst entry, their product, has twice as many digits
+        run9 = "9" * scalar.MAX_INT_DIGITS
+        op = {"n_modes": 1, "dim": 2}
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps({
+            "modes": 1,
+            "creators": [{**op, "entries": [[1, 0, run9]]}],
+            "annihilators": [{**op, "entries": [[0, 1, run9]]}]}))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: cannot print a computed value: it has a "
+                       f"coefficient of more than {scalar.MAX_INT_DIGITS} "
+                       f"digits\n")
+
     def test_braid_dimension_not_n_squared_exits_two(self, capsys, tmp_path):
         path = tmp_path / "rhat.json"
         path.write_text(json.dumps({"n": 2, "dim": 5,
@@ -390,6 +406,12 @@ class TestPoincareCommand:
         assert code == 0
         assert doc["poincare"] == {"undeformed": full, "deformed": full}
 
+    def test_exact_at_seven_modes(self, capsys):
+        code, doc, _ = run_json(capsys, "poincare", "--n", "7")
+        full = {"rank": 16384, "expected": 16384}
+        assert code == 0
+        assert doc["poincare"] == {"undeformed": full, "deformed": full}
+
     def test_mode_flag_is_gone(self, capsys):
         code, _, _ = run(capsys, "poincare", "--n", "2", "--mode", "exact")
         assert code == 2
@@ -407,7 +429,7 @@ class TestPoincareCommand:
         monkeypatch.setattr(deform, "build_generators", spy)
         code, out, err = run(capsys, "poincare", "--n", "9")
         assert code == 2 and out == ""
-        assert "the Poincare rank supports at most 6 modes" in err
+        assert "the Poincare rank supports at most 7 modes" in err
 
 
 class TestCovarianceCommand:
@@ -615,3 +637,42 @@ class TestHarness:
     def test_json_is_stable_under_reserialization(self, capsys):
         _, doc, _ = run_json(capsys, "poincare", "--n", "2")
         assert json.loads(json.dumps(doc)) == doc
+
+
+#: argv lists whose help or error output the parser prints: each help
+#: page, an unknown subcommand and unrecognized or missing arguments
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"],
+    *([name, "--help"] for name in cli._COMMANDS),
+    ["frobnicate"], ["frobnicate", "--n", "2"], ["--output", "json"],
+    ["poincare", "--bogus"], ["poincare", "--n", "2", "extra"],
+    ["-x", "poincare", "--n", "2"], ["eval"], ["eval", "q", "--n", "2"],
+    ["rmatrix", "--algebra", "so"], ["verify-map", "--n", "two"],
+    ["chain-experiment", "--variant", "x", "--q-numeric", "1.3"],
+    ["covariance", "--q-numeric"], ["invariants", "verify-map", "--m", "2"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+    def test_output_equals_the_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            cli.build_parser().parse_args(cli._join_q_numeric(argv))
+        full = capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (out, err) == (full.out, full.err)
+        assert code == stop.value.code
+        assert out or err
+
+    def test_only_the_named_subcommands_get_arguments(self, capsys):
+        def page(parser, name):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--help"])
+            return capsys.readouterr().out
+
+        full = cli.build_parser()
+        built = cli.build_parser({"eval", "poincare", "--n"})
+        assert {name for name in cli._COMMANDS
+                if page(built, name) == page(full, name)} == {"eval",
+                                                              "poincare"}
+        assert "--n" not in page(built, "verify-map")

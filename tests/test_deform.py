@@ -8,12 +8,12 @@ from qclifford.deform import (GeneratorSet, MapConstructionError,
                               poincare_rank, relation_residuals,
                               star_compatibility, undeformed_set)
 from qclifford.fock import build_generators, identity, q_exponent
-from qclifford.linalg import SparseMatrix, rank_numeric
+from qclifford.linalg import SparseMatrix, rank_numeric, row_product
 from qclifford.rmatrix import build_permutation, build_rhat_sl
 from qclifford.report import RelationReport
 from qclifford.scalar import ONE, Poly, Q, ZERO, q_power
 
-from oracles import conjugate_realization, word_to_operator
+from oracles import conjugate_realization, full_rows, word_to_operator
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +222,7 @@ class TestPoincare:
 
     def test_numeric_mode_agrees(self, lastf2):
         # the rank at a sampled q agrees with the exact echelon certificate
-        rows = list(deform._monomial_rows(lastf2))
+        rows = full_rows(deform._monomial_rows(lastf2))
         sampled = rank_numeric([{c: v.eval_at(Fraction(5, 7))
                                  for c, v in row.items()} for row in rows])
         assert poincare_rank(lastf2) == (sampled, 16) == (16, 16)
@@ -231,7 +231,7 @@ class TestPoincare:
         gens = build_deforming_map(3)
         pairs = list(zip(gens.creators, gens.annihilators))
         keys = fock.ordered_monomials(3)
-        rows = list(deform._monomial_rows(gens))
+        rows = full_rows(deform._monomial_rows(gens))
         assert len(rows) == len(keys) == 64
         for (cre, ann), row in zip(keys, rows):
             op = word_to_operator([*cre, *(-i for i in ann)], pairs)
@@ -241,7 +241,7 @@ class TestPoincare:
         # Adag_1 := Adag_2 makes monomials repeat, so leading columns collide
         doubled = GeneratorSet(
             (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
-        rows = list(deform._monomial_rows(doubled))
+        rows = full_rows(deform._monomial_rows(doubled))
         leads = [min(row) for row in rows if row]
         assert len(set(leads)) < len(leads)
         sampled = max(
@@ -251,13 +251,39 @@ class TestPoincare:
         assert poincare_rank(doubled) == (sampled, 16)
         assert sampled < 16
 
+    @pytest.fixture
+    def formed(self, monkeypatch):
+        """The left rows of every Fock row that the Poincare rank forms."""
+        formed = []
+
+        def spy(arow, brows):
+            formed.append(arow)
+            return row_product(arow, brows)
+
+        monkeypatch.setattr(deform, "row_product", spy)
+        return formed
+
+    @pytest.mark.parametrize("build", [undeformed_set, build_deforming_map])
+    def test_faithful_set_forms_one_fock_row_per_monomial(self, build, formed):
+        # every ordered monomial is nonzero, and its first nonzero Fock row
+        # already gives it a lead of its own
+        assert poincare_rank(build(4)) == (256, 256)
+        assert len(formed) == 256
+
+    def test_colliding_monomials_are_read_past_their_first_row(self, lastf2,
+                                                               formed):
+        doubled = GeneratorSet(
+            (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
+        assert poincare_rank(doubled)[0] < 16
+        assert len(formed) > 16
+
     def test_rank_invariant_under_conjugation(self, lastf2):
         conj = conjugate_realization(lastf2, q_exponent((1, 0)))
         assert poincare_rank(conj) == (16, 16)
 
     def test_mode_guards(self):
-        with pytest.raises(ValueError, match="at most 6 modes"):
-            poincare_rank(undeformed_set(7))
+        with pytest.raises(ValueError, match="at most 7 modes"):
+            poincare_rank(undeformed_set(8))
 
 
 class TestStarCompatibility:

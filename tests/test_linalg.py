@@ -84,6 +84,42 @@ class TestRank:
             assert symbolic == sampled
 
 
+def pieces_then_stop(*pieces):
+    """A row of pieces that fails the test when read past its last piece."""
+    yield from pieces
+    raise AssertionError("the row was read past its last given piece")
+
+
+class TestLazyRows:
+    def test_new_lead_reads_only_the_first_nonzero_piece(self):
+        rows = [pieces_then_stop({}, {0: ZERO}, {1: Q, 2: ONE}),
+                pieces_then_stop({0: ONE}),
+                pieces_then_stop({3: q_power(-1)})]
+        assert rank(rows) == 3
+
+    def test_colliding_leads_read_both_rows_in_full(self):
+        # rows 0 and 1 share their lead and their first piece; only the
+        # pieces past it tell them apart
+        def row(last):
+            return iter([{0: ONE}, {}, {5: last}])
+        assert rank([row(ONE), row(ONE)]) == 1
+        assert rank([row(ONE), row(Q)]) == 2
+        assert rank([row(ONE), {0: ONE, 5: ONE}, row(Q)]) == 2
+
+    def test_rest_of_a_kept_row_is_read_once(self):
+        read = []
+
+        def row():
+            for piece in ({0: ONE}, {4: Q}, {6: ONE}):
+                read.append(piece)
+                yield piece
+        assert rank([row(), {0: ONE, 4: Q}, {0: ONE, 6: ONE}]) == 3
+        assert len(read) == 3
+
+    def test_rows_that_vanish_in_pieces(self):
+        assert rank([iter([{}, {1: ZERO}]), iter([]), {2: ZERO}]) == 0
+
+
 class TestInversion:
     def test_round_trip(self):
         rng = random.Random(99)

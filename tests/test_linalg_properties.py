@@ -5,7 +5,8 @@ elimination over a field.  A row whose leading column is new is kept with
 no arithmetic, so rows with pairwise distinct leads (an echelon
 certificate) are only counted, and colliding leads are eliminated.  Each
 entry point is checked against sympy: ``rank`` against the rank over Q(q)
-in the field of fractions, with and without colliding leads;
+in the field of fractions, with and without colliding leads, on dict rows
+and on rows split into pieces;
 ``rank_numeric`` against the rank over Q on Fraction rows with planted
 dependencies; ``invert_dense`` against sympy's inverse over Q(q), and its
 singular verdict against a zero determinant, on SparseMatrix and RMatrix
@@ -98,6 +99,28 @@ def test_rank_with_colliding_leads(case, data, x, y):
     expected = sympy_rank(ncols, rows)
     assert expected == sympy_rank(ncols, extended)
     assert rank(extended) == expected == rank(rows)
+
+
+def as_pieces(row: dict, cuts, ncols: int) -> list[dict]:
+    """A row of ncols columns split before each column of cuts into pieces
+    of ascending columns; a repeated cut gives an empty piece."""
+    bounds = [0, *sorted(cuts), ncols]
+    return [{c: v for c, v in row.items() if lo <= c < hi}
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+@SETTINGS
+@given(row_sets(max_rows=4), st.data(), nonzero_entries, entries)
+def test_rank_reads_rows_of_pieces(case, data, x, y):
+    ncols, rows = case
+    if rows:
+        # a combination and a copy of row i make leads collide, so the
+        # unread pieces of the kept rows must be read
+        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows = rows + [combine(rows[i], rows[-1], x, y), dict(rows[i])]
+    cuts = st.lists(st.integers(min_value=0, max_value=ncols), max_size=3)
+    pieces = [iter(as_pieces(row, data.draw(cuts), ncols)) for row in rows]
+    assert rank(pieces) == sympy_rank(ncols, rows) == rank(rows)
 
 
 #: ints and Fractions, zero listed often; explicit zeros count as absent

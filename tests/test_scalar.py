@@ -228,6 +228,31 @@ class TestDigitRuns:
         assert rf(f"{run} + {run}").num.coeffs == (2 * int(run),)
         assert len(str(rf(f"{run} + {run}"))) == scalar.MAX_INT_DIGITS
 
+    @pytest.mark.parametrize("coeffs", [(0, -1), (1, -1, 0, 1), (1, 1)])
+    def test_computed_coefficient_past_the_bound_is_not_printed(
+            self, monkeypatch, coeffs):
+        # a product of two parsed values at the bound has 8600 digits
+        run = rf("9" * scalar.MAX_INT_DIGITS).num.coeffs[0]
+        value = Poly([c * run * run for c in coeffs])
+
+        def refuse(value=""):
+            if isinstance(value, int) and abs(value) >= 10 ** 4300:
+                raise AssertionError("str() was called on the long value")
+            return builtins.str(value)
+
+        monkeypatch.setattr(scalar, "str", refuse, raising=False)
+        message = re.escape(f"cannot print a computed value: it has a "
+                            f"coefficient of more than "
+                            f"{scalar.MAX_INT_DIGITS} digits")
+        with pytest.raises(ValueError, match=message):
+            str(value)
+        with pytest.raises(ValueError, match=message):
+            str(RationalFunction(ONE.num, value))
+
+    def test_printed_coefficient_bound_is_inclusive(self):
+        run = "9" * scalar.MAX_INT_DIGITS
+        assert str(rf(f"{run}*q - {run}")) == f"{run}*q - {run}"
+
     def test_coefficient_bound_is_inclusive(self):
         run = "9" * scalar.MAX_INT_DIGITS
         assert rf(run).num.coeffs == (int(run),)
