@@ -43,11 +43,9 @@ from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
 # ---------------------------------------------------------------------------
 
 def full_rows(rows) -> list[dict]:
-    """Each row of :func:`linalg.rank` read in full as one dict: a dict
-    row as it is, a row of pieces with every piece merged."""
-    return [dict(row) if isinstance(row, dict)
-            else {c: v for piece in row for c, v in piece.items()}
-            for row in rows]
+    """Each row of pieces that :func:`linalg.rank` reads, read in full as
+    one dict with every piece merged."""
+    return [{c: v for piece in row for c, v in piece.items()} for row in rows]
 
 
 # ---------------------------------------------------------------------------
