@@ -14,9 +14,9 @@ with summation over repeated lower-pair indices.  A mixed variant is its
 copy braid RM: q P_M for diagonal-mixed, whose inverse q^-1 P_M leaves
 the term q^-1 Rn[(ih),(jk)] C[b,h] A[a,k], and the sl(M) braid matrix
 for RM-braided-mixed.  For M = 1 the three families have the same zero
-set as the single-copy relation system, and at q = 1 with permutation
-matrices everything collapses to plain anticommutation relations on M*N
-modes.
+set as the single-copy relation system.  Substituting q = 1 turns Rn and
+both copy braids into permutations, and the residuals of the undeformed
+generators then vanish: plain anticommutation relations on M*N modes.
 
 No realization of the chain generators is asserted correct here: the
 lexicographic experiment dresses the M*N modes as one big system and
@@ -26,10 +26,10 @@ satisfies at generic q.  Those verdicts are findings, not assertions.
 A run decides each relation once.  The experiment builds the deforming
 map without its own relation check (``verify-map`` and the golden
 reports decide that system), and since the creator and annihilator
-families read only Rn and q, :func:`ordering_residuals` runs once per
-run and its reports are paired with each variant's
-:func:`mixed_residuals`.  Reports are read-only, so sharing them leaves
-every report byte unchanged.
+families read only Rn, :func:`chain_residuals` runs
+:func:`ordering_residuals` once and pairs its reports with each copy
+braid's :func:`mixed_residuals`.  Reports are read-only, so sharing them
+leaves every report byte unchanged.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .deform import GeneratorSet, build_deforming_map
 from .linalg import invert_dense
 from .report import RelationReport, summarize
 from .rmatrix import RMatrix, build_permutation, build_rhat_sl
-from .scalar import ONE, Q, RationalFunction
+from .scalar import ONE, Q
 
 VARIANTS = ("diagonal-mixed", "RM-braided-mixed")
 _MAX_EXPERIMENT_MODES = 6
@@ -62,15 +62,15 @@ def _copies(gens: GeneratorSet, n: int):
             dict(zip(keys, gens.annihilators)), indices)
 
 
-def ordering_residuals(gens: GeneratorSet, rhat_n: RMatrix,
-                       q_scalar: RationalFunction = Q) -> list[RelationReport]:
+def ordering_residuals(gens: GeneratorSet,
+                       rhat_n: RMatrix) -> list[RelationReport]:
     """The chain-creator and chain-annihilator reports.
 
-    They read only ``rhat_n`` and ``q_scalar``, never the mixed variant,
-    so one evaluation serves every variant of a run.
+    They read only ``rhat_n``, never the copy braid, so one evaluation
+    serves every variant of a run.
     """
     _, cre, ann, indices = _copies(gens, rhat_n.n)
-    q_rn = rhat_n.scale(q_scalar)
+    q_rn = rhat_n.scale(Q)
     zero = fock.zero(gens.modes)
     mode_pairs = list(product(range(1, rhat_n.n + 1), repeat=2))
     reports = [RelationReport(
@@ -93,14 +93,10 @@ def ordering_residuals(gens: GeneratorSet, rhat_n: RMatrix,
 
 
 def mixed_residuals(gens: GeneratorSet, rhat_n: RMatrix,
-                    rhat_m: RMatrix | None = None,
-                    q_scalar: RationalFunction = Q) -> list[RelationReport]:
+                    rhat_m: RMatrix) -> list[RelationReport]:
     """The chain-mixed reports over the copy braid ``rhat_m``: the sl(M)
-    braid matrix for RM-braided-mixed, q P_M (the default) for
-    diagonal-mixed."""
+    braid matrix for RM-braided-mixed, q P_M for diagonal-mixed."""
     m, cre, ann, indices = _copies(gens, rhat_n.n)
-    if rhat_m is None:
-        rhat_m = build_permutation(m).scale(q_scalar)
     if rhat_m.n != m:
         raise ValueError(f"rhat_m block dimension {rhat_m.n} is not "
                          f"the copy count {m}")
@@ -121,14 +117,12 @@ def mixed_residuals(gens: GeneratorSet, rhat_n: RMatrix,
 
 
 def chain_residuals(gens: GeneratorSet, rhat_n: RMatrix,
-                    rhat_m: RMatrix | None = None,
-                    q_scalar: RationalFunction = Q) -> list[RelationReport]:
-    """One report per (alpha, beta, i, j) with alpha <= beta per family.
-
-    N is ``rhat_n.n`` and M is the mode count of ``gens`` over N.
-    """
-    return (ordering_residuals(gens, rhat_n, q_scalar)
-            + mixed_residuals(gens, rhat_n, rhat_m, q_scalar))
+                    rhat_ms) -> list[list[RelationReport]]:
+    """One report list per copy braid of ``rhat_ms``: the ordering reports,
+    evaluated once and shared, then that braid's mixed reports."""
+    ordering = ordering_residuals(gens, rhat_n)
+    return [ordering + mixed_residuals(gens, rhat_n, rhat_m)
+            for rhat_m in rhat_ms]
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +177,8 @@ def lexicographic_experiment(m: int, n: int, scales=None,
         raise ValueError(f"expected {m} scale factors")
     if not set(variants) <= set(VARIANTS):
         raise ValueError(f"variant must be one of {VARIANTS}")
-    # each variant's copy braid; None is mixed_residuals' default, q P_M
     rhat_ms = {variant: build_rhat_sl(m) if variant == "RM-braided-mixed"
-               else None for variant in variants}
+               else build_permutation(m).scale(Q) for variant in variants}
     gens = build_deforming_map(total)
     if scales is not None:
         gens = scale_copies(gens, scales)
@@ -198,9 +191,8 @@ def lexicographic_experiment(m: int, n: int, scales=None,
         "variants": {},
     }
     relations: list = []
-    ordering = ordering_residuals(gens, rhat_n)
-    for variant, rhat_m in rhat_ms.items():
-        reports = ordering + mixed_residuals(gens, rhat_n, rhat_m)
+    for variant, reports in zip(rhat_ms, chain_residuals(
+            gens, rhat_n, rhat_ms.values())):
         families: dict = {}
         for family in dict.fromkeys(rep.family for rep in reports):
             group = [rep for rep in reports if rep.family == family]

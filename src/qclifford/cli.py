@@ -4,7 +4,8 @@ Every command emits a report document (text by default, JSON with
 ``--output json``) that embeds the convention ledger, so independent
 runs can be diffed bit-exactly.  Exit codes: 0 when every assertion-class
 check is exactly zero, 1 on a verification failure, 2 on usage or input
-errors.  Experiment-class commands (chain-experiment and the sp
+errors, 3 on an internal error (a fault of the program, printed with its
+traceback).  Experiment-class commands (chain-experiment and the sp
 symmetrizer) always exit 0 with findings.
 
 All checks are symbolic; ``--q-numeric`` adds an exact substitution at a
@@ -134,7 +135,11 @@ def _load_json(path: str) -> dict:
         return int(text)
 
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_int=bounded_int)
+        try:
+            return json.load(handle, parse_int=bounded_int)
+        except RecursionError:
+            raise ValueError(f"{path}: the JSON document is nested too "
+                             f"deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +385,16 @@ def main(argv=None) -> int:
         print(f"error: a numeric value is outside the float range ({exc})",
               file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError,
-            KeyError, IndexError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # anything else is a fault of the program, not of its input; the
+        # traceback module is imported only then, off every command's start
+        import traceback
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

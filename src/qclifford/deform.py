@@ -62,7 +62,7 @@ from .linalg import (SparseMatrix, json_field, json_int, json_object,
                      rank as exact_rank, row_product)
 from .report import RelationReport
 from .rmatrix import RMatrix, build_rhat_sl, projector_sl
-from .scalar import ONE, PoleError, Q, RationalFunction
+from .scalar import ONE, PoleError, Q
 
 
 @dataclass
@@ -146,14 +146,19 @@ class MapConstructionError(ValueError):
 # relation residuals
 # ---------------------------------------------------------------------------
 
-def relation_residuals(gens: GeneratorSet, rhat: RMatrix,
-                       q_scalar: RationalFunction = Q) -> list[RelationReport]:
+def relation_residuals(gens: GeneratorSet,
+                       rhat: RMatrix) -> list[RelationReport]:
     """One report per index pair for each of the three relation families."""
+    if rhat.n != gens.modes:
+        raise ValueError(f"block dimension {rhat.n} does not match "
+                         f"{gens.modes} modes")
+    return _relation_reports(gens, projector_sl(rhat), rhat.scale(Q ** -1))
+
+
+def _relation_reports(gens: GeneratorSet, pplus: RMatrix,
+                      pq: RMatrix) -> list[RelationReport]:
+    """The three relation families over P+_q and P_q = q^-1 Rhat."""
     n = gens.modes
-    if rhat.n != n:
-        raise ValueError(f"block dimension {rhat.n} does not match {n} modes")
-    pplus = projector_sl(rhat, q_scalar)
-    pq = rhat.scale(q_scalar ** -1)
     cre, ann = gens.creators, gens.annihilators
     zero, minus_one = fock.zero(n), -fock.identity(n)
     pairs = list(product(range(1, n + 1), repeat=2))
@@ -223,7 +228,7 @@ def map_relations(gens: GeneratorSet) -> list[RelationReport]:
     Raises :class:`MapConstructionError` naming the first nonzero report,
     so a caller that needs the reports anyway checks each relation once.
     """
-    reports = relation_residuals(gens, build_rhat_sl(gens.modes), Q)
+    reports = relation_residuals(gens, build_rhat_sl(gens.modes))
     for rep in reports:
         if not rep.exact_zero:
             raise MapConstructionError(
@@ -235,19 +240,19 @@ def map_relations(gens: GeneratorSet) -> list[RelationReport]:
 def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
     """The relation reports recomputed over Q after the substitution q := point.
 
-    The point goes into the generators and the braid matrix before any
-    product is formed, so the residuals are an independent check of the
-    exact ones.  A pole at the point, of a generator entry or of the
-    relation coefficients (which carry q^-1), raises :class:`PoleError`
-    naming the vanishing denominator.
+    P+_q and P_q are built over Q(q), and the point goes into them and
+    into the generators before any product is formed, so the residuals
+    are an independent check of the exact ones.  A pole at the point, of
+    a generator entry or of the relation coefficients (which carry q^-1),
+    raises :class:`PoleError` naming the vanishing denominator.
     """
     point = Fraction(point)
     sampled = gens.subst(point)
     if point == 0:
         raise PoleError(Q, point)
-    rhat = build_rhat_sl(gens.modes).subst(point)
-    return relation_residuals(sampled, rhat,
-                              RationalFunction.from_fraction(point))
+    rhat = build_rhat_sl(gens.modes)
+    return _relation_reports(sampled, projector_sl(rhat).subst(point),
+                             rhat.scale(Q ** -1).subst(point))
 
 
 def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:

@@ -7,7 +7,10 @@ Jordan-Schwinger bilinears
     sigma_q(K) = q^(n_1 - n_2),
 
 whose defining relations hold exactly on fermionic Fock space because
-n_1 - n_2 only takes the values -1, 0, 1 there.  The adjoint action is
+n_1 - n_2 only takes the values -1, 0, 1 there; sigma_q(K) and sigma_q(Kinv)
+are :func:`fock.q_exponent` of the weights (1, -1) and (-1, 1).  Every check
+is decided over Q(q), and q = 1 is a substitution into its results.  The
+adjoint action is
 
     x |> a  =  sigma_q(x_(1)) . a . sigma_q(S x_(2)),
 
@@ -76,7 +79,6 @@ GENERATOR_NAMES = ("E", "F", "K")
 class HopfAlgebraData:
     """Generator table for U_q sl(2) together with its Fock realization."""
 
-    q_scalar: RationalFunction
     sigma: dict          # name -> image on the two-mode Fock space
     rho: dict            # name -> 2x2 SparseMatrix over Q(q)
     # the frozen Hopf structure: class attributes, not fields
@@ -138,64 +140,36 @@ class HopfAlgebraData:
         return pairs
 
 
-def _weight_diagonal(q_scalar: RationalFunction, exponent_sign: int) -> SparseMatrix:
-    """Diagonal q^(sign * (n_1 - n_2)) on the two-mode space."""
-    rows = []
-    for state in range(4):
-        m = ((state >> 1) & 1) - (state & 1)
-        rows.append({state: q_scalar ** (exponent_sign * m)})
-    return SparseMatrix(4, rows)
-
-
-def deformed_js(q_scalar: RationalFunction = Q) -> HopfAlgebraData:
+def deformed_js() -> HopfAlgebraData:
     """Build the deformed Jordan-Schwinger data and self-check it.
 
     The defining relations K Kinv = 1, K E Kinv = q^2 E, K F Kinv = q^-2 F
-    and [E, F] = (K - Kinv)/(q - q^-1) are each decided by a
-    :class:`report.RelationReport` before the data is returned.
+    and [E, F] = (K - Kinv)/(q - q^-1) are each decided over Q(q) by a
+    :class:`report.RelationReport` before the data is returned; the first
+    that fails raises ValueError naming it.
     """
     pairs = build_generators(2)
-    sigma = {
-        "E": pairs[0][0] * pairs[1][1],
-        "F": pairs[1][0] * pairs[0][1],
-        "K": _weight_diagonal(q_scalar, +1),
-        "Kinv": _weight_diagonal(q_scalar, -1),
-    }
-    rho = {
-        "E": SparseMatrix(2, [{1: ONE}, {}]),
-        "F": SparseMatrix(2, [{}, {0: ONE}]),
-        "K": SparseMatrix(2, [{0: q_scalar}, {1: q_scalar ** -1}]),
-        "Kinv": SparseMatrix(2, [{0: q_scalar ** -1}, {1: q_scalar}]),
-    }
-    data = HopfAlgebraData(q_scalar=q_scalar, sigma=sigma, rho=rho)
-    _self_check(data)
-    return data
-
-
-def _self_check(data: HopfAlgebraData) -> None:
-    """Raise ValueError naming the first defining relation that fails."""
-    q0 = data.q_scalar
-    E, F, K, Kinv = (data.sigma[n] for n in ("E", "F", "K", "Kinv"))
+    E, F = pairs[0][0] * pairs[1][1], pairs[1][0] * pairs[0][1]
+    K, Kinv = fock.q_exponent([1, -1]), fock.q_exponent([-1, 1])
     zero, ident = fock.zero(2), fock.identity(2)
-    gap = q0 - q0 ** -1
-    if gap.is_zero:
-        # degenerate point (q = +-1): the bracket is the bare weight n1 - n2
-        bracket = "[E, F] classical limit"
-        weight = [(-ONE, fock.number_op(2, 1), ident),
-                  (ONE, fock.number_op(2, 2), ident)]
-    else:
-        bracket = "[E, F] = (K - Kinv)/(q - q^-1)"
-        weight = [(-gap ** -1, K, ident), (gap ** -1, Kinv, ident)]
+    gap_inv = (Q - Q ** -1) ** -1
     identities = [
         ("K Kinv = 1", -ident, [(ONE, K, Kinv)]),
-        ("K E Kinv = q^2 E", zero, [(ONE, K * E, Kinv), (-q0 * q0, E, ident)]),
-        ("K F Kinv = q^-2 F", zero, [(ONE, K * F, Kinv), (-q0 ** -2, F, ident)]),
-        (bracket, zero, [(ONE, E, F), (-ONE, F, E)] + weight),
+        ("K E Kinv = q^2 E", zero, [(ONE, K * E, Kinv), (-Q * Q, E, ident)]),
+        ("K F Kinv = q^-2 F", zero, [(ONE, K * F, Kinv), (-Q ** -2, F, ident)]),
+        ("[E, F] = (K - Kinv)/(q - q^-1)", zero, [(ONE, E, F), (-ONE, F, E),
+         (-gap_inv, K, ident), (gap_inv, Kinv, ident)]),
     ]
     for relation, start, terms in identities:
         if not RelationReport("hopf-self-check", (), relation, start,
                               terms).exact_zero:
             raise ValueError(f"{relation} fails")
+    return HopfAlgebraData(sigma={"E": E, "F": F, "K": K, "Kinv": Kinv}, rho={
+        "E": SparseMatrix(2, [{1: ONE}, {}]),
+        "F": SparseMatrix(2, [{}, {0: ONE}]),
+        "K": SparseMatrix(2, [{0: Q}, {1: Q ** -1}]),
+        "Kinv": SparseMatrix(2, [{0: Q ** -1}, {1: Q}]),
+    })
 
 
 # ---------------------------------------------------------------------------

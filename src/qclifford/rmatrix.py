@@ -16,10 +16,10 @@ the symmetrizer is the spectral projector onto the q-eigenspace,
 
     P+_q = (Rhat + q^-1) / (q + q^-1),
 
-which is idempotent whenever the Hecke identity holds and degenerates to
-the symmetric projector (1 + P)/2 at q = 1.  The sp symmetrizer
-expression is summed by :func:`linalg.product_sum` and its idempotency
-residual P^2 - P by the relation evaluator.
+which is idempotent whenever the Hecke identity holds.  Every check is
+over Q(q); substituting q = 1 into P+_q gives (1 + P)/2.  The sp
+symmetrizer expression is summed by :func:`linalg.product_sum` and its
+idempotency residual P^2 - P by the relation evaluator.
 """
 
 from __future__ import annotations
@@ -114,13 +114,13 @@ def build_permutation(n: int) -> RMatrix:
 # validators
 # ---------------------------------------------------------------------------
 
-def check_hecke(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RelationReport:
+def check_hecke(rhat: RMatrix) -> RelationReport:
     """Residual (Rhat - q)(Rhat + q^-1) = Rhat^2 + (q^-1 - q) Rhat - 1."""
     ident = rhat.identity_like()
     minus_one = rhat._clone([{r: -ONE} for r in range(rhat.dim)])
     return RelationReport(
         "hecke", (rhat.n,), "(Rhat - q)(Rhat + q^-1) = 0", minus_one,
-        [(ONE, rhat, rhat), (q_scalar ** -1 - q_scalar, rhat, ident)])
+        [(ONE, rhat, rhat), (q_power(-1) - Q, rhat, ident)])
 
 
 def _braid_factor(rhat: RMatrix, left: bool) -> SparseMatrix:
@@ -154,16 +154,16 @@ def check_braid(rhat: RMatrix) -> RelationReport:
 # symmetrizers
 # ---------------------------------------------------------------------------
 
-def projector_sl(rhat: RMatrix, q_scalar: RationalFunction = Q) -> RMatrix:
+def projector_sl(rhat: RMatrix) -> RMatrix:
     """q-symmetrizer (Rhat + q^-1)/(q + q^-1) for a Hecke braid matrix.
 
-    The input must satisfy the Hecke identity at ``q_scalar``; the output
-    is then idempotent and equals (1 + P)/2 at q = 1.
+    The input must satisfy the Hecke identity over Q(q); the output is
+    then idempotent, and substituting q = 1 gives (1 + P)/2.
     """
-    if not check_hecke(rhat, q_scalar).exact_zero:
+    if not check_hecke(rhat).exact_zero:
         raise ValueError("input is not an sl-type braid matrix")
-    qinv = q_scalar ** -1
-    return (rhat + rhat.identity_like().scale(qinv)).scale((q_scalar + qinv) ** -1)
+    qinv = q_power(-1)
+    return (rhat + rhat.identity_like().scale(qinv)).scale((Q + qinv) ** -1)
 
 
 def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:

@@ -539,8 +539,14 @@ def _parse_laurent(side: str) -> RationalFunction:
     """Parse a sum of terms c*q^e with integer (possibly negative) e,
     inside any number of matching outer parentheses."""
     text = side.strip()
-    while text[:1] == "(" and text[-1:] == ")":
-        text = text[1:-1].strip()
+    lo, hi = 0, len(text)    # strip the outer pairs in place, copy once
+    while lo < hi - 1 and text[lo] == "(" and text[hi - 1] == ")":
+        lo, hi = lo + 1, hi - 1
+        while lo < hi and text[lo].isspace():
+            lo += 1
+        while lo < hi and text[hi - 1].isspace():
+            hi -= 1
+    text = text[lo:hi]
     if not text:
         raise ValueError(f"could not parse {side!r}: empty expression")
     terms: dict[int, int] = {}

@@ -10,6 +10,8 @@ public names alone:
 - the gamma-function quotient of the deforming map's normalization;
 - conjugated realizations alpha . X . alpha^-1;
 - the chain controls: copy relabelling and the q = 1 degeneration;
+- specialization: q = 1 substituted into symbolic residuals and into the
+  Hopf data, which the package builds over Q(q) only;
 - the classical commutator action and the degree <= 2 invariant builders;
 - the mirror-image Hopf structure, which the covariance suite rejects;
 - the relation kernel as it was before the cleared form: every product
@@ -33,8 +35,7 @@ from qclifford.fock import identity, zero
 from qclifford.hopf import (ANTIPODE, COPRODUCT, HopfAlgebraData,
                             InvariantElement, deformed_js, invariant_number)
 from qclifford.linalg import SparseMatrix, invert_dense
-from qclifford.report import RelationReport
-from qclifford.rmatrix import build_permutation
+from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
 from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
 
 
@@ -214,18 +215,39 @@ def relabel_copies(gens: GeneratorSet, permutation) -> GeneratorSet:
     return GeneratorSet(relabel(gens.creators), relabel(gens.annihilators))
 
 
-def classical_chain_check(m: int, n: int,
-                          variant: str = "diagonal-mixed") -> list[RelationReport]:
-    """Chain relations at q = 1 on undeformed M*N-mode generators.
-
-    With permutation matrices in place of the braid data all families
-    collapse to plain anticommutation relations and must hold exactly.
-    """
+def copy_braid(m: int, variant: str) -> RMatrix:
+    """The copy braid of a chain variant: q P_M for diagonal-mixed, the
+    sl(M) braid matrix for RM-braided-mixed."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    rhat_m = build_permutation(m) if variant == "RM-braided-mixed" else None
-    return chain_residuals(undeformed_set(m * n), build_permutation(n),
-                           rhat_m, q_scalar=ONE)
+    if variant == "RM-braided-mixed":
+        return build_rhat_sl(m)
+    return build_permutation(m).scale(Q)
+
+
+def at_one(reports) -> list[SparseMatrix]:
+    """The residual of each report with q = 1 substituted."""
+    return [rep.residual.subst(1) for rep in reports]
+
+
+def classical_chain_check(m: int, n: int,
+                          variant: str = "diagonal-mixed") -> list[SparseMatrix]:
+    """Chain residuals of the undeformed M*N-mode generators at q = 1.
+
+    The residuals are computed over Q(q) and then specialized: at q = 1
+    the braid matrices become permutations, all families collapse to
+    plain anticommutation relations, and every residual must vanish.
+    """
+    [reports] = chain_residuals(undeformed_set(m * n), build_rhat_sl(n),
+                                [copy_braid(m, variant)])
+    return at_one(reports)
+
+
+def hopf_data_at(data: HopfAlgebraData, point) -> HopfAlgebraData:
+    """The Hopf data with q := point substituted into sigma and rho, of the
+    class of ``data`` (so the same frozen or mirror tables)."""
+    return type(data)({name: op.subst(point) for name, op in data.sigma.items()},
+                      {name: op.subst(point) for name, op in data.rho.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +320,11 @@ class MirrorHopfData(HopfAlgebraData):
     antipode = {**ANTIPODE, "E": (-1, ("E", "Kinv")), "F": (-1, ("K", "F"))}
 
 
-def mirror_js(q_scalar: RationalFunction = Q) -> MirrorHopfData:
+def mirror_js() -> MirrorHopfData:
     """The mirror Hopf structure on the self-checked data of
     ``hopf.deformed_js``."""
-    data = deformed_js(q_scalar)
-    return MirrorHopfData(data.q_scalar, data.sigma, data.rho)
+    data = deformed_js()
+    return MirrorHopfData(data.sigma, data.rho)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,14 @@ from qclifford.report import RelationReport
 from qclifford.rmatrix import build_permutation, build_rhat_sl
 from qclifford.scalar import ONE, Q, RationalFunction, parse_rational
 
-from oracles import classical_chain_check, relabel_copies
+from oracles import at_one, classical_chain_check, copy_braid, relabel_copies
 
 
 class TestSpecValidation:
     """A chain is specified by its generators and braid matrices alone:
-    N is rhat_n.n, M is the mode count over N, and rhat_m selects the
-    RM-braided-mixed variant."""
+    N is rhat_n.n, M is the mode count over N, and the copy braid rhat_m
+    selects the variant: q P_M for diagonal-mixed, the sl(M) braid matrix
+    for RM-braided-mixed."""
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="variant"):
@@ -27,11 +28,14 @@ class TestSpecValidation:
             classical_chain_check(2, 2, "mixed")
 
     def test_missing_rhat_m(self):
-        # no rhat_m selects diagonal-mixed, a given one RM-braided-mixed
+        # the copy braid is required; q P_M gives the experiment's
+        # diagonal-mixed reports, the sl(M) braid its RM-braided-mixed ones
         gens = build_deforming_map(4)
-        rn, rm = build_rhat_sl(2), build_rhat_sl(2)
-        diag = mixed_residuals(gens, rn)
-        braided = mixed_residuals(gens, rn, rm)
+        rn = build_rhat_sl(2)
+        with pytest.raises(TypeError, match="rhat_m"):
+            mixed_residuals(gens, rn)
+        diag = mixed_residuals(gens, rn, build_permutation(2).scale(Q))
+        braided = mixed_residuals(gens, rn, build_rhat_sl(2))
         assert [r.exact_zero for r in diag] != [r.exact_zero for r in braided]
         findings, _ = lexicographic_experiment(2, 2)
         for variant, reports in (("diagonal-mixed", diag),
@@ -43,11 +47,12 @@ class TestSpecValidation:
 
     def test_block_dimension_checks(self):
         with pytest.raises(ValueError, match="copies of rhat_n's 3 modes"):
-            chain_residuals(undeformed_set(4), build_rhat_sl(3))
+            chain_residuals(undeformed_set(4), build_rhat_sl(3),
+                            [build_rhat_sl(2)])
         with pytest.raises(ValueError, match="rhat_m block dimension 3 is "
                                              "not the copy count 2"):
             chain_residuals(undeformed_set(4), build_rhat_sl(2),
-                            build_rhat_sl(3))
+                            [build_rhat_sl(3)])
 
     def test_copy_major_flattening(self):
         # M = 2 copies of N = 3 modes: flat mode 4 is (copy 2, mode 1), so
@@ -57,19 +62,21 @@ class TestSpecValidation:
         creators = list(plain.creators)
         creators[3] = fock.zero(6)
         broken = GeneratorSet(creators, plain.annihilators)
-        reports = mixed_residuals(broken, build_permutation(3), q_scalar=ONE)
+        reports = mixed_residuals(broken, build_rhat_sl(3),
+                                  build_permutation(2).scale(Q))
         assert len(reports) == 3 * 9
-        diagonal = [r for r in reports
+        diagonal = [(r.indices, res) for r, res in zip(reports, at_one(reports))
                     if r.indices[0] == r.indices[1]
                     and r.indices[2] == r.indices[3]]
-        assert [r.indices for r in diagonal if not r.exact_zero] == [
+        assert [indices for indices, res in diagonal if not res.is_zero] == [
             (2, 2, 1, 1)]
 
 
 class TestDegenerations:
     def test_single_copy_agrees_tuple_for_tuple(self):
         gens = build_deforming_map(2)
-        chain_reports = chain_residuals(gens, build_rhat_sl(2))
+        [chain_reports] = chain_residuals(gens, build_rhat_sl(2),
+                                          [copy_braid(1, "diagonal-mixed")])
         single_reports = relation_residuals(gens, build_rhat_sl(2))
         assert len(chain_reports) == len(single_reports) == 12
         for chain_rep, single_rep in zip(chain_reports, single_reports):
@@ -80,35 +87,33 @@ class TestDegenerations:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_classical_collapse_to_car(self, variant):
-        reports = classical_chain_check(2, 2, variant)
-        assert len(reports) == 3 * 3 * 4
-        assert all(r.exact_zero for r in reports)
+        residuals = classical_chain_check(2, 2, variant)
+        assert len(residuals) == 3 * 3 * 4
+        assert all(res.is_zero for res in residuals)
 
     def test_classical_collapse_m4_n1(self):
-        assert all(r.exact_zero for r in classical_chain_check(4, 1))
+        assert all(res.is_zero for res in classical_chain_check(4, 1))
 
     def test_permutation_variant2_equals_variant1_at_q_one(self):
-        # on a deliberately broken set the residuals are nonzero but must
-        # coincide between the two variants when rhat_m is the permutation
+        # on a deliberately broken set the residuals at q = 1 are nonzero
+        # but coincide between the variants: both copy braids become P
         broken = undeformed_set(4)
         broken = GeneratorSet(
             (fock.zero(4),) + broken.creators[1:], broken.annihilators)
-        perm2, perm2n = build_permutation(2), build_permutation(2)
-        v1 = chain_residuals(broken, perm2n, q_scalar=ONE)
-        v2 = chain_residuals(broken, perm2n, perm2, q_scalar=ONE)
-        assert any(not r.exact_zero for r in v1)
-        for a, b in zip(v1, v2):
-            assert a.indices == b.indices
-            assert a.residual == b.residual
+        v1, v2 = chain_residuals(broken, build_rhat_sl(2),
+                                 [copy_braid(2, v) for v in VARIANTS])
+        assert [a.indices for a in v1] == [b.indices for b in v2]
+        assert any(not res.is_zero for res in at_one(v1))
+        assert at_one(v1) == at_one(v2)
 
     def test_relabelling_preserves_verdicts_at_q_one(self):
         gens = undeformed_set(4)
         shifted = relabel_copies(gens, [2, 1])
-        perm = build_permutation(2)
-        before = [r.exact_zero
-                  for r in chain_residuals(gens, perm, q_scalar=ONE)]
-        after = [r.exact_zero
-                 for r in chain_residuals(shifted, perm, q_scalar=ONE)]
+        rhat_ms = [copy_braid(2, "diagonal-mixed")]
+        [before], [after] = (chain_residuals(g, build_rhat_sl(2), rhat_ms)
+                             for g in (gens, shifted))
+        before, after = ([res.is_zero for res in at_one(reports)]
+                         for reports in (before, after))
         assert sorted(before) == sorted(after)
         assert all(after)
 
@@ -152,7 +157,8 @@ class TestLexicographicExperiment:
 
     def test_misordered_assignment_fails(self):
         gens = relabel_copies(build_deforming_map(4), [2, 1])
-        reports = chain_residuals(gens, build_rhat_sl(2))
+        [reports] = chain_residuals(gens, build_rhat_sl(2),
+                                    [copy_braid(2, "diagonal-mixed")])
         assert any(not r.exact_zero for r in reports)
         # the intra-copy blocks survive relabelling, the ordering-sensitive
         # inter-copy creator block changes its failure pattern
@@ -296,28 +302,55 @@ def _plant_entry(gens: GeneratorSet) -> GeneratorSet:
                         + gens.creators[1:], gens.annihilators)
 
 
+def _diagonal_mixed_reference(gens: GeneratorSet, rn, m: int) -> list:
+    """((alpha, beta, i, j), residual) of the diagonal-mixed relations
+    A[a,i] C[b,j] + q^-1 Rn[(ih),(jk)] C[b,h] A[a,k] = delta_ij delta_ab,
+    each residual formed with plain matrix products and sums."""
+    n = rn.n
+    cre = {(a, i): gens.creators[(a - 1) * n + i - 1]
+           for a in range(1, m + 1) for i in range(1, n + 1)}
+    ann = {(a, i): gens.annihilators[(a - 1) * n + i - 1]
+           for a in range(1, m + 1) for i in range(1, n + 1)}
+    out = []
+    for a in range(1, m + 1):
+        for b in range(a, m + 1):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    res = ann[a, i] * cre[b, j]
+                    for h in range(1, n + 1):
+                        for k in range(1, n + 1):
+                            coeff = Q ** -1 * rn.block(i, h, j, k)
+                            res = res + (cre[b, h] * ann[a, k]).scale(coeff)
+                    if i == j and a == b:
+                        res = res - res.identity_like()
+                    out.append(((a, b, i, j), res))
+    return out
+
+
 @pytest.mark.parametrize("planted", [False, True], ids=["map", "planted"])
-@pytest.mark.parametrize("q_scalar", [Q, ONE], ids=["Q", "ONE"])
+@pytest.mark.parametrize("point", [None, 1], ids=["Q", "ONE"])
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (2, 2), (2, 3), (3, 1),
                                   (3, 2)])
 def test_diagonal_mixed_is_the_braided_formula_over_q_permutation(
-        m, n, q_scalar, planted):
-    # (q P_M)^-1 = q^-1 P_M, so the diagonal-mixed copy term is the
-    # braided one over the copy braid q P_M, failing reports included
+        m, n, point, planted):
+    # (q P_M)^-1 = q^-1 P_M, so the braided copy term over the copy braid
+    # q P_M is the diagonal-mixed term q^-1 Rn C[b,h] A[a,k], failing
+    # reports included, over Q(q) and with q = 1 substituted
     scales = [parse_rational(text) for text in
               ("(q + 2)/(3*q + 1)", "2*q^2 + 1", "(q^2 + 3)/(q)")[:m]]
     gens = scale_copies(build_deforming_map(m * n), scales)
     if planted:
         gens = _plant_entry(gens)
     rn = build_rhat_sl(n)
-    diagonal = mixed_residuals(gens, rn, q_scalar=q_scalar)
-    braided = mixed_residuals(gens, rn, build_permutation(m).scale(q_scalar),
-                              q_scalar=q_scalar)
-    assert len(diagonal) == len(braided) == m * (m + 1) // 2 * n * n
-    for a, b in zip(diagonal, braided):
-        assert a.indices == b.indices
-        assert a.exact_zero == b.exact_zero
-        assert a.worst_entry() == b.worst_entry()
-        assert a.residual == b.residual
+    braided = mixed_residuals(gens, rn, build_permutation(m).scale(Q))
+    reference = _diagonal_mixed_reference(gens, rn, m)
+    assert len(braided) == len(reference) == m * (m + 1) // 2 * n * n
+    for rep, (indices, res) in zip(braided, reference):
+        assert rep.indices == indices
+        if point is None:
+            assert rep.exact_zero == res.is_zero
+            assert rep.residual == res
+        else:
+            assert rep.residual.subst(point) == res.subst(point)
     if planted:
-        assert any(not rep.exact_zero for rep in diagonal)
+        assert any(not rep.exact_zero for rep in braided)

@@ -163,6 +163,14 @@ class TestVerifyMap:
         assert code == 2
         assert "line" in err and "column" in err
 
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: the JSON document is nested too "
+                       f"deeply to read\n")
+
     @pytest.mark.parametrize("make_doc, field", [
         (lambda: {"modes": 1, "creators": 5, "annihilators": 5},
          "creators must be a list of operator objects"),
@@ -360,6 +368,15 @@ class TestRMatrixCommand:
                              "--input", str(path))
         assert code == 2 and out == ""
         assert "dim = 5 is not n^2 = 4 for n = 2" in err
+
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: the JSON document is nested too "
+                       f"deeply to read\n")
 
     def test_sp_requires_input(self, capsys):
         code, _, err = run(capsys, "rmatrix", "--algebra", "sp")
@@ -627,6 +644,17 @@ class TestEvalCommand:
 class TestHarness:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_program_fault_exits_three(self, capsys, monkeypatch):
+        # a stale call with one argument too many is a fault of the
+        # program, not bad input: exit 3 with the traceback, not 2
+        original = deform.relation_residuals
+        monkeypatch.setattr(deform, "relation_residuals",
+                            lambda gens, rhat: original(gens, rhat, Q))
+        code, out, err = run(capsys, "poincare", "--n", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:\nTraceback")
+        assert "TypeError: relation_residuals() takes 2 positional " in err
 
     def test_text_output_has_summary(self, capsys):
         code, out, _ = run(capsys, "verify-map", "--n", "2")

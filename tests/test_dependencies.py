@@ -7,9 +7,10 @@ the environment either: every bound is a constant in the source.  No
 module memoizes with ``functools.lru_cache``, ``functools.cache`` or
 ``functools.cached_property`` either: a memo would keep every value it
 was handed alive until the command ends.  Every module but the
-re-exporting ``__init__.py`` reads each name it imports.  And the package
+re-exporting ``__init__.py`` reads each name it imports.  The package
 holds only code that a command runs: test-only oracles live in
-``tests/oracles.py``.
+``tests/oracles.py``.  And every checker decides over Q(q) alone: no def
+takes a parameter named ``q_scalar``; a numeric point is a substitution.
 """
 
 import ast
@@ -161,9 +162,6 @@ KEPT = {
     "linalg.rank_numeric":
         "wrapped by the perfbench span linalg.rank_numeric, which the "
         "benchmark's tests require to resolve",
-    "chain.chain_residuals":
-        "wrapped by the perfbench span chain.residuals, which the "
-        "benchmark's tests require to resolve",
     "deform.build_inverse_map":
         "reserved for the Poincare rank certificate (ROADMAP item 2)",
     "deform.GeneratorSet.all_generators":
@@ -278,6 +276,44 @@ def sparse_matrix_subclasses():
         if derived == found:
             return sorted(found)
         found = derived
+
+
+def q_scalar_parameters(path: Path):
+    """The name of every def in a source file with a parameter named
+    ``q_scalar`` (positional, keyword-only or variadic), and
+    ``Class.q_scalar`` for every class that declares such a field."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from (f"{node.name}.q_scalar" for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and ast.unparse(stmt.target) == "q_scalar")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                     *args.kwonlyargs, args.vararg,
+                                     args.kwarg) if a is not None]
+            if "q_scalar" in names:
+                yield getattr(node, "name", "<lambda>")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_def_or_field_takes_a_q_scalar(path):
+    assert list(q_scalar_parameters(path)) == []
+
+
+def test_q_scalar_scan_sees_each_form(tmp_path):
+    path = tmp_path / "point.py"
+    path.write_text("def f(gens, q_scalar=None):\n    pass\n"
+                    "def g(*, q_scalar):\n    pass\n"
+                    "class C:\n    def h(self, q_scalar, /):\n        pass\n"
+                    "k = lambda q_scalar: q_scalar\n"
+                    "class D:\n    q_scalar: int\n"
+                    "def ok(q, point):\n    pass\n")
+    assert sorted(q_scalar_parameters(path)) == ["<lambda>", "D.q_scalar",
+                                                 "f", "g", "h"]
 
 
 def test_rmatrix_is_the_one_sparse_matrix_subclass():

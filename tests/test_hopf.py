@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford import hopf
+from qclifford import fock, hopf
 from qclifford.deform import build_deforming_map, undeformed_set
 from qclifford.fock import build_generators, identity, number_op
 from qclifford.hopf import (GENERATOR_NAMES, act, check_covariance,
@@ -13,7 +13,7 @@ from qclifford.linalg import SparseMatrix
 from qclifford.report import CONVENTIONS
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power
 
-from oracles import (classical_act, degree_two_invariant_basis,
+from oracles import (classical_act, degree_two_invariant_basis, hopf_data_at,
                      invariant_from_tensor, mirror_js)
 
 
@@ -46,7 +46,7 @@ class TestDeformedBilinears:
         assert [k.get(r, 0) for r in range(4)] == [ONE, ZERO, ZERO, ZERO]
 
     def test_classical_point_matches_bilinears(self):
-        at_one = deformed_js(ONE)
+        at_one = hopf_data_at(deformed_js(), 1)
         js = classical_js()
         assert at_one.sigma["E"] == js["j+"]
         assert at_one.sigma["F"] == js["j-"]
@@ -68,27 +68,19 @@ def _doubled_creator_1(n_modes):
 
 class TestSelfCheck:
     def test_doubled_weight_fails_the_e_conjugation(self, monkeypatch):
-        weight = hopf._weight_diagonal
-        monkeypatch.setattr(hopf, "_weight_diagonal",
-                            lambda q_scalar, sign: weight(q_scalar, 2 * sign))
+        # K = q^(2 (n_1 - n_2)) still inverts Kinv but weighs E by q^4
+        q_exponent = fock.q_exponent
+        monkeypatch.setattr(fock, "q_exponent",
+                            lambda weights: q_exponent([2 * w for w in weights]))
         with pytest.raises(ValueError, match=r"^K E Kinv = q\^2 E fails$"):
             deformed_js()
 
-    @pytest.mark.parametrize("q_scalar, message", [
-        (Q, r"^\[E, F\] = \(K - Kinv\)/\(q - q\^-1\) fails$"),
-        (ONE, r"^\[E, F\] classical limit fails$"),
-        (-ONE, r"^\[E, F\] classical limit fails$")])
-    def test_doubled_e_fails_the_bracket(self, monkeypatch, q_scalar, message):
+    def test_doubled_e_fails_the_bracket(self, monkeypatch):
         monkeypatch.setattr(hopf, "build_generators", _doubled_creator_1)
-        with pytest.raises(ValueError, match=message):
-            deformed_js(q_scalar)
-
-    @pytest.mark.parametrize("q_scalar", [ONE, -ONE])
-    def test_degenerate_points_build(self, q_scalar):
-        data = deformed_js(q_scalar)
-        bracket = data.sigma["E"] * data.sigma["F"] \
-            - data.sigma["F"] * data.sigma["E"]
-        assert bracket == number_op(2, 1) - number_op(2, 2)
+        with pytest.raises(
+                ValueError,
+                match=r"^\[E, F\] = \(K - Kinv\)/\(q - q\^-1\) fails$"):
+            deformed_js()
 
 
 def _word(word):
@@ -161,7 +153,7 @@ class TestAdjointAction:
         assert act("E", lastf2.creators[1], data) == lastf2.creators[0]
 
     def test_classical_point_is_commutator_action(self):
-        at_one = deformed_js(ONE)
+        at_one = hopf_data_at(deformed_js(), 1)
         js = classical_js()
         for name, classical in (("E", "j+"), ("F", "j-")):
             for op in (build_generators(2)[0][0], number_op(2, 2)):
@@ -181,7 +173,7 @@ class TestModuleAlgebra:
         assert kk and all(r.exact_zero for r in kk)
 
     def test_classical_point_obeys_plain_leibniz(self):
-        at_one = deformed_js(ONE)
+        at_one = hopf_data_at(deformed_js(), 1)
         gens = build_generators(2)
         a, b = gens[0][0], gens[1][1]
         lhs = act("E", a * b, at_one)
@@ -233,7 +225,7 @@ class TestCovariance:
         assert data.rho["K"] == SparseMatrix(2, [{0: Q}, {1: q_power(-1)}])
 
     def test_classical_point_reduces_to_commutator_covariance(self, plain2):
-        at_one = deformed_js(ONE)
+        at_one = hopf_data_at(deformed_js(), 1)
         reports = check_covariance(plain2, at_one)
         assert all(r.exact_zero for r in reports)
 

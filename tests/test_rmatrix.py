@@ -96,8 +96,8 @@ class TestSymmetrizer:
             projector_sl(build_permutation(2))
 
     def test_classical_projector_at_q_one(self):
-        # the permutation satisfies the Hecke identity at q = 1
-        p = projector_sl(build_permutation(2), q_scalar=ONE)
+        # q = 1 substituted into P+_q is still idempotent
+        p = projector_sl(build_rhat_sl(2)).subst(1)
         assert (p * p - p).is_zero
 
 

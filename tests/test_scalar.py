@@ -1,6 +1,7 @@
 import builtins
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -315,3 +316,11 @@ class TestGrammar:
         with pytest.raises((ValueError, ZeroDivisionError),
                            match=re.escape(repr(side))):
             parse_rational(text)
+
+    def test_outer_parentheses_are_stripped_in_linear_time(self):
+        # each outer pair costs index arithmetic, not a copy of the side
+        pairs = 400_000
+        started = time.perf_counter()
+        value = parse_rational("(" * pairs + " q " + ")" * pairs)
+        assert time.perf_counter() - started < 1.0
+        assert value == Q
