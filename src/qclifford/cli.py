@@ -248,11 +248,9 @@ def cmd_invariants(args) -> int:
     dressed = deform.build_deforming_map(2)
     i1 = hopf.invariant_number(plain, "I1")
     i1q = hopf.invariant_number(dressed, "I1_q")
-    reports = []
-    for element in (i1, i1q):
-        reports += hopf.invariance_check(element, data, "deformed")
-        reports += hopf.invariance_check(element, data, "classical")
-    reports.append(hopf.verify_I1_identity(dressed))
+    reports = [*hopf.invariance_check(i1, data),
+               *hopf.invariance_check(i1q, data),
+               hopf.verify_I1_identity(dressed)]
     _spot_check(reports, dressed, point)
     return _finish(doc, args, reports)
 

@@ -16,19 +16,20 @@ anticommutation relations.  For two modes the mixed relation with i = j
 with the exponent -2 coming out of the exact contraction of q^-1 Rhat;
 the tests pin this coefficient and reject the q^-1 - 1 alternative.
 Each relation, here and in the chain families, is one residual
-start + sum coeff X Y over a table of (coeff, X, Y) terms, with start
-the zero operator or minus the identity.  :class:`report.RelationReport`
-hands the table to :func:`linalg.product_sum_rows`, which forms no
-product matrix and decides the rows in order: each matrix is read in its
-cleared form, rows over Z[q] over one denominator, so every residual
-entry is a polynomial sum over the relation's one common denominator, an
-entry whose sum cancels is dropped, and each row is finished over every
-term before the next is begun.  The relation holds iff no row survives.  A failing relation stops
-at its first surviving row, and the report reduces only what it prints,
-that row's first entry; the rest of the canonical residual is computed
-only when it is read.  Canonical forms in Q(q) are unique, so the
-residual, its exact-zero flag and its worst entry are those the matrix
-products would give.
+start + sum coeff X Y over a table of (coeff, X, Y) terms, each a
+coefficient times a word of two generators, with start the zero
+operator or minus the identity.  :class:`report.RelationReport` hands
+the table to :func:`linalg.product_sum_rows`, which forms no product
+matrix and decides the rows in order: each matrix is read in its cleared
+form, rows over Z[q] over one denominator, so every residual entry is a
+polynomial sum over the relation's one common denominator, an entry
+whose sum cancels is dropped, and each row is finished over every term
+before the next is begun.  The relation holds iff no row survives.  A
+failing relation stops at its first surviving row, and the report
+reduces only what it prints, that row's first entry; the rest of the
+canonical residual is computed only when it is read.  Canonical forms
+in Q(q) are unique, so the residual, its exact-zero flag and its worst
+entry are those the matrix products would give.
 
 The deforming map dresses each undeformed generator with a diagonal
 q-exponent over the later modes,

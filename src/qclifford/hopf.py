@@ -30,22 +30,26 @@ identity relating the deformed quadratic invariant to the classical one
 is verified eigenvalue by eigenvalue.
 
 Every residual, the defining relations that :func:`deformed_js` checks
-included, is a term table start + sum coeff X Y for the one relation
-evaluator, :class:`report.RelationReport`, which forms no product matrix.
-The operands are computed once per check call: each x |> a, each
-sigma(x_(1)) . a and each b . sigma(S x_(2)); the sigma word images and
-the sandwich pairs (sign, x_(1), S x_(2)) of each word are kept on the
-:class:`HopfAlgebraData`.  So x |> (ab) is summed as
-sigma(x_(1)) a . b sigma(S x_(2)) without forming ab, and a commutator
-[g, a] is the table [(1, g, a), (-1, a, g)].  :func:`act` itself stays a
-plain sum of matrix products, the oracle the checkers are tested against.
+included, is a term table start + sum coeff F1 ... Fk for the one
+relation evaluator, :class:`report.RelationReport`: each term is a
+coefficient times a word of matrices.  The action x |> (a b ...) is the
+terms (sign, sigma(x_(1)), a, b, ..., sigma(S x_(2))) of
+:func:`_action_terms`, so no sandwich product and no product ab is
+formed, and a commutator [g, a] is the table [(1, g, a), (-1, a, g)].
+The sigma word images and the sandwich pairs (sign, x_(1), S x_(2)) of
+each word are kept on the :class:`HopfAlgebraData`.  :func:`act`
+multiplies the same words out with plain matrix products: it is the
+oracle the checkers are tested against, and it gives the inner actions
+y |> a of the module-algebra check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import mul
 
 from . import fock
 from .deform import GeneratorSet
@@ -92,12 +96,11 @@ class HopfAlgebraData:
                               compare=False)
 
     def sigma_word(self, word) -> SparseMatrix:
+        """sigma of a nonempty word, its letters' images multiplied."""
         word = tuple(word)
         op = self._sigma_words.get(word)
         if op is None:
-            op = fock.identity(2)
-            for name in word:
-                op = op * self.sigma[name]
+            op = reduce(mul, [self.sigma[name] for name in word])
             self._sigma_words[word] = op
         return op
 
@@ -115,10 +118,8 @@ class HopfAlgebraData:
         return pairs
 
     def rho_word(self, word) -> SparseMatrix:
-        mat = SparseMatrix(2, [{0: ONE}, {1: ONE}])
-        for name in word:
-            mat = mat * self.rho[name]
-        return mat
+        """rho of a nonempty word, its letters' images multiplied."""
+        return reduce(mul, [self.rho[name] for name in word])
 
     def antipode_word(self, word):
         """S applied as an antihomomorphism: (sign, word)."""
@@ -151,14 +152,14 @@ def deformed_js() -> HopfAlgebraData:
     pairs = build_generators(2)
     E, F = pairs[0][0] * pairs[1][1], pairs[1][0] * pairs[0][1]
     K, Kinv = fock.q_exponent([1, -1]), fock.q_exponent([-1, 1])
-    zero, ident = fock.zero(2), fock.identity(2)
+    zero = fock.zero(2)
     gap_inv = (Q - Q ** -1) ** -1
     identities = [
-        ("K Kinv = 1", -ident, [(ONE, K, Kinv)]),
-        ("K E Kinv = q^2 E", zero, [(ONE, K * E, Kinv), (-Q * Q, E, ident)]),
-        ("K F Kinv = q^-2 F", zero, [(ONE, K * F, Kinv), (-Q ** -2, F, ident)]),
+        ("K Kinv = 1", -fock.identity(2), [(ONE, K, Kinv)]),
+        ("K E Kinv = q^2 E", zero, [(ONE, K, E, Kinv), (-Q * Q, E)]),
+        ("K F Kinv = q^-2 F", zero, [(ONE, K, F, Kinv), (-Q ** -2, F)]),
         ("[E, F] = (K - Kinv)/(q - q^-1)", zero, [(ONE, E, F), (-ONE, F, E),
-         (-gap_inv, K, ident), (gap_inv, Kinv, ident)]),
+         (-gap_inv, K), (gap_inv, Kinv)]),
     ]
     for relation, start, terms in identities:
         if not RelationReport("hopf-self-check", (), relation, start,
@@ -180,63 +181,29 @@ def act(x, a: SparseMatrix, data: HopfAlgebraData) -> SparseMatrix:
     """Adjoint action of a generator monomial: sandwich through the
     coproduct with the antipode on the right leg.
 
-    Built with plain matrix products and sums, so it is an oracle
-    independent of the relation kernel the checkers run on.
+    The words of :func:`_action_terms` multiplied out with plain matrix
+    products and summed, so it is an oracle independent of the relation
+    kernel the checkers run on.
     """
     word = (x,) if isinstance(x, str) else tuple(x)
     total = SparseMatrix(a.dim)
-    for sign, left, s_word in data.sandwich(word):
-        total = total + _right(data, _left(data, left, a), s_word).scale(sign)
+    for sign, *factors in _action_terms(data, word, a):
+        total = total + reduce(mul, factors).scale(sign)
     return total
 
 
-def _left(data: HopfAlgebraData, word: tuple, a: SparseMatrix) -> SparseMatrix:
-    """sigma(word) . a, with no product for the empty word."""
-    return data.sigma_word(word) * a if word else a
-
-
-def _right(data: HopfAlgebraData, b: SparseMatrix, word: tuple) -> SparseMatrix:
-    """b . sigma(word), with no product for the empty word."""
-    return b * data.sigma_word(word) if word else b
-
-
-class _Actions:
-    """The operators of one check call's residuals, each computed once.
-
-    Operands are keyed by label: x |> a, sigma(x_(1)) . a and
-    b . sigma(S x_(2)).  A residual is then a term table over these for
-    :class:`report.RelationReport`, and no product is formed for it.
-    """
-
-    def __init__(self, data: HopfAlgebraData):
-        self.data = data
-        self._memo: dict = {}
-
-    def _once(self, key, build):
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = build()
-        return value
-
-    def act(self, word: tuple, label: str, a: SparseMatrix) -> SparseMatrix:
-        """x |> a for a word x."""
-        return self._once(("act", word, label), lambda: act(word, a, self.data))
-
-    def terms(self, word: tuple, la: str, a: SparseMatrix, lb: str | None = None,
-              b: SparseMatrix | None = None) -> list:
-        """Terms (sign, sigma(x_(1)) . a, b . sigma(S x_(2))) of x |> (ab),
-        or of x |> a when b is None."""
-        data = self.data
-        out = []
-        for sign, left, s_word in data.sandwich(word):
-            left_op = self._once(("left", left, la), lambda: _left(data, left, a))
-            if b is None:
-                right_op = data.sigma_word(s_word)
-            else:
-                right_op = self._once(("right", lb, s_word),
-                                      lambda: _right(data, b, s_word))
-            out.append((sign, left_op, right_op))
-        return out
+def _action_terms(data: HopfAlgebraData, word: tuple, *operands) -> list:
+    """The terms (sign, sigma(x_(1)), operands..., sigma(S x_(2))) of
+    x |> (a b ...) for a word x, over its sandwich pairs; sigma of the
+    empty word, the identity, is left out of the word."""
+    terms = []
+    for sign, left, s_word in data.sandwich(word):
+        factors = [data.sigma_word(left)] if left else []
+        factors += operands
+        if s_word:
+            factors.append(data.sigma_word(s_word))
+        terms.append((sign, *factors))
+    return terms
 
 
 def classical_js() -> dict:
@@ -260,32 +227,37 @@ def check_module_algebra(data: HopfAlgebraData,
 
     Checks (xy) |> a = x |> (y |> a) for x, y in {E, F, K} with a ranging
     over the given generators, and the deformed Leibniz rule
-    x |> (ab) = sum (x_(1) |> a)(x_(2) |> b) on all pairs a, b.  Each
-    y |> a and each sandwich product with a generator is computed once;
-    x |> (ab) is summed as sigma(x_(1)) a . b sigma(S x_(2)), so no
-    product ab is formed.
+    x |> (ab) = sum (x_(1) |> a)(x_(2) |> b) on all pairs a, b.  The inner
+    actions y |> a, for y a generator or a coproduct leg, are computed
+    once, by :func:`act`; every other action is a term table of
+    :func:`_action_terms`, so x |> (ab) is the words
+    sigma(x_(1)) a b sigma(S x_(2)) and no product ab is formed.
     """
     samples = _labelled_generators(gens)
-    actions = _Actions(data)
+    words = dict.fromkeys([(y,) for y in GENERATOR_NAMES]
+                          + [leg for x in GENERATOR_NAMES
+                             for pair in data.coproduct_word((x,))
+                             for leg in pair])
+    acts = {(word, label): act(word, a, data)
+            for word in words for label, a in samples}
     zero = fock.zero(gens.modes)
     reports = []
     for x, y in product(GENERATOR_NAMES, repeat=2):
         for label, a in samples:
-            inner = f"{y} |> {label}"
-            rhs = [(-sign, left_op, right_op) for sign, left_op, right_op in
-                   actions.terms((x,), inner, actions.act((y,), label, a))]
+            rhs = [(-sign, *factors) for sign, *factors in
+                   _action_terms(data, (x,), acts[(y,), label])]
             reports.append(RelationReport(
                 "module-assoc", (x, y, label),
                 f"({x}{y}) |> {label} = {x} |> ({y} |> {label})", zero,
-                actions.terms((x, y), label, a) + rhs))
+                _action_terms(data, (x, y), a) + rhs))
     for x in GENERATOR_NAMES:
         for (la, a), (lb, b) in product(samples, repeat=2):
-            rhs = [(-ONE, actions.act(left, la, a), actions.act(right, lb, b))
+            rhs = [(-ONE, acts[left, la], acts[right, lb])
                    for left, right in data.coproduct_word((x,))]
             reports.append(RelationReport(
                 "module-leibniz", (x, la, lb),
                 f"{x} |> ({la}.{lb}) obeys the coproduct Leibniz rule", zero,
-                actions.terms((x,), la, a, lb, b) + rhs))
+                _action_terms(data, (x,), a, b) + rhs))
     return reports
 
 
@@ -308,29 +280,25 @@ def check_covariance(gens: GeneratorSet,
     """
     if gens.modes != 2:
         raise ValueError("covariance checking is built for two modes")
-    actions = _Actions(data)
-    zero, ident = fock.zero(2), fock.identity(2)
+    zero = fock.zero(2)
     reports = []
     for x in GENERATOR_NAMES:
         rho_x = data.rho[x]
         for i in (1, 2):
-            label = f"Adag_{i}"
             reports.append(RelationReport(
                 "covariance-creator", (x, i),
-                f"{x} |> {label} = rho({x})^j_{i} Adag_j", zero,
-                actions.terms((x,), label, gens.creators[i - 1])
-                + [(-rho_x.get(j - 1, i - 1), gens.creators[j - 1], ident)
+                f"{x} |> Adag_{i} = rho({x})^j_{i} Adag_j", zero,
+                _action_terms(data, (x,), gens.creators[i - 1])
+                + [(-rho_x.get(j - 1, i - 1), gens.creators[j - 1])
                    for j in (1, 2)]))
         sign, s_word = data.antipode_word((x,))
         rho_sx = data.rho_word(s_word)
         for i in (1, 2):
-            label = f"A^{i}"
             reports.append(RelationReport(
                 "covariance-annihilator", (x, i),
-                f"{x} |> {label} = rho(S {x})^{i}_j A^j", zero,
-                actions.terms((x,), label, gens.annihilators[i - 1])
-                + [(-sign * rho_sx.get(i - 1, j - 1), gens.annihilators[j - 1],
-                    ident)
+                f"{x} |> A^{i} = rho(S {x})^{i}_j A^j", zero,
+                _action_terms(data, (x,), gens.annihilators[i - 1])
+                + [(-sign * rho_sx.get(i - 1, j - 1), gens.annihilators[j - 1])
                    for j in (1, 2)]))
     return reports
 
@@ -353,35 +321,24 @@ def invariant_number(gens: GeneratorSet, label: str) -> InvariantElement:
     return InvariantElement(total, label)
 
 
-def invariance_check(element: InvariantElement, data: HopfAlgebraData,
-                     mode: str) -> list[RelationReport]:
-    """Residuals x |> I - eps(x) I for every generator of the action.
-
-    ``mode`` selects the deformed adjoint action or the classical
-    commutator action (for which eps vanishes on the generators).
-    """
-    expr = element.expression
-    ident = expr.identity_like()
+def invariance_check(element: InvariantElement,
+                     data: HopfAlgebraData) -> list[RelationReport]:
+    """Residuals x |> I - eps(x) I under the deformed adjoint action for
+    x in E, F, K, Kinv, then [x, I] under the classical commutator action
+    for x in j+, j-, j0 (for which eps vanishes)."""
+    expr, label = element.expression, element.label
     zero = SparseMatrix(expr.dim)
-    reports = []
-    if mode == "deformed":
-        actions = _Actions(data)
-        for x in ("E", "F", "K", "Kinv"):
-            reports.append(RelationReport(
-                "invariance-deformed", (element.label, x),
-                f"{x} |> {element.label} = eps({x}) {element.label}", zero,
-                actions.terms((x,), element.label, expr)
-                + [(-data.counit[x], expr, ident)]))
-    elif mode == "classical":
-        js = classical_js()
-        for x in ("j+", "j-", "j0"):
-            reports.append(RelationReport(
-                "invariance-classical", (element.label, x),
-                f"[{x}, {element.label}] = 0", zero,
-                [(ONE, js[x], expr), (-ONE, expr, js[x])]))
-    else:
-        raise ValueError("mode must be 'classical' or 'deformed'")
-    return reports
+    deformed = [RelationReport(
+        "invariance-deformed", (label, x),
+        f"{x} |> {label} = eps({x}) {label}", zero,
+        _action_terms(data, (x,), expr) + [(-data.counit[x], expr)])
+        for x in ("E", "F", "K", "Kinv")]
+    js = classical_js()
+    classical = [RelationReport(
+        "invariance-classical", (label, x), f"[{x}, {label}] = 0", zero,
+        [(ONE, js[x], expr), (-ONE, expr, js[x])])
+        for x in ("j+", "j-", "j0")]
+    return deformed + classical
 
 
 def verify_I1_identity(gens: GeneratorSet) -> RelationReport:

@@ -2,8 +2,9 @@
 
 Provides the shared :class:`SparseMatrix` container (dict-of-columns per
 row, zero entries never stored), the fraction-free sum-of-products
-kernel, which reads each matrix in its cleared form (rows over Z[q] over
-one common denominator, derived once per matrix), and one sparse forward
+kernel over terms (coeff, F1, ..., Fk), each a coefficient times a word
+of matrices, which reads each matrix in its cleared form (rows over Z[q]
+over one common denominator, derived once per matrix), and one sparse forward
 elimination over a field behind the exact rank over Q(q), the rank over
 :class:`fractions.Fraction` entries and the inverse.
 Rows whose leading (lowest) columns are pairwise distinct are linearly
@@ -65,13 +66,14 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
     """Sparse rows of a dim x dim matrix from ``[r, c, text]`` JSON entries.
 
     Every entry is checked before the rows are allocated: it must be a
-    list of two integer indices inside the matrix and a string value, and
-    an error names it as ``field[i]``, as does an error in its text.  A
-    later entry for the same position replaces an earlier one, and a zero
-    value is not stored.
+    list of two integer indices inside the matrix and a string value, at
+    a position no earlier entry holds, and an error names it as
+    ``field[i]`` (a repeated position names both entries), as does an
+    error in its text.  A zero value is not stored.
     """
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of [row, col, text] entries")
+    seen: dict[tuple, int] = {}
     for i, entry in enumerate(entries):
         if not (isinstance(entry, list) and len(entry) == 3
                 and type(entry[0]) is int and type(entry[1]) is int
@@ -82,15 +84,17 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
         if not (0 <= r < dim and 0 <= c < dim):
             raise ValueError(f"{field}[{i}]: entry {entry} lies outside the "
                              f"{dim} x {dim} matrix")
+        first = seen.setdefault((r, c), i)
+        if first != i:
+            raise ValueError(f"{field}[{i}] repeats the position [{r}, {c}] "
+                             f"of {field}[{first}]")
     rows: list[dict] = [{} for _ in range(dim)]
     for i, (r, c, text) in enumerate(entries):
         try:
             value = parse_rational(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise type(exc)(f"{field}[{i}]: {exc}") from None
-        if value.is_zero:
-            rows[r].pop(c, None)
-        else:
+        if not value.is_zero:
             rows[r][c] = value
     return rows
 
@@ -362,19 +366,42 @@ def _clear(rows) -> tuple:
     return (dk, dc, dp), cleared
 
 
-def product_sum_rows(start: SparseMatrix, terms):
-    """Yield (r, row, den) for each nonzero row of start + sum coeff * X * Y
-    over (coeff, X, Y), in ascending row order: the row's entries are
-    polynomials over the one common denominator den of the whole sum.
+def _cleared_product(xrows, yrows) -> list:
+    """The product of two matrices given by rows over Z[q], each entry a
+    field element over 1, in the same form.  Only Poly products and sums
+    are formed, and a sum that cancels is dropped."""
+    product = []
+    for row in xrows:
+        out = {}
+        for k, xv in row.items():
+            for c, yv in yrows[k].items():
+                total = out.get(c, _ZERO) + xv.num * yv.num
+                if total.coeffs:
+                    out[c] = total
+                else:
+                    out.pop(c, None)
+        product.append({c: _over_one(v) for c, v in out.items()})
+    return product
 
-    Every operand is read in its cleared form (:meth:`SparseMatrix.cleared`:
-    X = X~/d_X with X~ over Z[q], each entry read through its numerator),
-    so a term has the one denominator D = coeff.den * d_X * d_Y, and den
-    is the lcm L of start's d and of every D, in the split form of
-    :func:`_split`.  The term table
-    (m, X~ rows, Y~ rows) with m = coeff.num * L / D is built once, with
-    zero coefficients and terms with an empty operand dropped, and no
-    product is formed for a unit factor.  Each row of L * residual is
+
+def product_sum_rows(start: SparseMatrix, terms):
+    """Yield (r, row, den) for each nonzero row of
+    start + sum coeff * F1 * ... * Fk over the terms (coeff, F1, ..., Fk),
+    each a coefficient times a word of k >= 1 matrices, in ascending row
+    order: the row's entries are polynomials over the one common
+    denominator den of the whole sum.
+
+    Every factor is read in its cleared form (:meth:`SparseMatrix.cleared`:
+    F = F~/d_F with F~ over Z[q], each entry read through its numerator),
+    so a term has the one denominator D = coeff.den * d_F1 * ... * d_Fk,
+    and den is the lcm L of start's d and of every D, in the split form of
+    :func:`_split`.  The term table (m, X~ rows, Y~ rows) with
+    m = coeff.num * L / D is built once, with zero coefficients and terms
+    with an empty factor dropped, and no product is formed for a unit
+    factor.  Y~ is the word's last factor and X~ the product of the
+    others, formed over Z[q] by :func:`_cleared_product` as the factors
+    are read, with no product for a word of two; for a word of one matrix
+    X~ is the unit rows.  Each row of L * residual is
     then finished over every term before it is yielded, and no row after
     it is read until the next one is requested: m * X~[r, k] * Y~[k, c]
     is added to its entry in term order with Poly additions only.  An
@@ -389,29 +416,35 @@ def product_sum_rows(start: SparseMatrix, terms):
     sden, srows = start.cleared()
     dk, dc, dp = sden or _UNIT
     table = []
-    for coeff, x, y in terms:
+    for coeff, *word in terms:
         num = coeff.num
         if not num.coeffs:
             continue
-        if x.dim != dim or y.dim != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {x.dim} x {y.dim}")
-        dx, xrows = x.cleared()
-        dy, yrows = y.cleared()
-        if dx is None or dy is None:
-            continue
         cd = coeff.den.coeffs
         k, c, p = _UNIT if cd == (1,) else _split(cd)
-        if dx is not _UNIT:
-            k, c, p = k + dx[0], c * dx[1], _times(p, dx[2])
-        if dy is not _UNIT:
-            k, c, p = k + dy[0], c * dy[1], _times(p, dy[2])
-        if k > dk:
-            dk = k
-        if dc % c:
-            dc = _int_lcm(dc, c)
-        if p is not None and p is not dp:
-            dp = _lcm_poly(dp, p)
-        table.append((num, k, c, p, xrows, yrows))
+        xrows = yrows = None
+        for factor in word:
+            if factor.dim != dim:
+                raise ValueError(f"dimension mismatch: {dim} vs {factor.dim}")
+            d, rows = factor.cleared()
+            if d is None:
+                break
+            if d is not _UNIT:
+                k, c, p = k + d[0], c * d[1], _times(p, d[2])
+            if yrows is not None:
+                xrows = (yrows if xrows is None
+                         else _cleared_product(xrows, yrows))
+            yrows = rows
+        else:
+            if k > dk:
+                dk = k
+            if dc % c:
+                dc = _int_lcm(dc, c)
+            if p is not None and p is not dp:
+                dp = _lcm_poly(dp, p)
+            if xrows is None:
+                xrows = [{r: ONE} for r in range(dim)]
+            table.append((num, k, c, p, xrows, yrows))
     den = dk, dc, dp
     table = [(num if k == dk and c == dc and p is dp
               else _cofactor(den, k, c, p, num), xrows, yrows)
@@ -462,7 +495,8 @@ def reduce_rows(start: SparseMatrix, rows) -> SparseMatrix:
 
 
 def product_sum(start: SparseMatrix, terms) -> SparseMatrix:
-    """start + sum coeff * X * Y over (coeff, X, Y), as the class of start.
+    """start + sum coeff * F1 * ... * Fk over the terms (coeff, F1, ..., Fk),
+    as the class of start.
 
     Every row of :func:`product_sum_rows` with every entry reduced once.
     Canonical forms in Q(q) are unique, so the result equals the one built

@@ -5,9 +5,10 @@ A check never returns a bare boolean: it returns a
 inspected and a report can be serialized.  ``exact_zero`` is decided
 exactly over Q(q), never by a float comparison.  The
 :class:`RelationReport` constructor is the one relation evaluator: every
-checker writes its residual as start + sum coeff X Y, over plain
-SparseMatrix operands (every Fock-space operator is one) or RMatrix ones,
-and hands the term table to it, and a report is built no other way.
+checker writes its residual as start + sum coeff F1 ... Fk, each term a
+coefficient times a word of plain SparseMatrix operands (every
+Fock-space operator is one) or RMatrix ones, and hands the term table to
+it, and a report is built no other way.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ CONVENTIONS = {
 
 
 class RelationReport:
-    """The report on the residual start + sum coeff X Y over (coeff, X, Y).
+    """The report on the residual start + sum coeff F1 ... Fk over the
+    terms (coeff, F1, ..., Fk), each a word of k >= 1 matrices.
 
     ``start`` is a matrix of the residual's class (an RMatrix or a plain
     SparseMatrix: the zero operator, or minus the identity for a relation
-    with a delta term); zero coefficients contribute nothing.  The
+    with a delta term); zero coefficients contribute nothing, and a
+    scalar multiple c of the identity is the one-matrix word (c, 1).  The
     residual's rows are decided in order by :func:`linalg.product_sum_rows`,
     fraction-free over one common denominator, and the constructor takes
     only the first nonzero one: ``exact_zero`` holds iff there is none,

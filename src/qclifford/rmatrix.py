@@ -9,10 +9,11 @@ indices.  The index pair (i, j), 1-based, flattens to (i-1)*N + j
 Validity is never assumed: the Hecke identity
 (Rhat - q)(Rhat + q^-1) = 0 and the braid identity on the cube of the
 defining space are checked exactly, each as one residual
-start + sum coeff X Y for :class:`report.RelationReport` (the Hecke
+start + sum coeff F1 ... Fk over words of matrices for
+:class:`report.RelationReport`, with no product matrix formed (the Hecke
 residual is Rhat^2 + (q^-1 - q) Rhat - 1; the braid residual is
-(R12 R23) R12 - R23 (R12 R23), with the one product R12 R23 formed), and
-the symmetrizer is the spectral projector onto the q-eigenspace,
+R12 R23 R12 - R23 R12 R23), and the symmetrizer is the spectral
+projector onto the q-eigenspace,
 
     P+_q = (Rhat + q^-1) / (q + q^-1),
 
@@ -116,11 +117,10 @@ def build_permutation(n: int) -> RMatrix:
 
 def check_hecke(rhat: RMatrix) -> RelationReport:
     """Residual (Rhat - q)(Rhat + q^-1) = Rhat^2 + (q^-1 - q) Rhat - 1."""
-    ident = rhat.identity_like()
     minus_one = rhat._clone([{r: -ONE} for r in range(rhat.dim)])
     return RelationReport(
         "hecke", (rhat.n,), "(Rhat - q)(Rhat + q^-1) = 0", minus_one,
-        [(ONE, rhat, rhat), (q_power(-1) - Q, rhat, ident)])
+        [(ONE, rhat, rhat), (q_power(-1) - Q, rhat)])
 
 
 def _braid_factor(rhat: RMatrix, left: bool) -> SparseMatrix:
@@ -141,13 +141,12 @@ def _braid_factor(rhat: RMatrix, left: bool) -> SparseMatrix:
 
 def check_braid(rhat: RMatrix) -> RelationReport:
     """Residual R12 R23 R12 - R23 R12 R23 on the cube of the block space,
-    evaluated as (R12 R23) R12 - R23 (R12 R23) with one product formed."""
+    as two words of three matrices."""
     r12 = _braid_factor(rhat, left=True)
     r23 = _braid_factor(rhat, left=False)
-    r12r23 = r12 * r23
     return RelationReport(
         "braid", (rhat.n,), "R12 R23 R12 = R23 R12 R23", SparseMatrix(r12.dim),
-        [(ONE, r12r23, r12), (-ONE, r23, r12r23)])
+        [(ONE, r12, r23, r12), (-ONE, r23, r12, r23)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +178,12 @@ def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:
     if denom.is_zero:
         raise ZeroDivisionError("sp symmetrizer denominator vanishes identically")
     inv = denom ** -1
-    ident = rhat.identity_like()
     zero = RMatrix(n)
     p = product_sum(zero,
                     [(inv, rhat, rhat),
-                     ((q_power(-1 - n) + q_power(-1)) * inv, rhat, ident),
-                     (q_power(-2 - n) * inv, ident, ident)])
+                     ((q_power(-1 - n) + q_power(-1)) * inv, rhat),
+                     (q_power(-2 - n) * inv, rhat.identity_like())])
     idempotency = RelationReport(
         "sp-idempotency", (n,), "(P+_q)^2 = P+_q", zero,
-        [(ONE, p, p), (-ONE, p, ident)])
+        [(ONE, p, p), (-ONE, p)])
     return p, idempotency

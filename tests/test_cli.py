@@ -201,6 +201,19 @@ class TestVerifyMap:
         assert err == ("error: creators[0].entries[0]: could not parse "
                        "'2q q': missing operator at 'q'\n")
 
+    def test_repeated_position_names_both_entries(self, capsys, tmp_path):
+        doc = build_deforming_map(2).to_json()
+        entries = doc["annihilators"][1]["entries"]
+        r, c, _ = entries[0]
+        entries.append([r, c, "0"])
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify-map", "--input", str(path))
+        assert code == 2 and out == ""
+        last = len(entries) - 1
+        assert err == (f"error: annihilators[1].entries[{last}] repeats the "
+                       f"position [{r}, {c}] of annihilators[1].entries[0]\n")
+
     @pytest.mark.parametrize("doc, message", [
         ({"modes": 1, "creators": [{"n_modes": 1}],
           "annihilators": [{"n_modes": 1}]},
@@ -314,6 +327,16 @@ class TestRMatrixCommand:
         assert code == 2 and out == ""
         assert err == ("error: entries[1]: could not parse 'q^^2': "
                        "malformed exponent at 'q^^2'\n")
+
+    def test_repeated_position_names_both_entries(self, capsys, tmp_path):
+        path = tmp_path / "rhat.json"
+        path.write_text(json.dumps({"n": 1, "entries": [[0, 0, "q"],
+                                                        [0, 0, "5"]]}))
+        code, out, err = run(capsys, "rmatrix", "--algebra", "sp",
+                             "--input", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: entries[1] repeats the position [0, 0] "
+                       "of entries[0]\n")
 
     @pytest.mark.parametrize("doc, message", [
         ({"n": 2}, 'braid matrix has no "entries"'),

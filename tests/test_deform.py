@@ -8,8 +8,9 @@ from qclifford.deform import (GeneratorSet, MapConstructionError,
                               poincare_rank, relation_residuals,
                               star_compatibility, undeformed_set)
 from qclifford.fock import build_generators, identity, q_exponent
+from qclifford.hopf import check_covariance, deformed_js
 from qclifford.linalg import SparseMatrix, rank_numeric, row_product
-from qclifford.rmatrix import build_rhat_sl
+from qclifford.rmatrix import build_rhat_sl, check_braid, check_hecke
 from qclifford.report import RelationReport
 from qclifford.scalar import ONE, Poly, Q, ZERO, q_power
 
@@ -155,6 +156,14 @@ class TestRelationKernelGcds:
             lambda a, b: printed.append((a, b)) or gcd(a, b)))
         assert failing[0].worst_entry().endswith(")")
         assert len(printed) == 1
+
+    def test_hecke_braid_and_covariance_take_no_gcd(self, kernel_gcds):
+        # words of one and three matrices, and the U_q sl(2) self-check
+        rhat = build_rhat_sl(3)
+        reports = [check_hecke(rhat), check_braid(rhat),
+                   *check_covariance(build_deforming_map(2), deformed_js())]
+        assert len(reports) == 14 and all(r.exact_zero for r in reports)
+        assert kernel_gcds == []
 
 
 class TestInverseMap:

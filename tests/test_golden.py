@@ -4,7 +4,10 @@ Each case reruns one command through ``qclifford.cli.main`` with stdout
 captured, from ``tests/golden/`` as the working directory (the ``command``
 echo contains the ``--input`` path, so that path is relative and fixed),
 and compares the output with the committed ``tests/golden/<case>.json``.
-A change that alters any verdict or report byte fails here.
+A change that alters any verdict or report byte fails here.  The same
+cases are also run in child interpreters under two fixed hash seeds
+(``PYTHONHASHSEED`` 0 and 12345), so a report that depends on the
+iteration order of a set or on string and tuple hashes fails too.
 
 To regenerate after a deliberate report change::
 
@@ -17,13 +20,22 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import qclifford
 from qclifford.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: run in a child interpreter: every case's exit code and stdout, as JSON
+CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+         "from test_golden import CASES, run_case; "
+         "print(json.dumps({name: run_case(argv) "
+         "for name, argv in CASES.items()}))")
 
 #: case name -> argv; the sp braid matrices (the sl braid matrices for N = 2
 #: and N = 3) and the broken N = 3 generator set are input fixtures beside
@@ -90,6 +102,21 @@ def test_report_is_byte_identical(case):
     expected = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
     assert text == expected
     assert code == json.loads(expected)["exit_code"]
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_reports_do_not_depend_on_the_hash_seed(seed):
+    package_root = str(Path(qclifford.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, str(Path(__file__).parent)], env=env,
+        capture_output=True, text=True, timeout=120, check=True)
+    results = json.loads(child.stdout)
+    assert sorted(results) == sorted(CASES)
+    differ = [name for name, (code, text) in results.items()
+              if text != (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+              or code != json.loads(text)["exit_code"]]
+    assert differ == []
 
 
 if __name__ == "__main__":

@@ -147,9 +147,9 @@ def reference_covariance(gens, data):
     return reports
 
 
-def reference_invariance(element, data, mode):
+def reference_invariance(element, data, action):
     expr, label = element.expression, element.label
-    if mode == "deformed":
+    if action == "deformed":
         return [Reference("invariance-deformed", (label, x),
                           f"{x} |> {label} = eps({x}) {label}",
                           act(x, expr, data) - expr.scale(data.counit[x]))
@@ -275,9 +275,13 @@ def test_covariance_matches_matrix_ops(which, gens):
                                                      "random"))))
 def test_invariance_matches_matrix_ops(which, element):
     data = DATA[which]
-    for mode in ("deformed", "classical"):
-        assert_same_reports(invariance_check(element, data, mode),
-                            reference_invariance(element, data, mode))
+    reports = invariance_check(element, data)
+    for action in ("deformed", "classical"):
+        assert_same_reports(
+            [r for r in reports if r.family == f"invariance-{action}"],
+            reference_invariance(element, data, action))
+    assert [r.family for r in reports] == (["invariance-deformed"] * 4
+                                           + ["invariance-classical"] * 3)
 
 
 @SETTINGS

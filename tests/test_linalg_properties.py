@@ -15,7 +15,11 @@ inputs, each of which comes back as its own class.
 The relation kernel (``linalg.product_sum_rows``, which reads every
 operand in its cleared form over one common denominator) is checked
 against two oracles: plain matrix products, scalings and sums, and the
-fraction-pair kernel it replaced (``oracles.fraction_pair_rows``).
+fraction-pair kernel it replaced (``oracles.fraction_pair_rows``).  Terms
+whose words hold one to four matrices, with zero coefficients, empty
+factors and terms that cancel, once as they are and once regrouped
+around a product formed beforehand, are checked against plain products
+and sums.
 """
 
 import pytest
@@ -24,6 +28,8 @@ hypothesis = pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
 from fractions import Fraction  # noqa: E402
+from functools import reduce  # noqa: E402
+from operator import mul  # noqa: E402
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -325,3 +331,48 @@ def test_cleared_kernel_matches_both_oracles(case):
     assert report.worst_entry() == worst_text(by_ops) == worst_text(by_pairs)
     assert_same_residual(report.residual, by_ops)
     assert_same_residual(by_pairs, by_ops)
+
+
+@st.composite
+def word_sums(draw):
+    """A start and terms (coeff, F1, ..., Fk) with 1 <= k <= 4.  Drawn
+    operators are often empty; one factor may be replaced by the zero
+    matrix, one term may be followed by its negative, and one by its
+    negative with the first two factors multiplied out beforehand."""
+    n_modes = draw(st.sampled_from((2, 3)))
+    start = draw(st.sampled_from((zero(n_modes), -identity(n_modes))))
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(COEFFICIENTS),
+                  st.lists(operators(n_modes), min_size=1, max_size=4)),
+        min_size=1, max_size=4))
+    terms = [(coeff, *word) for coeff, word in terms]
+    coeff, *word = draw(st.sampled_from(terms))
+    if draw(st.booleans()):
+        word[draw(st.integers(0, len(word) - 1))] = zero(n_modes)
+        terms.append((coeff, *word))
+    coeff, *word = draw(st.sampled_from(terms))
+    if draw(st.booleans()):
+        terms.append((-coeff, *word))
+    coeff, *word = draw(st.sampled_from(terms))
+    if len(word) > 1 and draw(st.booleans()):
+        terms.append((-coeff, word[0] * word[1], *word[2:]))
+    return start, terms
+
+
+def by_word_products(start, terms):
+    """by_matrix_ops over words: each word multiplied out, then scaled."""
+    total = start
+    for coeff, *word in terms:
+        total = total + reduce(mul, word).scale(coeff)
+    return total
+
+
+@SETTINGS
+@given(word_sums())
+def test_word_product_sum_matches_matrix_ops(case):
+    start, terms = case
+    expected = by_word_products(start, terms)
+    assert_same_residual(product_sum(start, terms), expected)
+    report = RelationReport("f", (), "", start, terms)
+    assert report.exact_zero == expected.is_zero
+    assert report.worst_entry() == worst_text(expected)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.linalg import rank
+from qclifford.linalg import SparseMatrix, rank
 from qclifford.rmatrix import (RMatrix, build_permutation, build_rhat_sl,
                                check_braid, check_hecke, projector_sl,
                                projector_sp)
@@ -65,6 +65,29 @@ class TestPermutation:
                  for c in range(4) if (r * 7 + c * 3) % 5}
                 for r in range(4)]
         wild = RMatrix(2, rows)
+        assert not check_braid(wild).exact_zero
+
+
+class TestNoProductFormed:
+    """The Hecke and braid residuals are words of matrices for the
+    relation kernel, which multiplies no matrices."""
+
+    @pytest.fixture
+    def no_products(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("a SparseMatrix product was formed")
+        for cls in (SparseMatrix, RMatrix):
+            monkeypatch.setattr(cls, "__mul__", refuse)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_check_hecke(self, no_products, n):
+        assert check_hecke(build_rhat_sl(n)).exact_zero
+        assert not check_hecke(build_permutation(n)).exact_zero
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_check_braid(self, no_products, n):
+        assert check_braid(build_rhat_sl(n)).exact_zero
+        wild = RMatrix(n, [{0: Q, 1: ONE}] + [{}] * (n * n - 1))
         assert not check_braid(wild).exact_zero
 
 
