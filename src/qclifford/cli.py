@@ -126,6 +126,12 @@ def _spot_check(reports: list[RelationReport], gens: deform.GeneratorSet,
             rep.numeric_max_abs = rep.residual.max_abs(point)
 
 
+def _check_mode_count(args, command: str) -> None:
+    """Refuse an --n below 1 before anything is built."""
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"{command} needs --n of at least 1, not {args.n}")
+
+
 def _load_json(path: str) -> dict:
     """The JSON document in ``path``, its integers bounded in digits."""
     def bounded_int(text: str) -> int:
@@ -184,6 +190,7 @@ def cmd_rmatrix(args) -> int:
 def cmd_verify_map(args) -> int:
     if args.input is None and args.n is None:
         args.n = 2
+    _check_mode_count(args, "verify-map")
     doc = _document(args, "verify-map")
     point = _q_point(args)
     if args.input is not None:
@@ -205,6 +212,7 @@ def cmd_verify_map(args) -> int:
 
 
 def cmd_poincare(args) -> int:
+    _check_mode_count(args, "poincare")
     deform.check_rank_modes(args.n)
     doc = _document(args, "poincare")
     deformed = deform.build_deforming_map(args.n)

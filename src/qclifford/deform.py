@@ -44,11 +44,11 @@ ones, and the Poincare-series check computes the exact rank of all 4^N
 ordered monomials over Q(q).  Each monomial is a creator-subset product
 times an annihilator-subset product, every subset product extending the
 product of its prefix by one generator, and is handed to
-:func:`linalg.rank` as a lazy row: its Fock rows are formed one at a
-time, on request.  The rank keeps a row whose leading column is new
-after reading it up to its first nonzero Fock row, with no arithmetic,
-and reads rows in full and eliminates over Q(q) only when leading
-columns collide.
+:func:`linalg.rank` as a lazy row that can be read again: its Fock rows
+are formed one at a time, on request.  The rank keeps a row whose
+leading column is new after reading it up to its first nonzero Fock row,
+with no arithmetic, as the small row object alone, and reads rows in
+full and eliminates over Q(q) only when leading columns collide.
 """
 
 from __future__ import annotations
@@ -301,7 +301,7 @@ def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
 # Poincare series
 # ---------------------------------------------------------------------------
 
-_EXACT_MODE_LIMIT = 7
+_EXACT_MODE_LIMIT = 8
 
 
 def _subset_products(generators, subsets, unit: SparseMatrix) -> dict:
@@ -320,15 +320,17 @@ def _subset_products(generators, subsets, unit: SparseMatrix) -> dict:
 
 
 def _monomial_rows(gens: GeneratorSet):
-    """Each ordered monomial in the given generators as a lazy row of
-    :func:`linalg.rank`: a generator over the nonzero Fock rows r of
-    left * right, each flattened to the columns r * 2^N + c.
+    """Each ordered monomial in the given generators as a re-iterable row
+    of :func:`linalg.rank`: a :class:`_MonomialRow` whose pieces are the
+    nonzero Fock rows r of left * right, each flattened to the columns
+    r * 2^N + c.
 
     left is the monomial's creator-subset product and right its
     annihilator-subset product.  Only the nonzero rows of left are
     visited, and a Fock row is formed only when the rank asks for it, so
     on a faithful set, whose monomials the rank tells apart by their
-    first nonzero Fock row, each monomial forms one row.
+    first nonzero Fock row, each monomial forms one row, and the rank
+    keeps each monomial as its small row object, with no Fock row held.
     """
     n = gens.modes
     monomials = ordered_monomials(n)
@@ -339,29 +341,41 @@ def _monomial_rows(gens: GeneratorSet):
     nonzero = {cre: [(r, row) for r, row in enumerate(op.rows) if row]
                for cre, op in lefts.items()}
     for cre, ann in monomials:
-        yield _fock_rows(nonzero[cre], rights[ann].rows, unit.dim)
+        yield _MonomialRow(nonzero[cre], rights[ann].rows, unit.dim)
 
 
-def _fock_rows(left: list, right, dim: int):
-    """The nonzero rows of left * right in ascending order, each flattened
-    to the columns r * dim + c; left is given as its nonzero rows (r, row)
-    and right as its rows."""
-    for r, lrow in left:
-        row = row_product(lrow, right)
-        if row:
-            yield {r * dim + c: v for c, v in row.items()}
+class _MonomialRow:
+    """One ordered monomial left * right as a row of pieces that can be
+    read any number of times: left is given as its nonzero rows (r, row),
+    right as its rows, and dim is the Fock dimension."""
+
+    __slots__ = ("left", "right", "dim")
+
+    def __init__(self, left: list, right, dim: int):
+        self.left, self.right, self.dim = left, right, dim
+
+    def __iter__(self):
+        """The nonzero rows of left * right in ascending order, each
+        flattened to the columns r * dim + c, formed one per request."""
+        right, dim = self.right, self.dim
+        for r, lrow in self.left:
+            row = row_product(lrow, right)
+            if row:
+                yield {r * dim + c: v for c, v in row.items()}
 
 
 def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     """(rank of the 4^N ordered monomials, expected value 4^N).
 
-    The rank is exact over Q(q) and allowed up to 7 modes.  It is one
-    :func:`linalg.rank` over the 4^N lazy rows of :func:`_monomial_rows`.
-    The ordered monomials of a faithful set have pairwise distinct
-    leading columns, so the echelon certificate decides full rank from
-    each monomial's first nonzero Fock row, with no elimination; on a
-    degenerate set the colliding rows are read in full and eliminated.
-    Rank deficiency is a result, not an error.
+    The rank is exact over Q(q) and allowed up to 8 modes.  It is one
+    :func:`linalg.rank` over the 4^N re-iterable rows of
+    :func:`_monomial_rows`.  The ordered monomials of a faithful set have
+    pairwise distinct leading columns, so the echelon certificate decides
+    full rank from each monomial's first nonzero Fock row, with no
+    elimination, and keeps each monomial as its row object, with no Fock
+    row or suspended iterator held; on a degenerate set the colliding
+    rows are read in full, a kept one anew from its start, and
+    eliminated.  Rank deficiency is a result, not an error.
     """
     check_rank_modes(gens.modes)
     return exact_rank(_monomial_rows(gens)), 4 ** gens.modes

@@ -11,7 +11,8 @@ Rows whose leading (lowest) columns are pairwise distinct are linearly
 independent over any field, and the elimination keeps such rows without
 arithmetic, so on them the rank is a count.  A row may arrive in pieces
 of ascending columns, and such a row is read only up to the piece that
-gives its lead unless the lead collides.
+gives its lead unless the lead collides; a row that can be read again is
+then kept as itself and read anew on a collision.
 """
 
 from __future__ import annotations
@@ -524,7 +525,7 @@ def _eliminate(work: dict, pivot: dict, col: int) -> None:
             del work[c]
 
 
-def _echelon(rows) -> dict[int, dict]:
+def _echelon(rows) -> dict[int, object]:
     """The rows reduced to distinct leading columns, keyed by their lead.
 
     ``rows`` is read once.  A row is a dict mapping column index to a
@@ -540,14 +541,25 @@ def _echelon(rows) -> dict[int, dict]:
     reduced by the kept row with that lead, which is read in full first,
     until its lead is new, and it is then kept, or until it vanishes.
 
+    A row of pieces is re-iterable when ``iter(row)`` is a fresh iterator
+    and not the row itself.  Such a row, kept on arrival, is kept as the
+    row alone, and when a later row collides with it, it is read in full
+    anew from the start.  A one-shot iterator of pieces is kept as its
+    pieces read so far, with the rest of it suspended until a collision.
+
     The number of kept rows is the rank.  A kept row that arrived as a
-    dict is complete; one that arrived as pieces may hold only the pieces
-    read so far.
+    dict, or that was reduced before it was kept, is a complete dict; one
+    that arrived as pieces may be the re-iterable row itself or hold only
+    the pieces read so far.
     """
-    pivots: dict[int, dict] = {}
+    pivots: dict[int, object] = {}
     unread: dict[int, object] = {}
     for row in rows:
-        pieces = iter((row,) if isinstance(row, dict) else row)
+        if isinstance(row, dict):
+            pieces, source = iter((row,)), None
+        else:
+            pieces = iter(row)
+            source = None if pieces is row else row
         work = {}
         for piece in pieces:
             work = {c: v for c, v in piece.items() if v}
@@ -556,20 +568,27 @@ def _echelon(rows) -> dict[int, dict]:
         while work:
             lead = min(work)
             if lead not in pivots:
-                pivots[lead], unread[lead] = work, pieces
+                if source is None:
+                    pivots[lead], unread[lead] = work, pieces
+                else:
+                    pivots[lead] = source
                 break
-            pivot = pivots[lead]
-            for rest, into in ((pieces, work), (unread[lead], pivot)):
+            pivot, tail = pivots[lead], unread.pop(lead, ())
+            if not isinstance(pivot, dict):
+                pivot, tail = {}, pivot
+                pivots[lead] = pivot
+            for rest, into in ((pieces, work), (tail, pivot)):
                 for piece in rest:
                     into.update((c, v) for c, v in piece.items() if v)
+            source = None
             _eliminate(work, pivot, lead)
     return pivots
 
 
 def rank(rows) -> int:
     """Exact rank over Q(q) of an iterable of sparse rows with
-    RationalFunction entries, each a dict or an iterable of pieces (see
-    :func:`_echelon`)."""
+    RationalFunction entries, each a dict, a one-shot iterator of pieces
+    or a re-iterable row of pieces (see :func:`_echelon`)."""
     return len(_echelon(rows))
 
 

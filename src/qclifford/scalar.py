@@ -14,6 +14,11 @@ deforming map is +-q^-m, so most operands of a product are the constants
 constant (a length-1 tuple) first, and for a monomial after that, and
 then scales or shifts the other operand's coefficient tuple instead of
 running the double loop; negating a canonical value takes no gcd.
+``RationalFunction.__mul__`` of two quotients of monomials, a*q^i/b*q^j
+times c*q^k/d*q^m, writes the canonical product directly: one integer gcd
+of ac and bd, the net power of q on one side, the sign on the numerator,
+and no ``Poly.gcd``, no ``div_exact`` and no ``__init__``.  Every other
+product is reduced by its gcd as usual.
 
 Negative powers of q are ordinary field elements: q^-1 is the fraction
 1/q.  The classical limit is obtained by evaluating at q = 1 with
@@ -392,6 +397,22 @@ class RationalFunction:
             return self
         if not other.num.coeffs:
             return other
+        a, b = self.num.coeffs, self.den.coeffs
+        c, d = other.num.coeffs, other.den.coeffs
+        i, j, k, m = len(a) - 1, len(b) - 1, len(c) - 1, len(d) - 1
+        if a.count(0) == i and b.count(0) == j and c.count(0) == k \
+                and d.count(0) == m:
+            # Laurent monomials: both denominators are positive, so their
+            # product is, and the sign stays on the numerator
+            num, den = a[i] * c[k], b[j] * d[m]
+            g = _int_gcd(num, den)
+            if g != 1:
+                num, den = num // g, den // g
+            e = i + k - j - m
+            out = object.__new__(RationalFunction)
+            out.num = _poly((0,) * e + (num,))
+            out.den = _poly((0,) * -e + (den,))
+            return out
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -452,6 +452,12 @@ class TestPoincareCommand:
         assert code == 0
         assert doc["poincare"] == {"undeformed": full, "deformed": full}
 
+    def test_exact_at_eight_modes(self, capsys):
+        code, doc, _ = run_json(capsys, "poincare", "--n", "8")
+        full = {"rank": 65536, "expected": 65536}
+        assert code == 0
+        assert doc["poincare"] == {"undeformed": full, "deformed": full}
+
     def test_mode_flag_is_gone(self, capsys):
         code, _, _ = run(capsys, "poincare", "--n", "2", "--mode", "exact")
         assert code == 2
@@ -469,7 +475,21 @@ class TestPoincareCommand:
         monkeypatch.setattr(deform, "build_generators", spy)
         code, out, err = run(capsys, "poincare", "--n", "9")
         assert code == 2 and out == ""
-        assert "the Poincare rank supports at most 7 modes" in err
+        assert "the Poincare rank supports at most 8 modes" in err
+
+
+@pytest.mark.parametrize("command", ["verify-map", "poincare"])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_mode_count_below_one_names_the_option(capsys, monkeypatch, command,
+                                               n):
+    def spy(n):
+        raise AssertionError(f"generators built for {n} modes")
+
+    monkeypatch.setattr(fock, "build_generators", spy)
+    monkeypatch.setattr(deform, "build_generators", spy)
+    code, out, err = run(capsys, command, "--n", n)
+    assert code == 2 and out == ""
+    assert err == f"error: {command} needs --n of at least 1, not {n}\n"
 
 
 class TestCovarianceCommand:

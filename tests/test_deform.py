@@ -1,8 +1,11 @@
+import gc
+import inspect
+from collections.abc import Iterator
 from fractions import Fraction
 
 import pytest
 
-from qclifford import deform, fock
+from qclifford import deform, fock, linalg
 from qclifford.deform import (GeneratorSet, MapConstructionError,
                               build_deforming_map, build_inverse_map,
                               poincare_rank, relation_residuals,
@@ -280,6 +283,31 @@ class TestPoincare:
         assert poincare_rank(build(4)) == (256, 256)
         assert len(formed) == 256
 
+    def test_kept_rows_are_the_monomials_themselves(self, monkeypatch):
+        # the rank keeps each monomial of a faithful set as its row object,
+        # and once every row is handed over, at most the last one's Fock
+        # rows are still suspended
+        kept, suspended = [], []
+        echelon = linalg._echelon
+
+        def spy(rows):
+            def handed():
+                yield from rows
+                suspended.append(sum(
+                    1 for obj in gc.get_objects()
+                    if inspect.isgenerator(obj) and obj.gi_frame is not None
+                    and obj.gi_code.co_filename == deform.__file__))
+            pivots = echelon(handed())
+            kept.extend(pivots.values())
+            return pivots
+
+        monkeypatch.setattr(linalg, "_echelon", spy)
+        assert poincare_rank(build_deforming_map(4)) == (256, 256)
+        assert len(kept) == 256 and suspended[0] <= 1
+        assert not any(isinstance(row, Iterator) or inspect.isgenerator(row)
+                       for row in kept)
+        assert all(iter(row) is not row for row in kept)
+
     def test_colliding_monomials_are_read_past_their_first_row(self, lastf2,
                                                                formed):
         doubled = GeneratorSet(
@@ -292,8 +320,8 @@ class TestPoincare:
         assert poincare_rank(conj) == (16, 16)
 
     def test_mode_guards(self):
-        with pytest.raises(ValueError, match="at most 7 modes"):
-            poincare_rank(undeformed_set(8))
+        with pytest.raises(ValueError, match="at most 8 modes"):
+            poincare_rank(undeformed_set(9))
 
 
 class TestStarCompatibility:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from qclifford.linalg import (SparseMatrix, invert_dense, product_sum,
-                              product_sum_rows, rank, rank_numeric)
+from qclifford.linalg import (SparseMatrix, _echelon, invert_dense,
+                              product_sum, product_sum_rows, rank,
+                              rank_numeric)
 from qclifford.report import CONVENTIONS, RelationReport, summarize
 from qclifford.fock import identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
@@ -118,6 +119,44 @@ class TestLazyRows:
 
     def test_rows_that_vanish_in_pieces(self):
         assert rank([iter([{}, {1: ZERO}]), iter([]), {2: ZERO}]) == 0
+
+
+class Reiterable:
+    """A row of pieces that can be read any number of times; ``reads``
+    holds the number of pieces taken in each read."""
+
+    def __init__(self, *pieces):
+        self.pieces, self.reads = pieces, []
+
+    def __iter__(self):
+        self.reads.append(0)
+        for piece in self.pieces:
+            self.reads[-1] += 1
+            yield piece
+
+
+class TestReiterableRows:
+    def test_row_with_a_new_lead_is_kept_as_itself(self):
+        a, b = Reiterable({}, {0: ONE}, {3: Q}), Reiterable({1: ONE})
+        pivots = _echelon([a, b])
+        assert pivots[0] is a and pivots[1] is b
+        assert a.reads == [2] and b.reads == [1]
+
+    def test_collision_reads_the_kept_row_anew(self):
+        a = Reiterable({0: ONE}, {}, {5: ONE})
+        b = Reiterable({0: ONE}, {}, {5: Q})
+        assert rank([a, b]) == 2
+        # a is read again from its start; b goes on from its first piece
+        assert a.reads == [1, 3] and b.reads == [3]
+        assert rank([Reiterable({0: ONE}, {5: ONE}),
+                     Reiterable({0: ONE}, {5: ONE})]) == 1
+
+    def test_reduced_row_is_kept_as_its_entries(self):
+        a, b = Reiterable({0: ONE}, {1: ONE}), Reiterable({0: ONE}, {2: ONE})
+        pivots = _echelon([a, b])
+        assert pivots == {0: {0: ONE, 1: ONE}, 1: {1: -ONE, 2: ONE}}
+        a, b = Reiterable({0: ONE}, {1: ONE}), Reiterable({0: ONE}, {2: ONE})
+        assert rank([a, b, {1: ONE, 2: -ONE}]) == 2
 
 
 class TestInversion:

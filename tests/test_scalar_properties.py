@@ -2,9 +2,11 @@
 
 ``Poly.gcd`` answers a monomial argument without the remainder sequence,
 ``Poly.div_exact`` divides in integers only, ``Poly.__mul__`` scales or
-shifts by a constant or monomial operand, negation of a
-``RationalFunction`` takes no gcd, and ``RationalFunction`` addition and
-multiplication hand back an existing value when an operand is zero.  Each
+shifts by a constant or monomial operand, the ``RationalFunction``
+product of two quotients of monomials takes one integer gcd and no
+``Poly.gcd``, negation of a ``RationalFunction`` takes no gcd, and
+``RationalFunction`` addition and multiplication hand back an existing
+value when an operand is zero.  Each
 must agree with the general definition on every input.  The truth value
 of a ``RationalFunction`` is false exactly for zero, as for a Fraction.
 Random ``RationalFunction`` values also survive the text round trip and
@@ -170,6 +172,42 @@ class TestZeroShortcuts:
 
 
 nonzero_rationals = rationals.filter(lambda x: not x.is_zero)
+
+#: quotients of monomials c*q^k / d*q^j, with signs, integer content and
+#: zero exponents on either side
+laurent_monomials = st.builds(
+    lambda c, k, d, j: RationalFunction(Poly((0,) * k + (c,)),
+                                        Poly((0,) * j + (d,))),
+    coefficient.filter(bool), st.integers(min_value=0, max_value=4),
+    coefficient.filter(bool), st.integers(min_value=0, max_value=4))
+
+
+class TestMonomialProduct:
+    @SETTINGS
+    @given(laurent_monomials, laurent_monomials)
+    def test_equals_the_reduced_product(self, x, y):
+        assert_same_value(x * y, RationalFunction(x.num * y.num,
+                                                  x.den * y.den))
+
+    @SETTINGS
+    @given(st.one_of(laurent_monomials, rationals),
+           st.one_of(laurent_monomials, rationals))
+    def test_other_operands_fall_through(self, x, y):
+        assert_same_value(x * y, RationalFunction(x.num * y.num,
+                                                  x.den * y.den))
+
+    def test_takes_no_polynomial_gcd(self, monkeypatch):
+        x = RationalFunction(Poly((0, 0, -6)), Poly((0, 4)))    # -3q/2
+        y = RationalFunction(Poly((10,)), Poly((0, 0, 0, 3)))   # 10/(3q^3)
+        expected = RationalFunction(Poly((-5,)), Poly((0, 0, 1)))
+
+        def refuse(*args):
+            raise AssertionError("the monomial product took a general path")
+        monkeypatch.setattr(Poly, "gcd", refuse)
+        monkeypatch.setattr(Poly, "div_exact", refuse)
+        monkeypatch.setattr(RationalFunction, "__init__", refuse)
+        assert_same_value(x * y, expected)
+        assert_same_value(y * x, expected)
 
 
 class TestTruthValue:
