@@ -400,8 +400,8 @@ class RationalFunction:
         a, b = self.num.coeffs, self.den.coeffs
         c, d = other.num.coeffs, other.den.coeffs
         i, j, k, m = len(a) - 1, len(b) - 1, len(c) - 1, len(d) - 1
-        if a.count(0) == i and b.count(0) == j and c.count(0) == k \
-                and d.count(0) == m:
+        if (a.count(0) == i and b.count(0) == j and c.count(0) == k
+                and d.count(0) == m):
             # Laurent monomials: both denominators are positive, so their
             # product is, and the sign stays on the numerator
             num, den = a[i] * c[k], b[j] * d[m]
