@@ -339,25 +339,27 @@ _COMMANDS = {
 }
 
 
-def build_parser(commands=None) -> argparse.ArgumentParser:
-    """The ``qclifford`` parser with every subcommand listed.
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``qclifford`` parser, with every subcommand, or with only
+    ``command`` when it names one.
 
-    Only the subcommands that ``commands`` names get their arguments, or
-    all of them when it is None.  argparse hands a subcommand's arguments
-    to its own parser, so a parser built with the arguments of every
-    subcommand named in argv parses argv, and prints its help and its
-    errors, exactly as the full parser does.
+    argparse hands a subcommand's arguments to its own parser, so the
+    parser of the subcommand that argv begins with parses argv, and
+    prints its help and its errors, exactly as the full parser does; the
+    names of every subcommand stay in its usage line as the metavar.
     """
     parser = argparse.ArgumentParser(
         prog="qclifford",
         description="exact verification of q-deformed Clifford algebra "
                     "constructions")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, func, arguments) in _COMMANDS.items():
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in _COMMANDS if command is None else (command,):
+        help_text, func, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        if commands is None or name in commands:
-            for flags, options in arguments:
-                p.add_argument(*flags, **options)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(func=func)
     return parser
 
@@ -376,7 +378,7 @@ def _join_q_numeric(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_q_numeric(sys.argv[1:] if argv is None else list(argv))
-    parser = build_parser(set(argv))
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

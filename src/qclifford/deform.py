@@ -44,16 +44,16 @@ ones, and the Poincare-series check computes the exact rank of all 4^N
 ordered monomials over Q(q).  Each monomial is a creator-subset product
 times an annihilator-subset product, every subset product extending the
 product of its prefix by one generator, and is handed to
-:func:`linalg.rank` as a lazy row that can be read again: its Fock rows
-are formed one at a time, on request.  The rank keeps a row whose
-leading column is new after reading it up to its first nonzero Fock row,
-with no arithmetic, as the small row object alone, and reads rows in
-full and eliminates over Q(q) only when leading columns collide.
+:func:`linalg.rank` as a lead row: its leading column is read off the
+supports of its two factors, with no Fock row formed where the creator
+factor's row has a single entry.  The rank keeps a row whose leading
+column is new, with no arithmetic, as the small row object alone, and
+forms rows in full and eliminates over Q(q) only when leading columns
+collide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -66,17 +66,13 @@ from .rmatrix import RMatrix, build_rhat_sl, projector_sl
 from .scalar import ONE, PoleError, Q
 
 
-@dataclass
 class GeneratorSet:
     """N creator/annihilator pairs acting on one Fock space; N is the
     length of either list."""
 
-    creators: tuple
-    annihilators: tuple
-
-    def __post_init__(self):
-        self.creators = tuple(self.creators)
-        self.annihilators = tuple(self.annihilators)
+    def __init__(self, creators, annihilators):
+        self.creators = tuple(creators)
+        self.annihilators = tuple(annihilators)
         if not self.creators or len(self.creators) != len(self.annihilators):
             raise ValueError("generator lists must be nonempty and of equal length")
         dim = 1 << self.modes
@@ -84,6 +80,12 @@ class GeneratorSet:
             if op.dim != dim:
                 raise ValueError("all generator matrices must share one "
                                  "dimension, 2^modes")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.creators == other.creators
+                and self.annihilators == other.annihilators)
 
     @property
     def modes(self) -> int:
@@ -320,17 +322,17 @@ def _subset_products(generators, subsets, unit: SparseMatrix) -> dict:
 
 
 def _monomial_rows(gens: GeneratorSet):
-    """Each ordered monomial in the given generators as a re-iterable row
-    of :func:`linalg.rank`: a :class:`_MonomialRow` whose pieces are the
-    nonzero Fock rows r of left * right, each flattened to the columns
-    r * 2^N + c.
+    """Each ordered monomial in the given generators as a lead row of
+    :func:`linalg.rank`: a :class:`_MonomialRow` of left * right, whose
+    columns are r * 2^N + c for Fock row r and column c.
 
     left is the monomial's creator-subset product and right its
-    annihilator-subset product.  Only the nonzero rows of left are
-    visited, and a Fock row is formed only when the rank asks for it, so
-    on a faithful set, whose monomials the rank tells apart by their
-    first nonzero Fock row, each monomial forms one row, and the rank
-    keeps each monomial as its small row object, with no Fock row held.
+    annihilator-subset product.  The lead is read off the factors'
+    supports, so on a faithful set, whose creator products have at most
+    one entry per row and whose monomials have pairwise distinct leads,
+    no Fock row is formed and the rank keeps each monomial as its small
+    row object.  A monomial's Fock rows are formed only when its lead
+    collides.
     """
     n = gens.modes
     monomials = ordered_monomials(n)
@@ -345,14 +347,34 @@ def _monomial_rows(gens: GeneratorSet):
 
 
 class _MonomialRow:
-    """One ordered monomial left * right as a row of pieces that can be
-    read any number of times: left is given as its nonzero rows (r, row),
+    """One ordered monomial left * right as a lead row of
+    :func:`linalg.rank`: left is given as its nonzero rows (r, row),
     right as its rows, and dim is the Fock dimension."""
 
     __slots__ = ("left", "right", "dim")
 
     def __init__(self, left: list, right, dim: int):
         self.left, self.right, self.dim = left, right, dim
+
+    def lead(self) -> int | None:
+        """The lowest column of left * right, or None for zero.
+
+        A left row with one entry v at column k makes the product row v
+        times right's row k, whose lowest column is that of right's row
+        k: v is nonzero and Q(q) has no zero divisors, so no product is
+        formed.  A left row with more entries can cancel, and its
+        product row is formed exactly.
+        """
+        right = self.right
+        for r, lrow in self.left:
+            if len(lrow) == 1:
+                (k,) = lrow
+                cols = right[k]
+            else:
+                cols = row_product(lrow, right)
+            if cols:
+                return r * self.dim + min(cols)
+        return None
 
     def __iter__(self):
         """The nonzero rows of left * right in ascending order, each
@@ -368,14 +390,13 @@ def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     """(rank of the 4^N ordered monomials, expected value 4^N).
 
     The rank is exact over Q(q) and allowed up to 8 modes.  It is one
-    :func:`linalg.rank` over the 4^N re-iterable rows of
-    :func:`_monomial_rows`.  The ordered monomials of a faithful set have
-    pairwise distinct leading columns, so the echelon certificate decides
-    full rank from each monomial's first nonzero Fock row, with no
-    elimination, and keeps each monomial as its row object, with no Fock
-    row or suspended iterator held; on a degenerate set the colliding
-    rows are read in full, a kept one anew from its start, and
-    eliminated.  Rank deficiency is a result, not an error.
+    :func:`linalg.rank` over the 4^N lead rows of :func:`_monomial_rows`.
+    The ordered monomials of a faithful set have pairwise distinct
+    leading columns, so the echelon certificate decides full rank from
+    each monomial's lead, with no elimination and no Fock row formed,
+    and keeps each monomial as its row object; on a degenerate set the
+    colliding rows are formed in full and eliminated.  Rank deficiency
+    is a result, not an error.
     """
     check_rank_modes(gens.modes)
     return exact_rank(_monomial_rows(gens)), 4 ** gens.modes

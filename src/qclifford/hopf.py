@@ -45,7 +45,6 @@ y |> a of the module-algebra check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -79,21 +78,20 @@ COUNIT = {"E": ZERO, "F": ZERO, "K": ONE, "Kinv": ONE}
 GENERATOR_NAMES = ("E", "F", "K")
 
 
-@dataclass
 class HopfAlgebraData:
     """Generator table for U_q sl(2) together with its Fock realization."""
 
-    sigma: dict          # name -> image on the two-mode Fock space
-    rho: dict            # name -> 2x2 SparseMatrix over Q(q)
     # the frozen Hopf structure: class attributes, not fields
     coproduct = COPRODUCT
     antipode = ANTIPODE
     counit = COUNIT
-    # word -> sigma(word), and word -> sandwich pairs, each built once
-    _sigma_words: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-    _sandwiches: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+
+    def __init__(self, sigma: dict, rho: dict):
+        self.sigma = sigma   # name -> image on the two-mode Fock space
+        self.rho = rho       # name -> 2x2 SparseMatrix over Q(q)
+        # word -> sigma(word), and word -> sandwich pairs, each built once
+        self._sigma_words: dict = {}
+        self._sandwiches: dict = {}
 
     def sigma_word(self, word) -> SparseMatrix:
         """sigma of a nonempty word, its letters' images multiplied."""
@@ -307,10 +305,12 @@ def check_covariance(gens: GeneratorSet,
 # invariants
 # ---------------------------------------------------------------------------
 
-@dataclass
 class InvariantElement:
-    expression: SparseMatrix
-    label: str
+    """A candidate invariant: its operator and the label its reports
+    carry."""
+
+    def __init__(self, expression: SparseMatrix, label: str):
+        self.expression, self.label = expression, label
 
 
 def invariant_number(gens: GeneratorSet, label: str) -> InvariantElement:

@@ -9,10 +9,9 @@ elimination over a field behind the exact rank over Q(q), the rank over
 :class:`fractions.Fraction` entries and the inverse.
 Rows whose leading (lowest) columns are pairwise distinct are linearly
 independent over any field, and the elimination keeps such rows without
-arithmetic, so on them the rank is a count.  A row may arrive in pieces
-of ascending columns, and such a row is read only up to the piece that
-gives its lead unless the lead collides; a row that can be read again is
-then kept as itself and read anew on a collision.
+arithmetic, so on them the rank is a count.  A row may arrive as a lead
+row, which names its lead without forming its entries; it is kept as
+itself when its lead is new and read in full only on a collision.
 """
 
 from __future__ import annotations
@@ -530,65 +529,47 @@ def _echelon(rows) -> dict[int, object]:
 
     ``rows`` is read once.  A row is a dict mapping column index to a
     field entry (RationalFunction or Fraction; zero entries count as
-    absent), or an iterable of such dicts, its pieces, whose columns
-    increase from one piece to the next.  Pieces are read only up to the
-    first nonzero one, whose lowest column is then the row's lead.  A row
-    whose lead is new on arrival is kept with no arithmetic, and the rest
-    of its pieces stays unread: rows with pairwise distinct leads are
-    independent over any field (an echelon certificate), so the ordered
-    monomials of a faithful set are only counted, each read up to its
-    first nonzero piece.  A row whose lead is taken is read in full and
-    reduced by the kept row with that lead, which is read in full first,
-    until its lead is new, and it is then kept, or until it vanishes.
+    absent), or a lead row: an object whose ``lead()`` is the lowest
+    column of its nonzero entries (None for a row with none) and whose
+    iteration yields its entries as dicts, its pieces, to be merged.  A
+    row whose lead is new on arrival is kept with no arithmetic, and a
+    lead row is then kept as itself, unread: rows with pairwise distinct
+    leads are independent over any field (an echelon certificate), so
+    the ordered monomials of a faithful set are only counted.  A row
+    whose lead is taken is read in full and reduced by the kept row with
+    that lead, itself read in full first if it is a lead row, until its
+    lead is new, and it is then kept as its entries, or until it
+    vanishes.
 
-    A row of pieces is re-iterable when ``iter(row)`` is a fresh iterator
-    and not the row itself.  Such a row, kept on arrival, is kept as the
-    row alone, and when a later row collides with it, it is read in full
-    anew from the start.  A one-shot iterator of pieces is kept as its
-    pieces read so far, with the rest of it suspended until a collision.
-
-    The number of kept rows is the rank.  A kept row that arrived as a
-    dict, or that was reduced before it was kept, is a complete dict; one
-    that arrived as pieces may be the re-iterable row itself or hold only
-    the pieces read so far.
+    The number of kept rows is the rank.  A kept row is a complete dict,
+    or a lead row that no later row collided with.
     """
     pivots: dict[int, object] = {}
-    unread: dict[int, object] = {}
     for row in rows:
         if isinstance(row, dict):
-            pieces, source = iter((row,)), None
+            work = {c: v for c, v in row.items() if v}
+            lead = min(work, default=None)
         else:
-            pieces = iter(row)
-            source = None if pieces is row else row
-        work = {}
-        for piece in pieces:
-            work = {c: v for c, v in piece.items() if v}
-            if work:
+            work, lead = None, row.lead()
+        while lead is not None:
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row if work is None else work
                 break
-        while work:
-            lead = min(work)
-            if lead not in pivots:
-                if source is None:
-                    pivots[lead], unread[lead] = work, pieces
-                else:
-                    pivots[lead] = source
-                break
-            pivot, tail = pivots[lead], unread.pop(lead, ())
+            if work is None:
+                work = {c: v for piece in row for c, v in piece.items() if v}
             if not isinstance(pivot, dict):
-                pivot, tail = {}, pivot
-                pivots[lead] = pivot
-            for rest, into in ((pieces, work), (tail, pivot)):
-                for piece in rest:
-                    into.update((c, v) for c, v in piece.items() if v)
-            source = None
+                pivot = pivots[lead] = {c: v for piece in pivot
+                                        for c, v in piece.items() if v}
             _eliminate(work, pivot, lead)
+            lead = min(work, default=None)
     return pivots
 
 
 def rank(rows) -> int:
     """Exact rank over Q(q) of an iterable of sparse rows with
-    RationalFunction entries, each a dict, a one-shot iterator of pieces
-    or a re-iterable row of pieces (see :func:`_echelon`)."""
+    RationalFunction entries, each a dict or a lead row (see
+    :func:`_echelon`)."""
     return len(_echelon(rows))
 
 

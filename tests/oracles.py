@@ -17,8 +17,8 @@ public names alone:
 - the relation kernel as it was before the cleared form: every product
   summed as an unreduced fraction pair, unequal denominators
   cross-multiplied;
-- the full dict rows of the lazy ordered-monomial rows that the
-  Poincare rank reads.
+- the full dict rows of the ordered-monomial lead rows that the
+  Poincare rank reads, and a lead row that wraps given pieces.
 
 Words are sequences of signed mode indices: +i stands for the creator
 adag_i, -i for the annihilator a^i.
@@ -44,9 +44,26 @@ from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
 # ---------------------------------------------------------------------------
 
 def full_rows(rows) -> list[dict]:
-    """Each row of pieces that :func:`linalg.rank` reads, read in full as
-    one dict with every piece merged."""
+    """Each lead row that :func:`linalg.rank` reads, read in full as one
+    dict with every piece merged."""
     return [{c: v for piece in row for c, v in piece.items()} for row in rows]
+
+
+class LeadRow:
+    """A lead row of :func:`linalg.rank` over the given pieces: ``lead()``
+    is the lowest column of their nonzero entries, and ``reads`` counts
+    the full reads, each of which yields the pieces in order."""
+
+    def __init__(self, *pieces):
+        self.pieces, self.reads = pieces, 0
+
+    def lead(self):
+        return min((c for piece in self.pieces for c, v in piece.items()
+                    if v), default=None)
+
+    def __iter__(self):
+        self.reads += 1
+        yield from self.pieces
 
 
 # ---------------------------------------------------------------------------

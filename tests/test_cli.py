@@ -721,6 +721,13 @@ PARSER_ARGVS = [
     ["rmatrix", "--algebra", "so"], ["verify-map", "--n", "two"],
     ["chain-experiment", "--variant", "x", "--q-numeric", "1.3"],
     ["covariance", "--q-numeric"], ["invariants", "verify-map", "--m", "2"],
+    ["--he"], ["--help", "poincare"], ["verify-map", "--n", "2", "poincare"],
+]
+
+#: argv lists that parse, with an abbreviated option or a negative point
+PARSED_ARGVS = [
+    ["poincare", "--out", "json", "--n", "2"],
+    ["eval", "q", "--q-numeric", "-3/4", "--o", "text"],
 ]
 
 
@@ -735,15 +742,34 @@ class TestParser:
         assert code == stop.value.code
         assert out or err
 
-    def test_only_the_named_subcommands_get_arguments(self, capsys):
+    @pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+    def test_namespace_equals_the_full_parser(self, argv):
+        argv = cli._join_q_numeric(argv)
+        built = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(built) == vars(cli.build_parser().parse_args(argv))
+
+    def test_only_the_named_subcommands_get_arguments(self, capsys,
+                                                       monkeypatch):
         def page(parser, name):
             with pytest.raises(SystemExit):
                 parser.parse_args([name, "--help"])
             return capsys.readouterr().out
 
         full = cli.build_parser()
-        built = cli.build_parser({"eval", "poincare", "--n"})
-        assert {name for name in cli._COMMANDS
-                if page(built, name) == page(full, name)} == {"eval",
-                                                              "poincare"}
-        assert "--n" not in page(built, "verify-map")
+        for name in cli._COMMANDS:
+            built = cli.build_parser(name)
+            action = built._subparsers._group_actions[0]
+            assert list(action.choices) == [name]
+            assert page(built, name) == page(full, name)
+            assert built.format_usage() == full.format_usage()
+        # main builds one subcommand when argv begins with its name, and
+        # every one otherwise
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command)
+                            or real(command))
+        for argv in (["poincare", "--n", "1"], ["eval", "q"], [], ["-h"],
+                     ["frobnicate"], ["--output", "json", "eval", "q"]):
+            run(capsys, *argv)
+        assert built == ["poincare", "eval", None, None, None, None]

@@ -1,6 +1,6 @@
 import gc
 import inspect
-from collections.abc import Iterator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -277,16 +277,17 @@ class TestPoincare:
         return formed
 
     @pytest.mark.parametrize("build", [undeformed_set, build_deforming_map])
-    def test_faithful_set_forms_one_fock_row_per_monomial(self, build, formed):
-        # every ordered monomial is nonzero, and its first nonzero Fock row
-        # already gives it a lead of its own
+    def test_faithful_set_forms_no_fock_row(self, build, formed):
+        # every creator product has at most one entry per row, so each
+        # monomial's lead is read off its factors' supports, and the leads
+        # are pairwise distinct
         assert poincare_rank(build(4)) == (256, 256)
-        assert len(formed) == 256
+        assert formed == []
 
     def test_kept_rows_are_the_monomials_themselves(self, monkeypatch):
         # the rank keeps each monomial of a faithful set as its row object,
-        # and once every row is handed over, at most the last one's Fock
-        # rows are still suspended
+        # and once every row is handed over, no deform generator is left
+        # suspended
         kept, suspended = [], []
         echelon = linalg._echelon
 
@@ -303,17 +304,31 @@ class TestPoincare:
 
         monkeypatch.setattr(linalg, "_echelon", spy)
         assert poincare_rank(build_deforming_map(4)) == (256, 256)
-        assert len(kept) == 256 and suspended[0] <= 1
-        assert not any(isinstance(row, Iterator) or inspect.isgenerator(row)
-                       for row in kept)
-        assert all(iter(row) is not row for row in kept)
+        assert len(kept) == 256 and suspended == [0]
+        assert all(type(row) is deform._MonomialRow for row in kept)
 
     def test_colliding_monomials_are_read_past_their_first_row(self, lastf2,
-                                                               formed):
+                                                               monkeypatch):
+        # only monomials whose lead another one shares are read, and each
+        # read takes every nonzero Fock row of the monomial
         doubled = GeneratorSet(
             (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
+        whole = deform._MonomialRow.__iter__
+        reads = []
+
+        def spy(row):
+            pieces = list(whole(row))
+            reads.append([row.lead(), len(pieces), 0])
+            for piece in pieces:
+                reads[-1][2] += 1
+                yield piece
+
+        monkeypatch.setattr(deform._MonomialRow, "__iter__", spy)
         assert poincare_rank(doubled)[0] < 16
-        assert len(formed) > 16
+        leads = Counter(row.lead() for row in deform._monomial_rows(doubled))
+        assert all(leads[lead] > 1 and taken == size
+                   for lead, size, taken in reads)
+        assert max(size for _, size, _ in reads) > 1
 
     def test_rank_invariant_under_conjugation(self, lastf2):
         conj = conjugate_realization(lastf2, q_exponent((1, 0)))

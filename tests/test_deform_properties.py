@@ -1,11 +1,15 @@
-"""Property tests of the Poincare rank on lazy ordered-monomial rows.
+"""Property tests of the Poincare rank on ordered-monomial lead rows.
 
-``deform._monomial_rows`` hands :func:`linalg.rank` one generator of Fock
-rows per ordered monomial, and the rank reads each only up to its first
-nonzero row unless leads collide.  On random small generator sets, with
-zero generators, repeated and negated ones and entries whose products
-cancel, the rank must equal the rank of the monomials' full rows, built
-here by plain matrix products (``oracles.word_to_operator``).
+``deform._monomial_rows`` hands :func:`linalg.rank` one lead row per
+ordered monomial, whose lead is read off its factors' supports, and the
+rank reads a row's Fock rows only when leads collide.  On random small
+generator sets, with zero generators, repeated and negated ones and
+entries whose products cancel, the rank must equal the rank of the
+monomials' full rows, built here by plain matrix products
+(``oracles.word_to_operator``).  The same sets conjugated by a unit
+triangular integer matrix have rows with several entries, whose products
+can cancel; there each monomial's lead must be the lowest column of its
+full row.
 """
 
 import pytest
@@ -20,7 +24,8 @@ from qclifford.deform import (GeneratorSet, build_deforming_map,  # noqa: E402
 from qclifford.linalg import SparseMatrix, rank  # noqa: E402
 from qclifford.scalar import ONE, Q, q_power  # noqa: E402
 
-from oracles import full_rows, word_to_operator  # noqa: E402
+from oracles import (conjugate_realization, full_rows,  # noqa: E402
+                     word_to_operator)
 
 #: entry values: unit and opposite entries make sums of products cancel
 PALETTE = (ONE, -ONE, ONE, Q, -Q, q_power(-1), Q - ONE, ONE + ONE)
@@ -66,4 +71,33 @@ def plain_rows(gens: GeneratorSet) -> list[dict]:
 def test_lazy_rank_equals_rank_of_full_rows(gens):
     rows = plain_rows(gens)
     assert full_rows(deform._monomial_rows(gens)) == rows
+    assert poincare_rank(gens) == (rank(rows), 4 ** gens.modes)
+
+
+@st.composite
+def conjugated_sets(draw):
+    """A set of :func:`generator_sets` conjugated by a unit upper or lower
+    triangular integer matrix, so its generators' rows have several
+    entries."""
+    gens = draw(generator_sets())
+    dim = 1 << gens.modes
+    upper = draw(st.booleans())
+    cell = st.sampled_from((ONE, -ONE, ONE + ONE, ONE - ONE))
+    rows = [{r: ONE} for r in range(dim)]
+    for r in range(dim):
+        for c in (range(r + 1, dim) if upper else range(r)):
+            value = draw(cell)
+            if not value.is_zero:
+                rows[r][c] = value
+    return conjugate_realization(gens, SparseMatrix(dim, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugated_sets())
+def test_lead_is_the_lowest_column_of_the_full_row(gens):
+    rows = plain_rows(gens)
+    lead_rows = list(deform._monomial_rows(gens))
+    assert full_rows(lead_rows) == rows
+    assert [row.lead() for row in lead_rows] == [min(row, default=None)
+                                                 for row in rows]
     assert poincare_rank(gens) == (rank(rows), 4 ** gens.modes)

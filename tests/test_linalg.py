@@ -11,6 +11,8 @@ from qclifford.fock import identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
 from qclifford.scalar import ONE, Poly, Q, RationalFunction, ZERO, q_power
 
+from oracles import LeadRow
+
 
 def random_rf(rng, max_deg=2, span=3):
     num = Poly([rng.randint(-span, span) for _ in range(max_deg + 1)])
@@ -85,77 +87,52 @@ class TestRank:
             assert symbolic == sampled
 
 
-def pieces_then_stop(*pieces):
-    """A row of pieces that fails the test when read past its last piece."""
-    yield from pieces
-    raise AssertionError("the row was read past its last given piece")
-
-
 class TestLazyRows:
-    def test_new_lead_reads_only_the_first_nonzero_piece(self):
-        rows = [pieces_then_stop({}, {0: ZERO}, {1: Q, 2: ONE}),
-                pieces_then_stop({0: ONE}),
-                pieces_then_stop({3: q_power(-1)})]
-        assert rank(rows) == 3
-
     def test_colliding_leads_read_both_rows_in_full(self):
         # rows 0 and 1 share their lead and their first piece; only the
         # pieces past it tell them apart
         def row(last):
-            return iter([{0: ONE}, {}, {5: last}])
+            return LeadRow({0: ONE}, {}, {5: last})
         assert rank([row(ONE), row(ONE)]) == 1
-        assert rank([row(ONE), row(Q)]) == 2
+        a, b = row(ONE), row(Q)
+        assert rank([a, b]) == 2 and a.reads == b.reads == 1
         assert rank([row(ONE), {0: ONE, 5: ONE}, row(Q)]) == 2
 
     def test_rest_of_a_kept_row_is_read_once(self):
-        read = []
-
-        def row():
-            for piece in ({0: ONE}, {4: Q}, {6: ONE}):
-                read.append(piece)
-                yield piece
-        assert rank([row(), {0: ONE, 4: Q}, {0: ONE, 6: ONE}]) == 3
-        assert len(read) == 3
+        # the kept row is read in full on the first collision and kept as
+        # its entries, which the second collision reduces by
+        kept = LeadRow({0: ONE}, {4: Q}, {6: ONE})
+        assert rank([kept, {0: ONE, 4: Q}, {0: ONE, 6: ONE}]) == 3
+        assert kept.reads == 1
 
     def test_rows_that_vanish_in_pieces(self):
-        assert rank([iter([{}, {1: ZERO}]), iter([]), {2: ZERO}]) == 0
-
-
-class Reiterable:
-    """A row of pieces that can be read any number of times; ``reads``
-    holds the number of pieces taken in each read."""
-
-    def __init__(self, *pieces):
-        self.pieces, self.reads = pieces, []
-
-    def __iter__(self):
-        self.reads.append(0)
-        for piece in self.pieces:
-            self.reads[-1] += 1
-            yield piece
+        rows = [LeadRow({}, {1: ZERO}), LeadRow(), {2: ZERO}]
+        assert rank(rows) == 0
+        assert [row.reads for row in rows[:2]] == [0, 0]
 
 
 class TestReiterableRows:
     def test_row_with_a_new_lead_is_kept_as_itself(self):
-        a, b = Reiterable({}, {0: ONE}, {3: Q}), Reiterable({1: ONE})
-        pivots = _echelon([a, b])
-        assert pivots[0] is a and pivots[1] is b
-        assert a.reads == [2] and b.reads == [1]
+        a, b = LeadRow({}, {0: ONE}, {3: Q}), LeadRow({1: ONE})
+        pivots = _echelon([a, {2: q_power(-1)}, b])
+        assert pivots[0] is a and pivots[1] is b and pivots[2] == {2: Q ** -1}
+        assert a.reads == b.reads == 0
 
     def test_collision_reads_the_kept_row_anew(self):
-        a = Reiterable({0: ONE}, {}, {5: ONE})
-        b = Reiterable({0: ONE}, {}, {5: Q})
-        assert rank([a, b]) == 2
-        # a is read again from its start; b goes on from its first piece
-        assert a.reads == [1, 3] and b.reads == [3]
-        assert rank([Reiterable({0: ONE}, {5: ONE}),
-                     Reiterable({0: ONE}, {5: ONE})]) == 1
+        a = LeadRow({0: ONE}, {}, {5: ONE})
+        b = LeadRow({0: ONE}, {}, {5: Q})
+        pivots = _echelon([a, b])
+        # the kept row is read in full and stored as its entries
+        assert pivots == {0: {0: ONE, 5: ONE}, 5: {5: Q - ONE}}
+        assert a.reads == b.reads == 1
+        assert rank([LeadRow({0: ONE}, {5: ONE}),
+                     LeadRow({0: ONE}, {5: ONE})]) == 1
 
     def test_reduced_row_is_kept_as_its_entries(self):
-        a, b = Reiterable({0: ONE}, {1: ONE}), Reiterable({0: ONE}, {2: ONE})
+        a, b = LeadRow({0: ONE}, {1: ONE}), LeadRow({0: ONE}, {2: ONE})
         pivots = _echelon([a, b])
         assert pivots == {0: {0: ONE, 1: ONE}, 1: {1: -ONE, 2: ONE}}
-        a, b = Reiterable({0: ONE}, {1: ONE}), Reiterable({0: ONE}, {2: ONE})
+        a, b = LeadRow({0: ONE}, {1: ONE}), LeadRow({0: ONE}, {2: ONE})
         assert rank([a, b, {1: ONE, 2: -ONE}]) == 2
 
 

@@ -6,7 +6,7 @@ no arithmetic, so rows with pairwise distinct leads (an echelon
 certificate) are only counted, and colliding leads are eliminated.  Each
 entry point is checked against sympy: ``rank`` against the rank over Q(q)
 in the field of fractions, with and without colliding leads, on dict rows
-and on rows split into pieces;
+and on lead rows split into pieces;
 ``rank_numeric`` against the rank over Q on Fraction rows with planted
 dependencies; ``invert_dense`` against sympy's inverse over Q(q), and its
 singular verdict against a zero determinant, on SparseMatrix and RMatrix
@@ -41,7 +41,7 @@ from qclifford.report import RelationReport  # noqa: E402
 from qclifford.rmatrix import RMatrix  # noqa: E402
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power  # noqa: E402
 
-from oracles import fraction_pair_residual  # noqa: E402
+from oracles import LeadRow, fraction_pair_residual  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -121,12 +121,14 @@ def test_rank_reads_rows_of_pieces(case, data, x, y):
     ncols, rows = case
     if rows:
         # a combination and a copy of row i make leads collide, so the
-        # unread pieces of the kept rows must be read
+        # kept lead rows must be read in full
         i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
         rows = rows + [combine(rows[i], rows[-1], x, y), dict(rows[i])]
     cuts = st.lists(st.integers(min_value=0, max_value=ncols), max_size=3)
-    pieces = [iter(as_pieces(row, data.draw(cuts), ncols)) for row in rows]
-    assert rank(pieces) == sympy_rank(ncols, rows) == rank(rows)
+    lead_rows = [LeadRow(*as_pieces(row, data.draw(cuts), ncols))
+                 for row in rows]
+    assert rank(lead_rows) == sympy_rank(ncols, rows) == rank(rows)
+    assert all(row.reads <= 1 for row in lead_rows)
 
 
 #: ints and Fractions, zero listed often; explicit zeros count as absent
