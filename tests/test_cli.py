@@ -758,10 +758,12 @@ class TestParser:
         full = cli.build_parser()
         for name in cli._COMMANDS:
             built = cli.build_parser(name)
-            action = built._subparsers._group_actions[0]
-            assert list(action.choices) == [name]
             assert page(built, name) == page(full, name)
             assert built.format_usage() == full.format_usage()
+            for other in set(cli._COMMANDS) - {name}:
+                with pytest.raises(SystemExit):
+                    built.parse_args([other])
+                assert "invalid choice" in capsys.readouterr().err
         # main builds one subcommand when argv begins with its name, and
         # every one otherwise
         built = []
