@@ -16,15 +16,21 @@ substitutes the point into the generators first and recomputes every
 relation from them, so a pole at the point exits 2; ``covariance`` and
 ``invariants`` substitute it into the generators too, so a pole of theirs
 exits 2 as well.
+
+A well-formed command line (a subcommand, then its options spelled in
+full and its positional words) is read straight from the ``_COMMANDS``
+table, with no parser built.  Help pages, usage errors and abbreviated
+options go to the argparse parser built from the same table, which is
+imported only then, so their text is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__, chain, deform, hopf
 from .linalg import MAX_DIM, dim_guard_error
@@ -339,29 +345,77 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``qclifford`` parser, with every subcommand, or with only
-    ``command`` when it names one.
+def build_parser():
+    """The ``qclifford`` argparse parser, with every subcommand.
 
-    argparse hands a subcommand's arguments to its own parser, so the
-    parser of the subcommand that argv begins with parses argv, and
-    prints its help and its errors, exactly as the full parser does; the
-    names of every subcommand stay in its usage line as the metavar.
+    ``main`` reads a well-formed command line with :func:`_read_argv`;
+    this parser serves the rest, so help pages, usage errors and
+    abbreviated options keep argparse's own text.  argparse is imported
+    here only, off every well-formed command's start.
     """
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qclifford",
         description="exact verification of q-deformed Clifford algebra "
                     "constructions")
-    sub = parser.add_subparsers(
-        dest="subcommand", required=True,
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
-    for name in _COMMANDS if command is None else (command,):
-        help_text, func, arguments = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, func, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flags, options in arguments:
             p.add_argument(*flags, **options)
         p.set_defaults(func=func)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace :func:`build_parser` parses from ``argv``, read
+    straight from ``_COMMANDS``, or None where argparse must read it.
+
+    ``argv[0]`` names a subcommand; each option is spelled in full, as
+    ``--flag value`` or ``--flag=value``; each positional is a word that
+    does not start with ``-``.  Anything else (help, an abbreviation, a
+    separate value that starts with ``-``, ``--``, a value that fails its
+    ``type`` or lies outside its ``choices``, a missing or extra
+    positional) gives None, and argparse parses it or prints its error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    values = {"subcommand": argv[0], "func": func}
+    flags, positionals = {}, []
+    for names, options in arguments:
+        dest = options.get("dest", names[0].lstrip("-").replace("-", "_"))
+        values[dest] = options.get("default")
+        if names[0].startswith("-"):
+            flags.update(dict.fromkeys(names, (dest, options)))
+        else:
+            positionals.append((dest, options))
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            flag, joined, value = word.partition("=")
+            if flag not in flags:
+                return None
+            if not joined:
+                value = next(words, None)
+                if value is None or value.startswith("-"):
+                    return None
+            elif value == "--":   # argparse drops it and stores a list
+                return None
+            dest, options = flags[flag]
+        elif positionals:
+            (dest, options), value = positionals.pop(0), word
+        else:
+            return None
+        if "type" in options:
+            try:
+                value = options["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in options and value not in options["choices"]:
+            return None
+        values[dest] = value
+    return None if positionals else SimpleNamespace(**values)
 
 
 def _join_q_numeric(argv: list[str]) -> list[str]:
@@ -378,11 +432,12 @@ def _join_q_numeric(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = _join_q_numeric(sys.argv[1:] if argv is None else list(argv))
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
     except PoleError as exc:

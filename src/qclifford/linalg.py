@@ -198,7 +198,7 @@ class SparseMatrix:
     def __mul__(self, other):
         if isinstance(other, SparseMatrix):
             self._check_dim(other)
-            return self._clone([row_product(arow, other.rows)
+            return self._clone([row_product(arow, other.rows) if arow else {}
                                 for arow in self.rows])
         return NotImplemented
 

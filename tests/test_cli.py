@@ -1,6 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qclifford import chain, cli, deform, fock, scalar
 from qclifford.cli import main
@@ -8,6 +15,10 @@ from qclifford.deform import (MapConstructionError, build_deforming_map,
                               undeformed_set)
 from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
 from qclifford.scalar import Q
+
+from test_golden import CASES as GOLDEN_CASES, GOLDEN
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -724,11 +735,92 @@ PARSER_ARGVS = [
     ["--he"], ["--help", "poincare"], ["verify-map", "--n", "2", "poincare"],
 ]
 
-#: argv lists that parse, with an abbreviated option or a negative point
-PARSED_ARGVS = [
-    ["poincare", "--out", "json", "--n", "2"],
-    ["eval", "q", "--q-numeric", "-3/4", "--o", "text"],
-]
+#: option flags of every subcommand
+FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values()
+                for flags, _ in arguments for flag in flags
+                if flag.startswith("-")})
+
+#: option values and positional words: words that start with "-" (first,
+#: so that hypothesis draws them often), ints as int() reads them, empty
+#: and spaced words, choices and subcommand names
+INTS = ("2", "3", "+3", "3_0", " 3 ", "\u0663")
+WORDS = ("--", "-3/4", "-h", "--n", "-", "-3", *INTS, "", "x", "x y", "q",
+         "1.3", "text", "json", "sl", "sp", "both", *chain.VARIANTS,
+         *cli._COMMANDS)
+
+
+@st.composite
+def command_lines(draw):
+    """argv lists that mostly begin with a subcommand and go on with its
+    arguments and fitting values; now and then a word is another one, an
+    option is abbreviated or lacks its value, or a stray word, help flag
+    or ``--`` comes in."""
+    def rarely() -> bool:
+        return draw(st.integers(min_value=0, max_value=9)) == 0
+
+    name = draw(st.sampled_from(["frobnicate", "--help"] if rarely()
+                                else list(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][2] if name in cli._COMMANDS else []
+    argv = [name]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if rarely():
+            argv.append(draw(st.sampled_from((*WORDS, "--help", "--he"))))
+            continue
+        flags, options = (draw(st.sampled_from(arguments))
+                          if arguments and not rarely()
+                          else ((draw(st.sampled_from(FLAGS)),), {}))
+        fitting = options.get("choices") or (
+            INTS if "type" in options else WORDS)
+        value = draw(st.sampled_from(WORDS if rarely() else fitting))
+        flag = flags[0]
+        if not flag.startswith("-"):
+            argv.append(value)
+            continue
+        if rarely():
+            flag = flag[:draw(st.integers(min_value=3, max_value=len(flag)))]
+        if rarely():
+            argv.append(flag)          # its value missing
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+#: run in a child interpreter from ``tests/golden/``: which of the modules
+#: behind argparse's help and error text are loaded after importing the
+#: command line, after every argv read from stdin, and after an error
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+
+PARSER = ("argparse", "gettext", "locale")
+
+
+def loaded():
+    return [name for name in PARSER if name in sys.modules]
+
+
+from qclifford.cli import main
+seen = {"import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["codes"] = [main(argv) for argv in json.loads(sys.stdin.read())]
+seen["runs"] = loaded()
+with contextlib.redirect_stderr(io.StringIO()):
+    seen["error"] = [main(["poincare", "--bogus"]), loaded()]
+print(json.dumps(seen))
+"""
+
+
+def captured(call):
+    """call()'s result, or the code it exits with, and its stdout and
+    stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
 
 
 class TestParser:
@@ -742,36 +834,63 @@ class TestParser:
         assert code == stop.value.code
         assert out or err
 
-    @pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
-    def test_namespace_equals_the_full_parser(self, argv):
+    @pytest.mark.parametrize("argv", [
+        *([*argv, "--output", "json"] for argv in GOLDEN_CASES.values()),
+        ["eval", "q", "--q-numeric", "-3/4"], ["eval", "--output=json", "q"],
+        ["poincare", "--n", "3", "--n=٣", "--output", "text"],
+        ["chain-experiment", "--m", " 2 ", "--n", "+3", "--scales", "1,q"],
+        ["verify-map", "--input", "poincare", "--q-numeric="],
+        ["eval", ""]], ids=" ".join)
+    def test_well_formed_lines_are_read_from_the_table(self, argv):
         argv = cli._join_q_numeric(argv)
-        built = cli.build_parser(argv[0]).parse_args(argv)
-        assert vars(built) == vars(cli.build_parser().parse_args(argv))
+        read = cli._read_argv(argv)
+        assert read is not None
+        assert vars(read) == vars(cli.build_parser().parse_args(argv))
 
-    def test_only_the_named_subcommands_get_arguments(self, capsys,
-                                                       monkeypatch):
-        def page(parser, name):
-            with pytest.raises(SystemExit):
-                parser.parse_args([name, "--help"])
-            return capsys.readouterr().out
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    @example(["poincare", "--out", "json", "--n", "2"])
+    @example(["eval", "q", "--q-numeric", "-3/4", "--o", "text"])
+    @example(["verify-map", "--input=--"])
+    @example(["rmatrix", "--input", "-3/4"])
+    @example(["chain-experiment", "--scales", "-"])
+    def test_reader_agrees_with_the_full_parser(self, argv):
+        # every command's function is a stub here, so main prints only
+        # what the parser prints, and the stub records the namespace
+        calls = []
 
-        full = cli.build_parser()
-        for name in cli._COMMANDS:
-            built = cli.build_parser(name)
-            assert page(built, name) == page(full, name)
-            assert built.format_usage() == full.format_usage()
-            for other in set(cli._COMMANDS) - {name}:
-                with pytest.raises(SystemExit):
-                    built.parse_args([other])
-                assert "invalid choice" in capsys.readouterr().err
-        # main builds one subcommand when argv begins with its name, and
-        # every one otherwise
-        built = []
-        real = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser",
-                            lambda command=None: built.append(command)
-                            or real(command))
-        for argv in (["poincare", "--n", "1"], ["eval", "q"], [], ["-h"],
-                     ["frobnicate"], ["--output", "json", "eval", "q"]):
-            run(capsys, *argv)
-        assert built == ["poincare", "eval", None, None, None, None]
+        def stub(args):
+            calls.append(vars(args))
+            return 0
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name, (help_text, _, arguments) in cli._COMMANDS.items():
+                patch.setitem(cli._COMMANDS, name, (help_text, stub, arguments))
+            joined = cli._join_q_numeric(argv)
+            parsed, *full = captured(
+                lambda: cli.build_parser().parse_args(joined))
+            read = cli._read_argv(joined)
+            code, *printed = captured(lambda: main(argv))
+        if isinstance(parsed, int):   # the parser printed help or an error
+            assert read is None and calls == [] and code == parsed
+        else:
+            assert read is None or vars(read) == vars(parsed)
+            assert calls == [vars(parsed)] and code == 0
+        assert printed == full
+
+    def test_argparse_loads_only_for_help_and_errors(self):
+        runs = {name: [*argv, "--output", "json"]
+                for name, argv in GOLDEN_CASES.items()}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+            if p)}
+        child = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD], cwd=GOLDEN, env=env,
+            input=json.dumps(list(runs.values())), capture_output=True,
+            text=True, timeout=120, check=True)
+        seen = json.loads(child.stdout)
+        assert seen["codes"] == [
+            json.loads((GOLDEN / f"{name}.json").read_text(
+                encoding="utf-8"))["exit_code"] for name in runs]
+        assert seen["import"] == seen["runs"] == []
+        assert seen["error"] == [2, ["argparse", "gettext", "locale"]]

@@ -284,6 +284,27 @@ class TestPoincare:
         assert poincare_rank(build(4)) == (256, 256)
         assert formed == []
 
+    def test_subset_products_skip_empty_left_rows(self, monkeypatch):
+        # a subset product multiplies only the nonempty rows of its left
+        # factor; most rows of a product of several generators are empty
+        gens = build_deforming_map(4)
+        calls, nonempty = [], []
+        real_product, real_mul = linalg.row_product, SparseMatrix.__mul__
+
+        def product_spy(arow, brows):
+            calls.append(arow)
+            return real_product(arow, brows)
+
+        def mul_spy(left, right):
+            nonempty.append(sum(1 for row in left.rows if row))
+            return real_mul(left, right)
+
+        monkeypatch.setattr(linalg, "row_product", product_spy)
+        monkeypatch.setattr(SparseMatrix, "__mul__", mul_spy)
+        assert poincare_rank(gens) == (256, 256)
+        assert len(nonempty) > 0 and all(calls)
+        assert len(calls) == sum(nonempty) < 16 * len(nonempty)
+
     def test_kept_rows_are_the_monomials_themselves(self, monkeypatch):
         # the rank keeps each monomial of a faithful set as its row object,
         # and once every row is handed over, no deform generator is left

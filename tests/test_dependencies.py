@@ -146,7 +146,8 @@ def test_unused_import_scan_sees_each_form(tmp_path):
 
 #: argv lists run on top of the golden commands, with their exit codes:
 #: text output, a --q-numeric point on each command that reads one, a pole
-#: at the point and a mode count above the Fock guard
+#: at the point, a mode count above the Fock guard and a usage error, the
+#: one kind of run that builds the argparse parser
 EXTRA_RUNS = [
     (["verify-map", "--input", "verify_map_input_broken_n3.json",
       "--q-numeric", "1.3", "--output", "text"], 1),
@@ -155,6 +156,7 @@ EXTRA_RUNS = [
     (["rmatrix", "--algebra", "sl", "--n", "2", "--q-numeric", "1.3"], 0),
     (["verify-map", "--n", "2", "--q-numeric", "0"], 2),
     (["verify-map", "--n", "13"], 2),
+    (["poincare", "--bogus"], 2),
 ]
 
 #: functions no command enters, each kept for the reason given
