@@ -367,6 +367,23 @@ def build_parser():
     return parser
 
 
+def _dest(names: tuple, options: dict) -> str:
+    """The namespace attribute an argument of ``_COMMANDS`` is stored in,
+    named as argparse names it."""
+    return options.get("dest", names[0].lstrip("-").replace("-", "_"))
+
+
+def _listed_value(args) -> str | None:
+    """The flag of the first argument whose parsed value is a list, or
+    None.  No argument takes several values, so a list is argparse's
+    reading of ``--flag=--``: the ``--`` is dropped and an empty list
+    stored."""
+    for names, options in _COMMANDS[args.subcommand][2]:
+        if isinstance(getattr(args, _dest(names, options)), list):
+            return names[0]
+    return None
+
+
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     """The namespace :func:`build_parser` parses from ``argv``, read
     straight from ``_COMMANDS``, or None where argparse must read it.
@@ -384,7 +401,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     values = {"subcommand": argv[0], "func": func}
     flags, positionals = {}, []
     for names, options in arguments:
-        dest = options.get("dest", names[0].lstrip("-").replace("-", "_"))
+        dest = _dest(names, options)
         values[dest] = options.get("default")
         if names[0].startswith("-"):
             flags.update(dict.fromkeys(names, (dest, options)))
@@ -438,6 +455,10 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
+        if (flag := _listed_value(args)) is not None:
+            print(f"error: argument {flag}: expected one value, not '--'",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except PoleError as exc:

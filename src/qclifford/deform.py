@@ -36,29 +36,36 @@ q-exponent over the later modes,
 
     Adag_i = q^(-sum_{j>i} n_j) adag_i,     A^i = a^i q^(-sum_{j>i} n_j),
 
-and its builder checks nothing.  A caller that needs the relation system
-decided calls :func:`map_relations`, which fails loudly on any convention
-drift, so each relation is decided once per run.  The inverse map
-reconstructs the undeformed generators as polynomials in the deformed
-ones, and the Poincare-series check computes the exact rank of all 4^N
-ordered monomials over Q(q).  Each monomial is a creator-subset product
-times an annihilator-subset product, every subset product extending the
-product of its prefix by one generator, and is handed to
-:func:`linalg.rank` as a lead row: its leading column is read off the
-supports of its two factors, with no Fock row formed where the creator
-factor's row has a single entry.  The rank keeps a row whose leading
-column is new, with no arithmetic, as the small row object alone, and
-forms rows in full and eliminates over Q(q) only when leading columns
-collide.
+and its builder checks nothing.  Each creator entry is written directly
+as a signed power of q, with no diagonal matrix and no product, and each
+annihilator is its creator's transpose.  A caller that needs the
+relation system decided calls :func:`map_relations`, which fails loudly
+on any convention drift, so each relation is decided once per run.  The
+inverse map reconstructs the undeformed generators as polynomials in the
+deformed ones, and the Poincare-series check computes the exact rank of
+all 4^N ordered monomials over Q(q), up to 9 modes.  Each monomial is a
+creator-subset product times an annihilator-subset product, every subset
+product extending the product of its prefix by one generator, and is
+handed to :func:`linalg.rank` as a lead row.  Every generator row of both
+built-in sets has at most one entry, each a nonzero signed power of q,
+so a subset product is known by its support alone, the column each Fock
+row goes to, composed as a list with no Q(q) value formed, and each
+monomial's leading column is read off the supports of its two factors.
+A set with a row of several entries forms its subset products over Q(q)
+and reads the leads off them.  The rank keeps a row whose leading column
+is new, with no arithmetic, as the small row object alone, and forms a
+monomial's Fock rows exactly and eliminates over Q(q) only when leading
+columns collide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from . import fock
-from .fock import build_generators, ordered_monomials, q_exponent, read_operator
+from .fock import build_generators, ordered_monomials, read_operator
 from .linalg import (SparseMatrix, json_field, json_int, json_object,
                      rank as exact_rank, row_product)
 from .report import RelationReport
@@ -208,21 +215,19 @@ def build_deforming_map(n_modes: int) -> GeneratorSet:
     """Realize the deformed generators inside the undeformed algebra.
 
     Creator i is dressed on the left, annihilator i on the right, by the
-    diagonal q-exponent D with weight -1 on every later mode.  D is
-    diagonal, so D adag_i is adag_i with row r scaled by D[r, r], and
-    a_i D = (D adag_i)^T is the creator's transpose: no matrix product is
-    formed, and each annihilator shares its creator's entries.  The set is
+    diagonal q-exponent with the weights of :func:`deformation_weights`.
+    Each creator entry is written directly: row s | bit(i), column s,
+    value (-1)^(occupied modes before i) q^e with e = sum_j w_ij bit_j(s)
+    (w_ii = 0, so the row's bits give the same e), one canonical value per
+    distinct sign and exponent.  No diagonal matrix and no product is
+    formed, and each annihilator is its creator's transpose.  The set is
     returned unchecked; :func:`map_relations` decides its relations.
     """
     if n_modes < 1:
         raise ValueError("build_deforming_map expects n_modes >= 1")
-    creators = []
-    for i, (adag, _) in enumerate(build_generators(n_modes), start=1):
-        dress = q_exponent(deformation_weights(n_modes, i)).rows
-        creators.append(SparseMatrix(adag.dim, [
-            {c: v * dress[r][r] for c, v in row.items()}
-            for r, row in enumerate(adag.rows)]))
-    return GeneratorSet(creators, [op.transpose() for op in creators])
+    pairs = build_generators(n_modes, [deformation_weights(n_modes, i)
+                                       for i in range(1, n_modes + 1)])
+    return GeneratorSet([c for c, _ in pairs], [a for _, a in pairs])
 
 
 def map_relations(gens: GeneratorSet) -> list[RelationReport]:
@@ -303,22 +308,41 @@ def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
 # Poincare series
 # ---------------------------------------------------------------------------
 
-_EXACT_MODE_LIMIT = 8
+_EXACT_MODE_LIMIT = 9
 
 
-def _subset_products(generators, subsets, unit: SparseMatrix) -> dict:
-    """Product of the generators named by each ascending subset.
+def _subset_products(generators, subsets, unit, times) -> dict:
+    """Product of the generators named by each ascending subset, formed
+    by ``times``.
 
     Subsets arrive with every prefix before its extensions, so each
-    product is its prefix's product times one generator; the empty
+    product is times(its prefix's product, one generator); the empty
     subset maps to unit, the identity, which is never multiplied.
     """
     products: dict = {(): unit}
     for subset in subsets:
         if subset:
             prefix, last = subset[:-1], generators[subset[-1] - 1]
-            products[subset] = products[prefix] * last if prefix else last
+            products[subset] = times(products[prefix], last) if prefix else last
     return products
+
+
+def _supports(ops) -> list | None:
+    """Each operator as its support, the list row -> column of its one
+    entry (-1 for an empty row), or None when some row has several."""
+    if any(len(row) > 1 for op in ops for row in op.rows):
+        return None
+    return [[next(iter(row), -1) for row in op.rows] for op in ops]
+
+
+def _compose(left: list, right: list) -> list:
+    """The support of the product of two operators given by supports.
+
+    Row r of the product has the one entry left's times right's, at
+    column right[left[r]]: a product of two nonzero field elements, which
+    is nonzero, so the support is exact with no value formed.
+    """
+    return [k if k < 0 else right[k] for k in left]
 
 
 def _monomial_rows(gens: GeneratorSet):
@@ -327,76 +351,96 @@ def _monomial_rows(gens: GeneratorSet):
     columns are r * 2^N + c for Fock row r and column c.
 
     left is the monomial's creator-subset product and right its
-    annihilator-subset product.  The lead is read off the factors'
-    supports, so on a faithful set, whose creator products have at most
-    one entry per row and whose monomials have pairwise distinct leads,
-    no Fock row is formed and the rank keeps each monomial as its small
-    row object.  A monomial's Fock rows are formed only when its lead
-    collides.
+    annihilator-subset product.  When every generator row has at most one
+    entry, both are composed as supports, lists row -> column, and the
+    lead is r * 2^N + right[left[r]] at the first row r where both are
+    defined: no Q(q) product is formed.  A set with a row of several
+    entries forms its subset products over Q(q) and reads the lead off
+    them, forming a product row only where a left row has several
+    entries, which can cancel.  A monomial's Fock rows are formed only
+    when its lead collides.
     """
     n = gens.modes
+    dim = 1 << n
     monomials = ordered_monomials(n)
     subsets = [ann for cre, ann in monomials if not cre]  # all, prefixes first
+    supports = _supports(gens.all_generators())
+    if supports is not None:
+        unit = list(range(dim))
+        lefts = _subset_products(supports[:n], subsets, unit, _compose)
+        rights = _subset_products(supports[n:], subsets, unit, _compose)
+        defined = {cre: [r for r, k in enumerate(left) if k >= 0]
+                   for cre, left in lefts.items()}
+        for cre, ann in monomials:
+            left, right, lead = lefts[cre], rights[ann], None
+            for r in defined[cre]:
+                if (c := right[left[r]]) >= 0:
+                    lead = r * dim + c
+                    break
+            yield _MonomialRow(lead, cre, ann, gens)
+        return
     unit = fock.identity(n)
-    lefts = _subset_products(gens.creators, subsets, unit)
-    rights = _subset_products(gens.annihilators, subsets, unit)
+    lefts = _subset_products(gens.creators, subsets, unit, mul)
+    rights = _subset_products(gens.annihilators, subsets, unit, mul)
     nonzero = {cre: [(r, row) for r, row in enumerate(op.rows) if row]
                for cre, op in lefts.items()}
     for cre, ann in monomials:
-        yield _MonomialRow(nonzero[cre], rights[ann].rows, unit.dim)
+        right, lead = rights[ann].rows, None
+        for r, lrow in nonzero[cre]:
+            cols = (right[next(iter(lrow))] if len(lrow) == 1
+                    else row_product(lrow, right))
+            if cols:
+                lead = r * dim + min(cols)
+                break
+        yield _MonomialRow(lead, cre, ann, gens)
 
 
 class _MonomialRow:
-    """One ordered monomial left * right as a lead row of
-    :func:`linalg.rank`: left is given as its nonzero rows (r, row),
-    right as its rows, and dim is the Fock dimension."""
+    """One ordered monomial as a lead row of :func:`linalg.rank`: its
+    lead, the lowest column of its row (None for zero), and its creator
+    and annihilator subsets in the generator set gens."""
 
-    __slots__ = ("left", "right", "dim")
+    __slots__ = ("head", "cre", "ann", "gens")
 
-    def __init__(self, left: list, right, dim: int):
-        self.left, self.right, self.dim = left, right, dim
+    def __init__(self, head: int | None, cre: tuple, ann: tuple,
+                 gens: GeneratorSet):
+        self.head, self.cre, self.ann, self.gens = head, cre, ann, gens
 
     def lead(self) -> int | None:
-        """The lowest column of left * right, or None for zero.
-
-        A left row with one entry v at column k makes the product row v
-        times right's row k, whose lowest column is that of right's row
-        k: v is nonzero and Q(q) has no zero divisors, so no product is
-        formed.  A left row with more entries can cancel, and its
-        product row is formed exactly.
-        """
-        right = self.right
-        for r, lrow in self.left:
-            if len(lrow) == 1:
-                (k,) = lrow
-                cols = right[k]
-            else:
-                cols = row_product(lrow, right)
-            if cols:
-                return r * self.dim + min(cols)
-        return None
+        return self.head
 
     def __iter__(self):
-        """The nonzero rows of left * right in ascending order, each
-        flattened to the columns r * dim + c, formed one per request."""
-        right, dim = self.right, self.dim
-        for r, lrow in self.left:
-            row = row_product(lrow, right)
-            if row:
+        """The nonzero Fock rows of the monomial in ascending order, each
+        flattened to the columns r * 2^N + c and formed exactly, one per
+        request, by carrying unit row r through the monomial's generators
+        one at a time."""
+        gens = self.gens
+        word = ([gens.creators[i - 1] for i in self.cre]
+                + [gens.annihilators[i - 1] for i in self.ann])
+        dim = 1 << gens.modes
+        for r in range(dim):
+            row = {r: ONE}
+            for op in word:
+                row = row_product(row, op.rows)
+                if not row:
+                    break
+            else:
                 yield {r * dim + c: v for c, v in row.items()}
 
 
 def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     """(rank of the 4^N ordered monomials, expected value 4^N).
 
-    The rank is exact over Q(q) and allowed up to 8 modes.  It is one
+    The rank is exact over Q(q) and allowed up to 9 modes.  It is one
     :func:`linalg.rank` over the 4^N lead rows of :func:`_monomial_rows`.
-    The ordered monomials of a faithful set have pairwise distinct
-    leading columns, so the echelon certificate decides full rank from
-    each monomial's lead, with no elimination and no Fock row formed,
-    and keeps each monomial as its row object; on a degenerate set the
-    colliding rows are formed in full and eliminated.  Rank deficiency
-    is a result, not an error.
+    Every generator row of both built-in sets has at most one entry, so
+    each monomial's lead is read off the supports of its two factors,
+    composed as lists with no Q(q) product formed.  The ordered monomials
+    of a faithful set have pairwise distinct leading columns, so the
+    echelon certificate decides full rank from the leads alone, with no
+    elimination and no Fock row formed, and keeps each monomial as its
+    row object; on a degenerate set the colliding rows are formed in full
+    and eliminated.  Rank deficiency is a result, not an error.
     """
     check_rank_modes(gens.modes)
     return exact_rank(_monomial_rows(gens)), 4 ** gens.modes

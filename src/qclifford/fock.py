@@ -55,24 +55,40 @@ def _mode_bit(n_modes: int, state: int, i: int) -> int:
     return (state >> (n_modes - i)) & 1
 
 
-def build_generators(n_modes: int) -> list[tuple[SparseMatrix, SparseMatrix]]:
+def build_generators(n_modes: int, dressing=None
+                     ) -> list[tuple[SparseMatrix, SparseMatrix]]:
     """Jordan-Wigner creator/annihilator pairs [(adag_1, a_1), ...].
 
     The creator for mode i sends a state with mode i empty to the same
     state with mode i occupied, with sign (-1)^(number of occupied modes
-    before i); the annihilator is the transpose.
+    before i); the annihilator is the transpose.  With ``dressing``, one
+    list of N integer weights w_i1..w_iN per mode, creator i is dressed on
+    the left by q^(sum_j w_ij n_j): the entry in row r carries the power
+    q^(sum_j w_ij bit_j(r)), and the annihilator is still the transpose.
+    Each entry is written directly, with one value per distinct sign and
+    exponent, and no diagonal matrix or product is formed.
     """
     dim = _fock_dim(n_modes)
+    values: dict = {}   # 2 * exponent + parity -> the signed power
     pairs = []
-    minus_one = -ONE
     for i in range(1, n_modes + 1):
+        weights = [(1 << (n_modes - j), 2 * w) for j, w in
+                   enumerate(dressing[i - 1] if dressing else (), start=1) if w]
         mask = 1 << (n_modes - i)
         rows: list[dict] = [dict() for _ in range(dim)]
         for state in range(dim):
             if state & mask:
                 continue
-            parity = bin(state >> (n_modes - i + 1)).count("1") & 1
-            rows[state | mask][state] = minus_one if parity else ONE
+            row = state | mask
+            key = bin(state >> (n_modes - i + 1)).count("1") & 1
+            for bit, w in weights:
+                if row & bit:
+                    key += w
+            value = values.get(key)
+            if value is None:
+                power = q_power(key >> 1)
+                value = values[key] = -power if key & 1 else power
+            rows[row][state] = value
         creator = SparseMatrix(dim, rows)
         pairs.append((creator, creator.transpose()))
     return pairs

@@ -477,23 +477,29 @@ class TestPoincareCommand:
         code, out, err = run(capsys, "poincare", "--q-numeric", "1.3")
         assert code == 2 and out == "" and "--q-numeric" in err
 
+    def test_exact_at_nine_modes(self, capsys):
+        code, doc, _ = run_json(capsys, "poincare", "--n", "9")
+        full = {"rank": 262144, "expected": 262144}
+        assert code == 0
+        assert doc["poincare"] == {"undeformed": full, "deformed": full}
+
     def test_too_many_modes_refused_before_building(self, capsys, monkeypatch):
-        def spy(n):
+        def spy(n, *dressing):
             raise AssertionError(f"generators built for {n} modes")
 
         # deform calls the builder through its own imported name
         monkeypatch.setattr(fock, "build_generators", spy)
         monkeypatch.setattr(deform, "build_generators", spy)
-        code, out, err = run(capsys, "poincare", "--n", "9")
+        code, out, err = run(capsys, "poincare", "--n", "10")
         assert code == 2 and out == ""
-        assert "the Poincare rank supports at most 8 modes" in err
+        assert "the Poincare rank supports at most 9 modes" in err
 
 
 @pytest.mark.parametrize("command", ["verify-map", "poincare"])
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_mode_count_below_one_names_the_option(capsys, monkeypatch, command,
                                                n):
-    def spy(n):
+    def spy(n, *dressing):
         raise AssertionError(f"generators built for {n} modes")
 
     monkeypatch.setattr(fock, "build_generators", spy)
@@ -501,6 +507,18 @@ def test_mode_count_below_one_names_the_option(capsys, monkeypatch, command,
     code, out, err = run(capsys, command, "--n", n)
     assert code == 2 and out == ""
     assert err == f"error: {command} needs --n of at least 1, not {n}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["poincare", "--n=--"], ["eval", "q", "--q-numeric=--"],
+    ["verify-map", "--input=--"]], ids=" ".join)
+def test_option_joined_to_a_double_dash_is_a_usage_error(capsys, argv):
+    # argparse drops a "--" joined by "=" and stores an empty list, which
+    # no command may read as a value
+    flag = argv[-1].partition("=")[0]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: argument {flag}: expected one value, not '--'\n"
 
 
 class TestCovarianceCommand:
@@ -873,6 +891,13 @@ class TestParser:
             code, *printed = captured(lambda: main(argv))
         if isinstance(parsed, int):   # the parser printed help or an error
             assert read is None and calls == [] and code == parsed
+        elif cli._listed_value(parsed) is not None:   # a --flag=--
+            assert read is None and calls == [] and code == 2
+            assert printed[0] == full[0] == ""
+            assert printed[1] == full[1] + (
+                f"error: argument {cli._listed_value(parsed)}: "
+                f"expected one value, not '--'\n")
+            return
         else:
             assert read is None or vars(read) == vars(parsed)
             assert calls == [vars(parsed)] and code == 0

@@ -284,32 +284,27 @@ class TestPoincare:
         assert poincare_rank(build(4)) == (256, 256)
         assert formed == []
 
-    def test_subset_products_skip_empty_left_rows(self, monkeypatch):
-        # a subset product multiplies only the nonempty rows of its left
-        # factor; most rows of a product of several generators are empty
-        gens = build_deforming_map(4)
-        calls, nonempty = [], []
-        real_product, real_mul = linalg.row_product, SparseMatrix.__mul__
-
-        def product_spy(arow, brows):
-            calls.append(arow)
-            return real_product(arow, brows)
+    @pytest.mark.parametrize("build", [undeformed_set, build_deforming_map])
+    def test_built_in_sets_form_no_subset_product(self, build, monkeypatch):
+        # every generator row of both sets has at most one entry, so the
+        # subset products are composed as supports, with no Q(q) product
+        gens = build(4)
+        products = []
+        real_mul = SparseMatrix.__mul__
 
         def mul_spy(left, right):
-            nonempty.append(sum(1 for row in left.rows if row))
+            products.append((left, right))
             return real_mul(left, right)
 
-        monkeypatch.setattr(linalg, "row_product", product_spy)
         monkeypatch.setattr(SparseMatrix, "__mul__", mul_spy)
         assert poincare_rank(gens) == (256, 256)
-        assert len(nonempty) > 0 and all(calls)
-        assert len(calls) == sum(nonempty) < 16 * len(nonempty)
+        assert products == []
 
     def test_kept_rows_are_the_monomials_themselves(self, monkeypatch):
         # the rank keeps each monomial of a faithful set as its row object,
-        # and once every row is handed over, no deform generator is left
-        # suspended
-        kept, suspended = [], []
+        # under the lead read off its supports, and once every row is
+        # handed over, no deform generator is left suspended
+        kept, suspended = {}, []
         echelon = linalg._echelon
 
         def spy(rows):
@@ -320,13 +315,21 @@ class TestPoincare:
                     if inspect.isgenerator(obj) and obj.gi_frame is not None
                     and obj.gi_code.co_filename == deform.__file__))
             pivots = echelon(handed())
-            kept.extend(pivots.values())
+            kept.update(pivots)
             return pivots
 
         monkeypatch.setattr(linalg, "_echelon", spy)
         assert poincare_rank(build_deforming_map(4)) == (256, 256)
         assert len(kept) == 256 and suspended == [0]
-        assert all(type(row) is deform._MonomialRow for row in kept)
+        assert all(type(row) is deform._MonomialRow and row.lead() == lead
+                   for lead, row in kept.items())
+        assert sorted((row.cre, row.ann) for row in kept.values()) == sorted(
+            fock.ordered_monomials(4))
+        # the monomial (S, T) leads at row S, column T of the Fock basis
+        index = {subset: sum(1 << (4 - m) for m in subset)
+                 for subset, _ in fock.ordered_monomials(4)}
+        assert all(lead == index[row.cre] * 16 + index[row.ann]
+                   for lead, row in kept.items())
 
     def test_colliding_monomials_are_read_past_their_first_row(self, lastf2,
                                                                monkeypatch):
@@ -356,8 +359,8 @@ class TestPoincare:
         assert poincare_rank(conj) == (16, 16)
 
     def test_mode_guards(self):
-        with pytest.raises(ValueError, match="at most 8 modes"):
-            poincare_rank(undeformed_set(9))
+        with pytest.raises(ValueError, match="at most 9 modes"):
+            poincare_rank(undeformed_set(10))
 
 
 class TestStarCompatibility:

@@ -9,7 +9,11 @@ monomials' full rows, built here by plain matrix products
 (``oracles.word_to_operator``).  The same sets conjugated by a unit
 triangular integer matrix have rows with several entries, whose products
 can cancel; there each monomial's lead must be the lowest column of its
-full row.
+full row.  Sets whose generator rows have at most one entry each, as
+both built-in sets do, have their leads read off supports composed as
+lists; on random partial permutations with signed q-monomial entries and
+planted repeated generators the rank must again equal the rank of the
+full rows.
 """
 
 import pytest
@@ -95,6 +99,41 @@ def conjugated_sets(draw):
 @settings(max_examples=40, deadline=None)
 @given(conjugated_sets())
 def test_lead_is_the_lowest_column_of_the_full_row(gens):
+    rows = plain_rows(gens)
+    lead_rows = list(deform._monomial_rows(gens))
+    assert full_rows(lead_rows) == rows
+    assert [row.lead() for row in lead_rows] == [min(row, default=None)
+                                                 for row in rows]
+    assert poincare_rank(gens) == (rank(rows), 4 ** gens.modes)
+
+
+@st.composite
+def single_entry_sets(draw):
+    """N <= 3 pairs of partial permutation matrices with entries
+    +-c q^k, with some generators replaced by a copy of another one, so
+    that monomials repeat and leads collide."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    dim = 1 << n
+    ops = []
+    for _ in range(2 * n):
+        cols = draw(st.permutations(range(dim)))
+        rows = [{} for _ in range(dim)]
+        for r in draw(st.sets(st.integers(min_value=0, max_value=dim - 1),
+                              min_size=1)):
+            sign = draw(st.sampled_from((1, -1)))
+            scale = draw(st.integers(min_value=1, max_value=3))
+            power = draw(st.integers(min_value=-2, max_value=2))
+            rows[r][cols[r]] = q_power(power) * (sign * scale)
+        ops.append(SparseMatrix(dim, rows))
+    for k in draw(st.sets(st.integers(min_value=0, max_value=2 * n - 1))):
+        ops[k] = ops[draw(st.integers(min_value=0, max_value=2 * n - 1))]
+    return GeneratorSet(ops[:n], ops[n:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_entry_sets())
+def test_support_rank_equals_rank_of_full_rows(gens):
+    assert deform._supports(gens.all_generators()) is not None
     rows = plain_rows(gens)
     lead_rows = list(deform._monomial_rows(gens))
     assert full_rows(lead_rows) == rows

@@ -146,8 +146,8 @@ def test_unused_import_scan_sees_each_form(tmp_path):
 
 #: argv lists run on top of the golden commands, with their exit codes:
 #: text output, a --q-numeric point on each command that reads one, a pole
-#: at the point, a mode count above the Fock guard and a usage error, the
-#: one kind of run that builds the argparse parser
+#: at the point, a mode count above the Fock guard, a usage error and an
+#: option joined to "--", the kinds of run that build the argparse parser
 EXTRA_RUNS = [
     (["verify-map", "--input", "verify_map_input_broken_n3.json",
       "--q-numeric", "1.3", "--output", "text"], 1),
@@ -157,6 +157,7 @@ EXTRA_RUNS = [
     (["verify-map", "--n", "2", "--q-numeric", "0"], 2),
     (["verify-map", "--n", "13"], 2),
     (["poincare", "--bogus"], 2),
+    (["poincare", "--n=--"], 2),
 ]
 
 #: functions no command enters, each kept for the reason given
@@ -165,9 +166,7 @@ KEPT = {
         "wrapped by the perfbench span linalg.rank_numeric, which the "
         "benchmark's tests require to resolve",
     "deform.build_inverse_map":
-        "reserved for the Poincare rank certificate (ROADMAP item 2)",
-    "deform.GeneratorSet.all_generators":
-        "read by build_inverse_map",
+        "reserved for printing the map and its inverse (ROADMAP item 13)",
     "deform.GeneratorSet.to_json":
         "writes the --input files that verify-map reads",
     "linalg.SparseMatrix.first_nonzero":

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qclifford import linalg
 from qclifford.linalg import (SparseMatrix, _echelon, invert_dense,
                               product_sum, product_sum_rows, rank,
                               rank_numeric)
@@ -48,6 +49,23 @@ class TestSparseMatrix:
         b = SparseMatrix(3, tuple({c: random_rf(rng) for c in range(3)}
                                   for _ in range(3)))
         assert (a * b).transpose() == b.transpose() * a.transpose()
+
+    def test_product_multiplies_only_nonempty_left_rows(self, monkeypatch):
+        # a product of several generators is mostly empty rows; only the
+        # nonempty rows of the left factor reach row_product
+        calls = []
+        real_product = linalg.row_product
+
+        def spy(arow, brows):
+            calls.append(arow)
+            return real_product(arow, brows)
+
+        monkeypatch.setattr(linalg, "row_product", spy)
+        left = SparseMatrix(8, [{} if r % 3 else {r - 1 if r else 0: Q}
+                                for r in range(8)])
+        product = left * identity(3).scale(Q)
+        assert len(calls) == 3 and all(calls)
+        assert product == left.scale(Q)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
