@@ -338,9 +338,10 @@ def _supports(ops) -> list | None:
 def _compose(left: list, right: list) -> list:
     """The support of the product of two operators given by supports.
 
-    Row r of the product has the one entry left's times right's, at
-    column right[left[r]]: a product of two nonzero field elements, which
-    is nonzero, so the support is exact with no value formed.
+    Row r of the product holds left's entry in row r times right's entry
+    in row left[r], at column right[left[r]]: both are nonzero field
+    elements, so their product is nonzero and the support is exact with
+    no value formed.
     """
     return [k if k < 0 else right[k] for k in left]
 

@@ -5,9 +5,11 @@ Every operator on the N-mode Fock space is a plain
 reads one from JSON.  Generators are built by the Jordan-Wigner
 construction: the creator for mode i acts as a parity string on modes
 1..i-1 followed by a raising block on mode i, and the annihilator is its
-transpose.  Basis states are indexed by occupation bitstrings with the
-mode-1 bit most significant and bit value 1 meaning occupied, so the
-vacuum is basis index 0.  All anticommutation residuals are exactly zero
+transpose; a creator may also be dressed on the left by a diagonal
+q-exponent, written entry by entry, as the deforming map is.  Basis
+states are indexed by occupation bitstrings with the mode-1 bit most
+significant and bit value 1 meaning occupied, so the vacuum is basis
+index 0.  All anticommutation residuals are exactly zero
 by construction and asserted in the tests, never assumed.  The ordered
 monomials (creators with ascending mode index, then annihilators with
 ascending mode index) are listed here for the Poincare rank.

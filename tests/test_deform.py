@@ -326,8 +326,8 @@ class TestPoincare:
         assert sorted((row.cre, row.ann) for row in kept.values()) == sorted(
             fock.ordered_monomials(4))
         # the monomial (S, T) leads at row S, column T of the Fock basis
-        index = {subset: sum(1 << (4 - m) for m in subset)
-                 for subset, _ in fock.ordered_monomials(4)}
+        index = {ann: sum(1 << (4 - m) for m in ann)
+                 for cre, ann in fock.ordered_monomials(4) if not cre}
         assert all(lead == index[row.cre] * 16 + index[row.ann]
                    for lead, row in kept.items())
 

@@ -61,8 +61,7 @@ class TestSparseMatrix:
             return real_product(arow, brows)
 
         monkeypatch.setattr(linalg, "row_product", spy)
-        left = SparseMatrix(8, [{} if r % 3 else {r - 1 if r else 0: Q}
-                                for r in range(8)])
+        left = SparseMatrix(8, [{} if r % 3 else {r: Q} for r in range(8)])
         product = left * identity(3).scale(Q)
         assert len(calls) == 3 and all(calls)
         assert product == left.scale(Q)
