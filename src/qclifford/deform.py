@@ -43,34 +43,34 @@ relation system decided calls :func:`map_relations`, which fails loudly
 on any convention drift, so each relation is decided once per run.  The
 inverse map reconstructs the undeformed generators as polynomials in the
 deformed ones, and the Poincare-series check computes the exact rank of
-all 4^N ordered monomials over Q(q), up to 9 modes.  Each monomial is a
+all 4^N ordered monomials over Q(q), up to 10 modes.  Each monomial is a
 creator-subset product times an annihilator-subset product, every subset
-product extending the product of its prefix by one generator, and is
-handed to :func:`linalg.rank` as a lead row.  Every generator row of both
-built-in sets has at most one entry, each a nonzero signed power of q,
-so a subset product is known by its support alone, the column each Fock
-row goes to, composed as a list with no Q(q) value formed, and each
-monomial's leading column is read off the supports of its two factors.
-A set with a row of several entries forms its subset products over Q(q)
-and reads the leads off them.  The rank keeps a row whose leading column
-is new, with no arithmetic, as the small row object alone, and forms a
-monomial's Fock rows exactly and eliminates over Q(q) only when leading
-columns collide.
+product extending the product of its prefix by one generator.  Every
+generator row of both built-in sets has at most one entry, each a
+nonzero signed power of q, so a subset product is known by its support
+alone, the column each Fock row goes to, composed as a list with no Q(q)
+value formed, and each monomial's leading column is read off the
+supports of its two factors.  The leads are marked in a bytearray of
+4^N; when none repeats, each monomial goes to :func:`linalg.rank` as its
+bare lead, a plain int, which the rank counts.  A set whose leads repeat,
+or with a row of several entries, hands over each monomial's full row,
+formed from subset products over Q(q), and the rank eliminates.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import product
 from operator import mul
 
 from . import fock
-from .fock import build_generators, ordered_monomials, read_operator
+from .fock import build_generators, read_operator
 from .linalg import (SparseMatrix, json_field, json_int, json_object,
                      rank as exact_rank, row_product)
 from .report import RelationReport
-from .rmatrix import RMatrix, build_rhat_sl, projector_sl
-from .scalar import ONE, PoleError, Q
+from .rmatrix import RMatrix, affine, build_rhat_sl, projector_sl
+from .scalar import ONE, PoleError, Q, q_power
 
 
 class GeneratorSet:
@@ -162,7 +162,13 @@ def relation_residuals(gens: GeneratorSet,
     if rhat.n != gens.modes:
         raise ValueError(f"block dimension {rhat.n} does not match "
                          f"{gens.modes} modes")
-    return _relation_reports(gens, projector_sl(rhat), rhat.scale(Q ** -1))
+    return _relation_reports(gens, *_braid_coefficients(rhat))
+
+
+def _braid_coefficients(rhat: RMatrix) -> tuple[RMatrix, RMatrix]:
+    """P+_q and P_q = q^-1 Rhat, each written entry by entry, one product
+    per distinct value (:func:`rmatrix.affine`)."""
+    return projector_sl(rhat), affine(rhat, q_power(-1))
 
 
 def _relation_reports(gens: GeneratorSet, pplus: RMatrix,
@@ -258,9 +264,8 @@ def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
     sampled = gens.subst(point)
     if point == 0:
         raise PoleError(Q, point)
-    rhat = build_rhat_sl(gens.modes)
-    return _relation_reports(sampled, projector_sl(rhat).subst(point),
-                             rhat.scale(Q ** -1).subst(point))
+    pplus, pq = _braid_coefficients(build_rhat_sl(gens.modes))
+    return _relation_reports(sampled, pplus.subst(point), pq.subst(point))
 
 
 def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
@@ -308,22 +313,23 @@ def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
 # Poincare series
 # ---------------------------------------------------------------------------
 
-_EXACT_MODE_LIMIT = 9
+_EXACT_MODE_LIMIT = 10
 
 
-def _subset_products(generators, subsets, unit, times) -> dict:
-    """Product of the generators named by each ascending subset, formed
-    by ``times``.
+def _subset_products(generators, unit, times) -> list:
+    """The product of the generators named by each subset, formed by
+    ``times`` and indexed by the subset's mask, bit m - 1 for generator m.
 
-    Subsets arrive with every prefix before its extensions, so each
-    product is times(its prefix's product, one generator); the empty
+    Each product is times(the product of its prefix, the subset without
+    its highest member, whose mask is smaller, that generator); the empty
     subset maps to unit, the identity, which is never multiplied.
     """
-    products: dict = {(): unit}
-    for subset in subsets:
-        if subset:
-            prefix, last = subset[:-1], generators[subset[-1] - 1]
-            products[subset] = times(products[prefix], last) if prefix else last
+    products = [unit]
+    for mask in range(1, 1 << len(generators)):
+        top = mask.bit_length() - 1
+        prefix = mask ^ (1 << top)
+        products.append(times(products[prefix], generators[top]) if prefix
+                        else generators[top])
     return products
 
 
@@ -346,102 +352,76 @@ def _compose(left: list, right: list) -> list:
     return [k if k < 0 else right[k] for k in left]
 
 
-def _monomial_rows(gens: GeneratorSet):
-    """Each ordered monomial in the given generators as a lead row of
-    :func:`linalg.rank`: a :class:`_MonomialRow` of left * right, whose
-    columns are r * 2^N + c for Fock row r and column c.
+def _support_leads(supports: list, n: int) -> array | None:
+    """The lead of each ordered monomial of a set given by the supports of
+    its n creators and n annihilators, -1 for a zero monomial, or None
+    when two monomials share a lead.
 
-    left is the monomial's creator-subset product and right its
-    annihilator-subset product.  When every generator row has at most one
-    entry, both are composed as supports, lists row -> column, and the
-    lead is r * 2^N + right[left[r]] at the first row r where both are
-    defined: no Q(q) product is formed.  A set with a row of several
-    entries forms its subset products over Q(q) and reads the lead off
-    them, forming a product row only where a left row has several
-    entries, which can cancel.  A monomial's Fock rows are formed only
-    when its lead collides.
+    The monomial (S, T) is left_S * right_T, its creator- and annihilator-
+    subset products composed as supports; its lead is r * 2^N +
+    right_T[left_S[r]] at the first row r where both are defined.  The
+    leads are stored in a flat array, in the order of S's mask and then
+    T's, and marked in a bytearray of 4^N.
+    """
+    dim = 1 << n
+    unit = list(range(dim))
+    rights = _subset_products(supports[n:], unit, _compose)
+    leads, seen = array("q"), bytearray(dim * dim)
+    for left in _subset_products(supports[:n], unit, _compose):
+        defined = [(r * dim, k) for r, k in enumerate(left) if k >= 0]
+        for right in rights:
+            lead = -1
+            for base, k in defined:
+                if (c := right[k]) >= 0:
+                    lead = base + c
+                    if seen[lead]:
+                        return None
+                    seen[lead] = 1
+                    break
+            leads.append(lead)
+    return leads
+
+
+def _monomial_rows(gens: GeneratorSet):
+    """Each ordered monomial of gens as a row of :func:`linalg.rank`, in
+    the order of its creator subset's mask and then its annihilator
+    subset's, over the columns r * 2^N + c for Fock row r and column c.
+
+    When every generator row has at most one entry and no two monomials
+    share a lead (:func:`_support_leads`), each monomial is its lead, a
+    bare int, or {} when it is zero: no Q(q) value and no row object is
+    formed.  Otherwise each monomial is its full dict row, formed from
+    the creator- and annihilator-subset products over Q(q).
     """
     n = gens.modes
     dim = 1 << n
-    monomials = ordered_monomials(n)
-    subsets = [ann for cre, ann in monomials if not cre]  # all, prefixes first
     supports = _supports(gens.all_generators())
-    if supports is not None:
-        unit = list(range(dim))
-        lefts = _subset_products(supports[:n], subsets, unit, _compose)
-        rights = _subset_products(supports[n:], subsets, unit, _compose)
-        defined = {cre: [r for r, k in enumerate(left) if k >= 0]
-                   for cre, left in lefts.items()}
-        for cre, ann in monomials:
-            left, right, lead = lefts[cre], rights[ann], None
-            for r in defined[cre]:
-                if (c := right[left[r]]) >= 0:
-                    lead = r * dim + c
-                    break
-            yield _MonomialRow(lead, cre, ann, gens)
+    leads = None if supports is None else _support_leads(supports, n)
+    if leads is not None:
+        for lead in leads:
+            yield lead if lead >= 0 else {}
         return
     unit = fock.identity(n)
-    lefts = _subset_products(gens.creators, subsets, unit, mul)
-    rights = _subset_products(gens.annihilators, subsets, unit, mul)
-    nonzero = {cre: [(r, row) for r, row in enumerate(op.rows) if row]
-               for cre, op in lefts.items()}
-    for cre, ann in monomials:
-        right, lead = rights[ann].rows, None
-        for r, lrow in nonzero[cre]:
-            cols = (right[next(iter(lrow))] if len(lrow) == 1
-                    else row_product(lrow, right))
-            if cols:
-                lead = r * dim + min(cols)
-                break
-        yield _MonomialRow(lead, cre, ann, gens)
-
-
-class _MonomialRow:
-    """One ordered monomial as a lead row of :func:`linalg.rank`: its
-    lead, the lowest column of its row (None for zero), and its creator
-    and annihilator subsets in the generator set gens."""
-
-    __slots__ = ("head", "cre", "ann", "gens")
-
-    def __init__(self, head: int | None, cre: tuple, ann: tuple,
-                 gens: GeneratorSet):
-        self.head, self.cre, self.ann, self.gens = head, cre, ann, gens
-
-    def lead(self) -> int | None:
-        return self.head
-
-    def __iter__(self):
-        """The nonzero Fock rows of the monomial in ascending order, each
-        flattened to the columns r * 2^N + c and formed exactly, one per
-        request, by carrying unit row r through the monomial's generators
-        one at a time."""
-        gens = self.gens
-        word = ([gens.creators[i - 1] for i in self.cre]
-                + [gens.annihilators[i - 1] for i in self.ann])
-        dim = 1 << gens.modes
-        for r in range(dim):
-            row = {r: ONE}
-            for op in word:
-                row = row_product(row, op.rows)
-                if not row:
-                    break
-            else:
-                yield {r * dim + c: v for c, v in row.items()}
+    rights = _subset_products(gens.annihilators, unit, mul)
+    for left in _subset_products(gens.creators, unit, mul):
+        for right in rights:
+            yield {r * dim + c: v for r, row in enumerate(left.rows) if row
+                   for c, v in row_product(row, right.rows).items()}
 
 
 def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     """(rank of the 4^N ordered monomials, expected value 4^N).
 
-    The rank is exact over Q(q) and allowed up to 9 modes.  It is one
-    :func:`linalg.rank` over the 4^N lead rows of :func:`_monomial_rows`.
+    The rank is exact over Q(q) and allowed up to 10 modes.  It is one
+    :func:`linalg.rank` over the 4^N rows of :func:`_monomial_rows`.
     Every generator row of both built-in sets has at most one entry, so
     each monomial's lead is read off the supports of its two factors,
     composed as lists with no Q(q) product formed.  The ordered monomials
     of a faithful set have pairwise distinct leading columns, so the
-    echelon certificate decides full rank from the leads alone, with no
-    elimination and no Fock row formed, and keeps each monomial as its
-    row object; on a degenerate set the colliding rows are formed in full
-    and eliminated.  Rank deficiency is a result, not an error.
+    echelon certificate decides full rank from the bare leads alone.  A
+    set whose leads repeat, or with a row of several entries, hands over
+    each monomial's full row, and the rank eliminates over Q(q).  Rank
+    deficiency is a result, not an error.
     """
     check_rank_modes(gens.modes)
     return exact_rank(_monomial_rows(gens)), 4 ** gens.modes

@@ -10,9 +10,7 @@ q-exponent, written entry by entry, as the deforming map is.  Basis
 states are indexed by occupation bitstrings with the mode-1 bit most
 significant and bit value 1 meaning occupied, so the vacuum is basis
 index 0.  All anticommutation residuals are exactly zero
-by construction and asserted in the tests, never assumed.  The ordered
-monomials (creators with ascending mode index, then annihilators with
-ascending mode index) are listed here for the Poincare rank.
+by construction and asserted in the tests, never assumed.
 """
 
 from __future__ import annotations
@@ -127,9 +125,3 @@ def q_exponent(weights) -> SparseMatrix:
         rows.append({state: power})
     return SparseMatrix(dim, rows)
 
-
-def ordered_monomials(n_modes: int):
-    """All 4^N ordered-monomial keys, vacuum-degree first within groups."""
-    subsets = [tuple(m for m in range(1, n_modes + 1) if mask >> (m - 1) & 1)
-               for mask in range(1 << n_modes)]
-    return [(cre, ann) for cre in subsets for ann in subsets]

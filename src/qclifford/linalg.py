@@ -9,9 +9,9 @@ elimination over a field behind the exact rank over Q(q), the rank over
 :class:`fractions.Fraction` entries and the inverse.
 Rows whose leading (lowest) columns are pairwise distinct are linearly
 independent over any field, and the elimination keeps such rows without
-arithmetic, so on them the rank is a count.  A row may arrive as a lead
-row, which names its lead without forming its entries; it is kept as
-itself when its lead is new and read in full only on a collision.
+arithmetic, so on them the rank is a count.  A row may arrive as a bare
+lead, a plain int naming its leading column with no entries formed: the
+caller vouches that no other row shares it, and it is only counted.
 """
 
 from __future__ import annotations
@@ -529,38 +529,33 @@ def _echelon(rows) -> dict[int, object]:
 
     ``rows`` is read once.  A row is a dict mapping column index to a
     field entry (RationalFunction or Fraction; zero entries count as
-    absent), or a lead row: an object whose ``lead()`` is the lowest
-    column of its nonzero entries (None for a row with none) and whose
-    iteration yields its entries as dicts, its pieces, to be merged.  A
-    row whose lead is new on arrival is kept with no arithmetic, and a
-    lead row is then kept as itself, unread: rows with pairwise distinct
-    leads are independent over any field (an echelon certificate), so
-    the ordered monomials of a faithful set are only counted.  A row
-    whose lead is taken is read in full and reduced by the kept row with
-    that lead, itself read in full first if it is a lead row, until its
-    lead is new, and it is then kept as its entries, or until it
-    vanishes.
+    absent), or a bare lead: a plain int naming the row's lowest column,
+    whose entries are never formed.  A row whose lead is new on arrival
+    is kept with no arithmetic, and a bare lead is kept as itself: rows
+    with pairwise distinct leads are independent over any field (an
+    echelon certificate), so the ordered monomials of a faithful set are
+    only counted.  A dict row whose lead is taken is reduced by the kept
+    row with that lead until its lead is new, and it is then kept, or
+    until it vanishes.  A bare lead has no entries to reduce by or to
+    reduce, so a collision that involves one raises ``ValueError``.
 
-    The number of kept rows is the rank.  A kept row is a complete dict,
-    or a lead row that no later row collided with.
+    The number of kept rows is the rank.
     """
     pivots: dict[int, object] = {}
     for row in rows:
-        if isinstance(row, dict):
-            work = {c: v for c, v in row.items() if v}
-            lead = min(work, default=None)
-        else:
-            work, lead = None, row.lead()
+        if type(row) is int:
+            if row in pivots:
+                raise ValueError(f"the bare lead {row} is taken")
+            pivots[row] = row
+            continue
+        work = {c: v for c, v in row.items() if v}
+        lead = min(work, default=None)
         while lead is not None:
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = row if work is None else work
+            pivot = pivots.setdefault(lead, work)
+            if pivot is work:
                 break
-            if work is None:
-                work = {c: v for piece in row for c, v in piece.items() if v}
-            if not isinstance(pivot, dict):
-                pivot = pivots[lead] = {c: v for piece in pivot
-                                        for c, v in piece.items() if v}
+            if type(pivot) is int:
+                raise ValueError(f"the bare lead {lead} is taken")
             _eliminate(work, pivot, lead)
             lead = min(work, default=None)
     return pivots
@@ -568,7 +563,7 @@ def _echelon(rows) -> dict[int, object]:
 
 def rank(rows) -> int:
     """Exact rank over Q(q) of an iterable of sparse rows with
-    RationalFunction entries, each a dict or a lead row (see
+    RationalFunction entries, each a dict or a bare lead (see
     :func:`_echelon`)."""
     return len(_echelon(rows))
 

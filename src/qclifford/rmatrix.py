@@ -28,7 +28,7 @@ from __future__ import annotations
 from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_field,
                      json_int, json_object, product_sum, read_rows)
 from .report import RelationReport
-from .scalar import ONE, Q, RationalFunction, q_power
+from .scalar import ONE, Q, ZERO, RationalFunction, q_power
 
 
 class RMatrix(SparseMatrix):
@@ -153,16 +153,46 @@ def check_braid(rhat: RMatrix) -> RelationReport:
 # symmetrizers
 # ---------------------------------------------------------------------------
 
+def affine(rhat: RMatrix, factor: RationalFunction,
+           shift: RationalFunction = ZERO) -> RMatrix:
+    """factor * (Rhat + shift), shift times the identity, written entry by
+    entry.
+
+    Each entry is formed once per distinct pair (on the diagonal, value of
+    Rhat) and shared by every entry with that pair; a diagonal entry that
+    Rhat lacks has the value zero.  No identity matrix, no sum and no
+    scaled copy is formed, and an entry that cancels is not stored.
+    """
+    values: dict = {}
+    rows = []
+    for r, row in enumerate(rhat.rows):
+        if shift and r not in row:
+            row = {**row, r: ZERO}
+        out = {}
+        for c, v in row.items():
+            key = c == r, v
+            value = values.get(key)
+            if value is None:
+                value = values[key] = (v + shift if c == r else v) * factor
+            if value:
+                out[c] = value
+        rows.append(out)
+    return rhat._clone(rows)
+
+
 def projector_sl(rhat: RMatrix) -> RMatrix:
     """q-symmetrizer (Rhat + q^-1)/(q + q^-1) for a Hecke braid matrix.
 
-    The input must satisfy the Hecke identity over Q(q); the output is
-    then idempotent, and substituting q = 1 gives (1 + P)/2.
+    The input must satisfy the Hecke identity over Q(q), which is checked
+    first; the output is then idempotent, and substituting q = 1 gives
+    (1 + P)/2.  It is written by :func:`affine`, one product per distinct
+    (on-diagonal, value) pair of Rhat: four for every sl braid matrix of
+    N >= 2, whatever N.
     """
     if not check_hecke(rhat).exact_zero:
         raise ValueError("input is not an sl-type braid matrix")
     qinv = q_power(-1)
-    return (rhat + rhat.identity_like().scale(qinv)).scale((Q + qinv) ** -1)
+    return affine(rhat, (Q + qinv) ** -1, qinv)
 
 
 def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:

@@ -17,8 +17,9 @@ public names alone:
 - the relation kernel as it was before the cleared form: every product
   summed as an unreduced fraction pair, unequal denominators
   cross-multiplied;
-- the full dict rows of the ordered-monomial lead rows that the
-  Poincare rank reads, and a lead row that wraps given pieces.
+- the ordered-monomial keys, each monomial's plain row, and a rank of
+  such rows modulo the prime 2^31 - 1 at random points q, in plain ints;
+- the sl symmetrizer composed from an identity, a sum and two scalings.
 
 Words are sequences of signed mode indices: +i stands for the creator
 adag_i, -i for the annihilator a^i.
@@ -26,6 +27,7 @@ adag_i, -i for the annihilator a^i.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from qclifford.chain import VARIANTS, chain_residuals
@@ -40,30 +42,96 @@ from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
 
 
 # ---------------------------------------------------------------------------
-# full rows
+# ordered monomials and a rank modulo a prime
 # ---------------------------------------------------------------------------
 
-def full_rows(rows) -> list[dict]:
-    """Each lead row that :func:`linalg.rank` reads, read in full as one
-    dict with every piece merged."""
-    return [{c: v for piece in row for c, v in piece.items()} for row in rows]
+def ordered_monomials(n_modes: int):
+    """All 4^N ordered-monomial keys (creator subset, annihilator subset),
+    each subset ascending, in the order of the creator subset's mask and
+    then the annihilator subset's, bit m - 1 standing for mode m."""
+    subsets = [tuple(m for m in range(1, n_modes + 1) if mask >> (m - 1) & 1)
+               for mask in range(1 << n_modes)]
+    return [(cre, ann) for cre in subsets for ann in subsets]
 
 
-class LeadRow:
-    """A lead row of :func:`linalg.rank` over the given pieces: ``lead()``
-    is the lowest column of their nonzero entries, and ``reads`` counts
-    the full reads, each of which yields the pieces in order."""
+def plain_rows(gens: GeneratorSet) -> list[dict]:
+    """Each ordered monomial as a plain matrix product, flattened to the
+    row over the columns r * 2^N + c."""
+    dim = 1 << gens.modes
+    pairs = list(zip(gens.creators, gens.annihilators))
+    return [{r * dim + c: v for r, c, v in word_to_operator(
+                [*cre, *(-i for i in ann)], pairs).iter_entries()}
+            for cre, ann in ordered_monomials(gens.modes)]
 
-    def __init__(self, *pieces):
-        self.pieces, self.reads = pieces, 0
 
-    def lead(self):
-        return min((c for piece in self.pieces for c, v in piece.items()
-                    if v), default=None)
+#: the Mersenne prime of the modular rank
+PRIME = 2 ** 31 - 1
 
-    def __iter__(self):
-        self.reads += 1
-        yield from self.pieces
+
+def _value_mod(value: RationalFunction, point: int) -> int | None:
+    """value at q = point modulo PRIME from its coefficient tuples alone
+    (lowest degree first), or None at a pole."""
+    num, den = (sum(c * pow(point, k, PRIME) for k, c in enumerate(p.coeffs))
+                % PRIME for p in (value.num, value.den))
+    return None if den == 0 else num * pow(den, -1, PRIME) % PRIME
+
+
+def _rank_mod(rows) -> int:
+    """Rank of rows mapping a column to an int modulo PRIME, by a sparse
+    elimination that keeps each pivot row scaled to lead 1."""
+    pivots: dict = {}
+    for row in rows:
+        work = {c: v for c, v in row.items() if v}
+        while work:
+            lead = min(work)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(work[lead], -1, PRIME)
+                pivots[lead] = {c: v * inverse % PRIME for c, v in work.items()}
+                break
+            factor = work[lead]
+            for c, v in pivot.items():
+                w = (work.get(c, 0) - factor * v) % PRIME
+                if w:
+                    work[c] = w
+                else:
+                    work.pop(c, None)
+    return len(pivots)
+
+
+def modular_rank(rows, seed: int = 2031, points: int = 2) -> int:
+    """A lower bound on the rank over Q(q) of rows with RationalFunction
+    entries, equal to it but for a chance of about rows * degree / PRIME:
+    the largest rank modulo PRIME at the given number of random points
+    q, drawn from ``random.Random(seed)``.
+
+    A specialisation can only lower a rank, and an exact rank r survives
+    at q unless an r x r minor, a nonzero polynomial in q, vanishes there
+    (Schwartz-Zippel).  A point where an entry has a pole counts as rank
+    0.  Only the coefficient tuples of the entries are read, and all the
+    arithmetic is on plain ints.
+    """
+    rng = random.Random(seed)
+    rows = list(rows)
+    best = 0
+    for _ in range(points):
+        point = rng.randrange(2, PRIME - 1)
+        values = [{c: _value_mod(v, point) for c, v in row.items()}
+                  for row in rows]
+        if all(v is not None for row in values for v in row.values()):
+            best = max(best, _rank_mod(values))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# the composed sl symmetrizer
+# ---------------------------------------------------------------------------
+
+def composed_projector(rhat: RMatrix) -> RMatrix:
+    """(Rhat + q^-1)/(q + q^-1) as the package once built it: an identity
+    matrix, scaled, added to Rhat, and the sum scaled."""
+    qinv = Q ** -1
+    return (rhat + rhat.identity_like().scale(qinv)).scale((Q + qinv) ** -1)
 
 
 # ---------------------------------------------------------------------------

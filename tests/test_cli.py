@@ -483,6 +483,12 @@ class TestPoincareCommand:
         assert code == 0
         assert doc["poincare"] == {"undeformed": full, "deformed": full}
 
+    def test_exact_at_ten_modes(self, capsys):
+        code, doc, _ = run_json(capsys, "poincare", "--n", "10")
+        full = {"rank": 1048576, "expected": 1048576}
+        assert code == 0
+        assert doc["poincare"] == {"undeformed": full, "deformed": full}
+
     def test_too_many_modes_refused_before_building(self, capsys, monkeypatch):
         def spy(n, *dressing):
             raise AssertionError(f"generators built for {n} modes")
@@ -490,9 +496,9 @@ class TestPoincareCommand:
         # deform calls the builder through its own imported name
         monkeypatch.setattr(fock, "build_generators", spy)
         monkeypatch.setattr(deform, "build_generators", spy)
-        code, out, err = run(capsys, "poincare", "--n", "10")
+        code, out, err = run(capsys, "poincare", "--n", "11")
         assert code == 2 and out == ""
-        assert "the Poincare rank supports at most 9 modes" in err
+        assert "the Poincare rank supports at most 10 modes" in err
 
 
 @pytest.mark.parametrize("command", ["verify-map", "poincare"])

@@ -1,6 +1,5 @@
 import gc
 import inspect
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,8 @@ from qclifford.rmatrix import build_rhat_sl, check_braid, check_hecke
 from qclifford.report import RelationReport
 from qclifford.scalar import ONE, Poly, Q, ZERO, q_power
 
-from oracles import conjugate_realization, full_rows, word_to_operator
+from oracles import (composed_projector, conjugate_realization,
+                     ordered_monomials, plain_rows, word_to_operator)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,15 @@ class TestRelationChecker:
         assert families == {"creator-creator", "annihilator-annihilator", "mixed"}
         indices = [r.indices for r in reports if r.family == "mixed"]
         assert indices == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_braid_coefficients(self, n):
+        # P+_q and P_q = q^-1 Rhat, which relation_residuals and
+        # relations_at share, equal the scaled copies
+        rhat = build_rhat_sl(n)
+        pplus, pq = deform._braid_coefficients(rhat)
+        assert pq == rhat.scale(Q ** -1)
+        assert pplus == composed_projector(rhat)
 
 
 class TestRelationKernelGcds:
@@ -235,26 +244,34 @@ class TestPoincare:
 
     def test_numeric_mode_agrees(self, lastf2):
         # the rank at a sampled q agrees with the exact echelon certificate
-        rows = full_rows(deform._monomial_rows(lastf2))
+        rows = plain_rows(lastf2)
         sampled = rank_numeric([{c: v.eval_at(Fraction(5, 7))
                                  for c, v in row.items()} for row in rows])
         assert poincare_rank(lastf2) == (sampled, 16) == (16, 16)
 
-    def test_prefix_products_match_plain_words(self):
+    def test_bare_leads_are_the_lowest_columns_of_plain_words(self):
         gens = build_deforming_map(3)
-        pairs = list(zip(gens.creators, gens.annihilators))
-        keys = fock.ordered_monomials(3)
-        rows = full_rows(deform._monomial_rows(gens))
-        assert len(rows) == len(keys) == 64
-        for (cre, ann), row in zip(keys, rows):
-            op = word_to_operator([*cre, *(-i for i in ann)], pairs)
-            assert row == {r * 8 + c: v for r, c, v in op.iter_entries()}
+        leads = list(deform._monomial_rows(gens))
+        rows = plain_rows(gens)
+        assert len(leads) == len(rows) == 64
+        assert leads == [min(row) for row in rows]
+
+    def test_prefix_products_match_plain_words(self, lastf2):
+        # Adag_1 := Adag_2 makes monomials repeat, so each monomial is
+        # handed over as its full row, formed from the subset products
+        doubled = GeneratorSet(
+            (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
+        assert list(deform._monomial_rows(doubled)) == plain_rows(doubled)
+        conj = conjugate_realization(build_deforming_map(3),
+                                     identity(3) + build_generators(3)[0][0])
+        assert deform._supports(conj.all_generators()) is None
+        assert list(deform._monomial_rows(conj)) == plain_rows(conj)
 
     def test_colliding_leads_fall_back_to_elimination(self, lastf2):
         # Adag_1 := Adag_2 makes monomials repeat, so leading columns collide
         doubled = GeneratorSet(
             (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
-        rows = full_rows(deform._monomial_rows(doubled))
+        rows = plain_rows(doubled)
         leads = [min(row) for row in rows if row]
         assert len(set(leads)) < len(leads)
         sampled = max(
@@ -263,6 +280,15 @@ class TestPoincare:
             for pt in (Fraction(5, 7), Fraction(9, 4), Fraction(13, 10)))
         assert poincare_rank(doubled) == (sampled, 16)
         assert sampled < 16
+
+    def test_zero_monomials_are_empty_rows(self, lastf2):
+        # a zero creator leaves half the monomials zero, but no lead repeats
+        crippled = GeneratorSet(
+            (fock.zero(2), lastf2.creators[1]), lastf2.annihilators)
+        handed = list(deform._monomial_rows(crippled))
+        assert handed.count({}) == 8
+        assert [row for row in handed if row != {}] == [
+            min(row) for row in plain_rows(crippled) if row]
 
     @pytest.fixture
     def formed(self, monkeypatch):
@@ -300,67 +326,65 @@ class TestPoincare:
         assert poincare_rank(gens) == (256, 256)
         assert products == []
 
-    def test_kept_rows_are_the_monomials_themselves(self, monkeypatch):
-        # the rank keeps each monomial of a faithful set as its row object,
-        # under the lead read off its supports, and once every row is
-        # handed over, no deform generator is left suspended
-        kept, suspended = {}, []
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """Every row the rank reads, and the rows it keeps, by lead; once
+        every row is handed over, the number of deform generators left
+        suspended is appended to the rows' list as a tuple."""
+        rows_seen, kept = [], {}
         echelon = linalg._echelon
 
         def spy(rows):
             def handed():
-                yield from rows
-                suspended.append(sum(
+                for row in rows:
+                    rows_seen.append(row)
+                    yield row
+                rows_seen.append((sum(
                     1 for obj in gc.get_objects()
                     if inspect.isgenerator(obj) and obj.gi_frame is not None
-                    and obj.gi_code.co_filename == deform.__file__))
+                    and obj.gi_code.co_filename == deform.__file__),))
             pivots = echelon(handed())
             kept.update(pivots)
             return pivots
 
         monkeypatch.setattr(linalg, "_echelon", spy)
-        assert poincare_rank(build_deforming_map(4)) == (256, 256)
-        assert len(kept) == 256 and suspended == [0]
-        assert all(type(row) is deform._MonomialRow and row.lead() == lead
-                   for lead, row in kept.items())
-        assert sorted((row.cre, row.ann) for row in kept.values()) == sorted(
-            fock.ordered_monomials(4))
+        return rows_seen, kept
+
+    @pytest.mark.parametrize("build", [undeformed_set, build_deforming_map])
+    def test_rank_sees_only_bare_leads(self, build, handed):
+        # the rank of a faithful set reads each monomial as a plain int,
+        # its lead read off its supports, and keeps it as itself; no row
+        # object is formed, and no deform generator is left suspended
+        rows_seen, kept = handed
+        assert poincare_rank(build(4)) == (256, 256)
+        assert rows_seen[-1] == (0,)
+        leads = rows_seen[:-1]
+        assert all(type(row) is int for row in leads)
+        assert kept == {lead: lead for lead in leads}
         # the monomial (S, T) leads at row S, column T of the Fock basis
         index = {ann: sum(1 << (4 - m) for m in ann)
-                 for cre, ann in fock.ordered_monomials(4) if not cre}
-        assert all(lead == index[row.cre] * 16 + index[row.ann]
-                   for lead, row in kept.items())
+                 for cre, ann in ordered_monomials(4) if not cre}
+        assert leads == [index[cre] * 16 + index[ann]
+                         for cre, ann in ordered_monomials(4)]
 
-    def test_colliding_monomials_are_read_past_their_first_row(self, lastf2,
-                                                               monkeypatch):
-        # only monomials whose lead another one shares are read, and each
-        # read takes every nonzero Fock row of the monomial
+    def test_colliding_monomials_are_handed_over_in_full(self, lastf2,
+                                                         handed):
+        # a repeated lead sends every monomial to the rank as its full
+        # row, and the rank eliminates
+        rows_seen, _ = handed
         doubled = GeneratorSet(
             (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
-        whole = deform._MonomialRow.__iter__
-        reads = []
-
-        def spy(row):
-            pieces = list(whole(row))
-            reads.append([row.lead(), len(pieces), 0])
-            for piece in pieces:
-                reads[-1][2] += 1
-                yield piece
-
-        monkeypatch.setattr(deform._MonomialRow, "__iter__", spy)
         assert poincare_rank(doubled)[0] < 16
-        leads = Counter(row.lead() for row in deform._monomial_rows(doubled))
-        assert all(leads[lead] > 1 and taken == size
-                   for lead, size, taken in reads)
-        assert max(size for _, size, _ in reads) > 1
+        assert rows_seen[:-1] == plain_rows(doubled)
+        assert max(len(row) for row in rows_seen[:-1]) > 1
 
     def test_rank_invariant_under_conjugation(self, lastf2):
         conj = conjugate_realization(lastf2, q_exponent((1, 0)))
         assert poincare_rank(conj) == (16, 16)
 
     def test_mode_guards(self):
-        with pytest.raises(ValueError, match="at most 9 modes"):
-            poincare_rank(undeformed_set(10))
+        with pytest.raises(ValueError, match="at most 10 modes"):
+            poincare_rank(undeformed_set(11))
 
 
 class TestStarCompatibility:

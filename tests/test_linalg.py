@@ -12,8 +12,6 @@ from qclifford.fock import identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
 from qclifford.scalar import ONE, Poly, Q, RationalFunction, ZERO, q_power
 
-from oracles import LeadRow
-
 
 def random_rf(rng, max_deg=2, span=3):
     num = Poly([rng.randint(-span, span) for _ in range(max_deg + 1)])
@@ -104,53 +102,36 @@ class TestRank:
             assert symbolic == sampled
 
 
-class TestLazyRows:
-    def test_colliding_leads_read_both_rows_in_full(self):
-        # rows 0 and 1 share their lead and their first piece; only the
-        # pieces past it tell them apart
-        def row(last):
-            return LeadRow({0: ONE}, {}, {5: last})
-        assert rank([row(ONE), row(ONE)]) == 1
-        a, b = row(ONE), row(Q)
-        assert rank([a, b]) == 2 and a.reads == b.reads == 1
-        assert rank([row(ONE), {0: ONE, 5: ONE}, row(Q)]) == 2
+class TestBareLeads:
+    def test_distinct_bare_leads_are_counted(self):
+        assert rank([3, 0, 7]) == 3
+        assert _echelon([3, 0, 7]) == {3: 3, 0: 0, 7: 7}
 
-    def test_rest_of_a_kept_row_is_read_once(self):
-        # the kept row is read in full on the first collision and kept as
-        # its entries, which the second collision reduces by
-        kept = LeadRow({0: ONE}, {4: Q}, {6: ONE})
-        assert rank([kept, {0: ONE, 4: Q}, {0: ONE, 6: ONE}]) == 3
-        assert kept.reads == 1
+    def test_bare_leads_beside_dict_rows(self):
+        pivots = _echelon([0, {2: q_power(-1)}, 1])
+        assert pivots == {0: 0, 2: {2: Q ** -1}, 1: 1}
 
-    def test_rows_that_vanish_in_pieces(self):
-        rows = [LeadRow({}, {1: ZERO}), LeadRow(), {2: ZERO}]
-        assert rank(rows) == 0
-        assert [row.reads for row in rows[:2]] == [0, 0]
+    def test_dict_rows_reduce_past_bare_leads(self):
+        # the second dict row meets the first at column 0 and is reduced
+        # to a new lead, which no bare lead holds
+        pivots = _echelon([{0: ONE, 5: ONE}, 3, {0: ONE, 5: Q}])
+        assert pivots == {0: {0: ONE, 5: ONE}, 3: 3, 5: {5: Q - ONE}}
 
+    def test_zero_rows_beside_bare_leads(self):
+        assert rank([{}, {1: ZERO}, 1]) == 1
 
-class TestReiterableRows:
-    def test_row_with_a_new_lead_is_kept_as_itself(self):
-        a, b = LeadRow({}, {0: ONE}, {3: Q}), LeadRow({1: ONE})
-        pivots = _echelon([a, {2: q_power(-1)}, b])
-        assert pivots[0] is a and pivots[1] is b and pivots[2] == {2: Q ** -1}
-        assert a.reads == b.reads == 0
+    def test_repeated_bare_lead_is_refused(self):
+        for lead in (4, 10 ** 6):
+            with pytest.raises(ValueError, match=f"bare lead {lead} is taken"):
+                rank([lead, int(str(lead))])
 
-    def test_collision_reads_the_kept_row_anew(self):
-        a = LeadRow({0: ONE}, {}, {5: ONE})
-        b = LeadRow({0: ONE}, {}, {5: Q})
-        pivots = _echelon([a, b])
-        # the kept row is read in full and stored as its entries
-        assert pivots == {0: {0: ONE, 5: ONE}, 5: {5: Q - ONE}}
-        assert a.reads == b.reads == 1
-        assert rank([LeadRow({0: ONE}, {5: ONE}),
-                     LeadRow({0: ONE}, {5: ONE})]) == 1
-
-    def test_reduced_row_is_kept_as_its_entries(self):
-        a, b = LeadRow({0: ONE}, {1: ONE}), LeadRow({0: ONE}, {2: ONE})
-        pivots = _echelon([a, b])
-        assert pivots == {0: {0: ONE, 1: ONE}, 1: {1: -ONE, 2: ONE}}
-        a, b = LeadRow({0: ONE}, {1: ONE}), LeadRow({0: ONE}, {2: ONE})
-        assert rank([a, b, {1: ONE, 2: -ONE}]) == 2
+    def test_row_meeting_a_bare_lead_is_refused(self):
+        # a bare lead has no entries, so no row can be reduced by it or
+        # reduce it; the last row meets the bare lead 1 once reduced
+        for rows in ([2, {2: ONE}], [{2: ONE}, 2],
+                     [1, {0: ONE, 1: ONE}, {0: ONE}]):
+            with pytest.raises(ValueError, match="is taken"):
+                rank(rows)
 
 
 class TestInversion:

@@ -6,7 +6,7 @@ no arithmetic, so rows with pairwise distinct leads (an echelon
 certificate) are only counted, and colliding leads are eliminated.  Each
 entry point is checked against sympy: ``rank`` against the rank over Q(q)
 in the field of fractions, with and without colliding leads, on dict rows
-and on lead rows split into pieces;
+and on rows with distinct leads, some handed over as bare leads;
 ``rank_numeric`` against the rank over Q on Fraction rows with planted
 dependencies; ``invert_dense`` against sympy's inverse over Q(q), and its
 singular verdict against a zero determinant, on SparseMatrix and RMatrix
@@ -41,7 +41,7 @@ from qclifford.report import RelationReport  # noqa: E402
 from qclifford.rmatrix import RMatrix  # noqa: E402
 from qclifford.scalar import ONE, Q, ZERO, parse_rational, q_power  # noqa: E402
 
-from oracles import LeadRow, fraction_pair_residual  # noqa: E402
+from oracles import fraction_pair_residual  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -107,28 +107,24 @@ def test_rank_with_colliding_leads(case, data, x, y):
     assert rank(extended) == expected == rank(rows)
 
 
-def as_pieces(row: dict, cuts, ncols: int) -> list[dict]:
-    """A row of ncols columns split before each column of cuts into pieces
-    of ascending columns; a repeated cut gives an empty piece."""
-    bounds = [0, *sorted(cuts), ncols]
-    return [{c: v for c, v in row.items() if lo <= c < hi}
-            for lo, hi in zip(bounds, bounds[1:])]
+def lead(row: dict):
+    """The lowest column of a row's nonzero entries, or None."""
+    return min((c for c, v in row.items() if v), default=None)
 
 
 @SETTINGS
-@given(row_sets(max_rows=4), st.data(), nonzero_entries, entries)
-def test_rank_reads_rows_of_pieces(case, data, x, y):
+@given(row_sets(), st.data())
+def test_bare_leads_of_distinct_rows_are_counted(case, data):
     ncols, rows = case
-    if rows:
-        # a combination and a copy of row i make leads collide, so the
-        # kept lead rows must be read in full
-        i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
-        rows = rows + [combine(rows[i], rows[-1], x, y), dict(rows[i])]
-    cuts = st.lists(st.integers(min_value=0, max_value=ncols), max_size=3)
-    lead_rows = [LeadRow(*as_pieces(row, data.draw(cuts), ncols))
-                 for row in rows]
-    assert rank(lead_rows) == sympy_rank(ncols, rows) == rank(rows)
-    assert all(row.reads <= 1 for row in lead_rows)
+    # the first row for each lead: pairwise distinct leads, an echelon
+    # certificate, under which a row may be handed over as its bare lead
+    distinct = list({lead(row): row for row in reversed(rows)
+                     if lead(row) is not None}.values())
+    distinct = data.draw(st.permutations(distinct))
+    bare = data.draw(st.lists(st.booleans(), min_size=len(distinct),
+                              max_size=len(distinct)))
+    mixed = [lead(row) if b else row for row, b in zip(distinct, bare)]
+    assert rank(mixed) == sympy_rank(ncols, distinct) == len(distinct)
 
 
 #: ints and Fractions, zero listed often; explicit zeros count as absent

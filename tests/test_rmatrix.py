@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 from qclifford.linalg import SparseMatrix, rank
-from qclifford.rmatrix import (RMatrix, build_permutation, build_rhat_sl,
-                               check_braid, check_hecke, projector_sl,
-                               projector_sp)
-from qclifford.scalar import ONE, PoleError, Q, ZERO, parse_rational, q_power
+from qclifford.rmatrix import (RMatrix, affine, build_permutation,
+                               build_rhat_sl, check_braid, check_hecke,
+                               projector_sl, projector_sp)
+from qclifford.scalar import (ONE, PoleError, Q, ZERO, RationalFunction,
+                              parse_rational, q_power)
+
+from oracles import composed_projector
 
 
 class TestBraidMatrix:
@@ -122,6 +125,55 @@ class TestSymmetrizer:
         # q = 1 substituted into P+_q is still idempotent
         p = projector_sl(build_rhat_sl(2)).subst(1)
         assert (p * p - p).is_zero
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_composed_formula(self, n):
+        rhat = build_rhat_sl(n)
+        p = projector_sl(rhat)
+        assert type(p) is RMatrix and p.n == n
+        assert p == composed_projector(rhat)
+
+    def test_products_do_not_grow_with_n(self, monkeypatch):
+        # one product per distinct (on-diagonal, value) pair of Rhat: the
+        # sl braid matrix has the same four pairs at every N >= 2
+        calls = []
+        real_mul = RationalFunction.__mul__
+
+        def spy(a, b):
+            calls.append(1)
+            return real_mul(a, b)
+
+        counts = []
+        for n in (3, 6):
+            rhat = build_rhat_sl(n)
+            calls.clear()
+            monkeypatch.setattr(RationalFunction, "__mul__", spy)
+            projector_sl(rhat)
+            monkeypatch.setattr(RationalFunction, "__mul__", real_mul)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == 4
+
+
+class TestAffine:
+    def test_scaled_copy(self):
+        rhat = build_rhat_sl(3)
+        assert affine(rhat, q_power(-1)) == rhat.scale(q_power(-1))
+
+    def test_shift_fills_and_cancels_the_diagonal(self):
+        # row 0's diagonal cancels against the shift, row 1 has none, and
+        # the off-diagonal entries are only scaled
+        m = RMatrix(2, [{0: -Q, 2: ONE}, {3: Q}, {2: Q}, {}])
+        two = ONE + ONE
+        out = affine(m, two, Q)
+        assert out == (m + m.identity_like().scale(Q)).scale(two)
+        assert out.rows[0] == {2: two} and out.rows[1] == {3: two * Q,
+                                                           1: two * Q}
+        assert type(out) is RMatrix
+
+    def test_equal_values_share_one_product(self):
+        out = affine(build_rhat_sl(4), Q + ONE, q_power(-1))
+        values = [v for row in out.rows for v in row.values()]
+        assert len({id(v) for v in values}) == len(set(values)) == 4
 
 
 class TestSpSymmetrizer:
