@@ -17,7 +17,8 @@ projector onto the q-eigenspace,
 
     P+_q = (Rhat + q^-1) / (q + q^-1),
 
-which is idempotent whenever the Hecke identity holds.  Every check is
+which is idempotent whenever the Hecke identity holds; :func:`affine`
+writes it entry by entry, one product per distinct value.  Every check is
 over Q(q); substituting q = 1 into P+_q gives (1 + P)/2.  The sp
 symmetrizer expression is summed by :func:`linalg.product_sum` and its
 idempotency residual P^2 - P by the relation evaluator.

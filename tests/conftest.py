@@ -5,8 +5,13 @@ scalar module.
 :func:`faulthandler.dump_traceback_later`: a test still running after
 :data:`TIME_LIMIT_S` seconds prints every thread's stack and ends the
 run with a nonzero exit code, so a fault that loops or swells an
-expression fails the suite instead of hanging it.  The slowest test
-takes about 4 s.
+expression fails the suite instead of hanging it.  On a shared 2-vCPU
+x86-64 host with Python 3.11 the whole suite takes 30-45 s.  The slowest
+test is the property on conjugated generator sets, whose exact
+elimination over Q(q) depends on the drawn sets: 0.4-6.2 s over 24 runs
+with fresh hypothesis seeds, and at most 14 s for its 40 examples over
+30 seeds.  The next slowest take 1.5-3.5 s: the command-line reader
+property, the sympy inverse property and ``poincare --n 10``.
 """
 
 import faulthandler

@@ -17,7 +17,8 @@ from qclifford.report import RelationReport
 from qclifford.scalar import ONE, Poly, Q, ZERO, q_power
 
 from oracles import (composed_projector, conjugate_realization,
-                     ordered_monomials, plain_rows, word_to_operator)
+                     modular_rank, ordered_monomials, plain_rows,
+                     word_to_operator)
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +281,8 @@ class TestPoincare:
             for pt in (Fraction(5, 7), Fraction(9, 4), Fraction(13, 10)))
         assert poincare_rank(doubled) == (sampled, 16)
         assert sampled < 16
+        # the modular oracle agrees, on plain ints
+        assert modular_rank(rows) == sampled
 
     def test_zero_monomials_are_empty_rows(self, lastf2):
         # a zero creator leaves half the monomials zero, but no lead repeats
@@ -328,39 +331,38 @@ class TestPoincare:
 
     @pytest.fixture
     def handed(self, monkeypatch):
-        """Every row the rank reads, and the rows it keeps, by lead; once
-        every row is handed over, the number of deform generators left
-        suspended is appended to the rows' list as a tuple."""
-        rows_seen, kept = [], {}
+        """What the rank reads: "rows", every row handed over, "kept", the
+        rows it keeps by lead, and "suspended", the number of deform
+        generators left suspended once every row is handed over."""
+        seen = {"rows": [], "kept": {}, "suspended": []}
         echelon = linalg._echelon
 
         def spy(rows):
             def handed():
                 for row in rows:
-                    rows_seen.append(row)
+                    seen["rows"].append(row)
                     yield row
-                rows_seen.append((sum(
+                seen["suspended"].append(sum(
                     1 for obj in gc.get_objects()
                     if inspect.isgenerator(obj) and obj.gi_frame is not None
-                    and obj.gi_code.co_filename == deform.__file__),))
+                    and obj.gi_code.co_filename == deform.__file__))
             pivots = echelon(handed())
-            kept.update(pivots)
+            seen["kept"].update(pivots)
             return pivots
 
         monkeypatch.setattr(linalg, "_echelon", spy)
-        return rows_seen, kept
+        return seen
 
     @pytest.mark.parametrize("build", [undeformed_set, build_deforming_map])
     def test_rank_sees_only_bare_leads(self, build, handed):
         # the rank of a faithful set reads each monomial as a plain int,
         # its lead read off its supports, and keeps it as itself; no row
         # object is formed, and no deform generator is left suspended
-        rows_seen, kept = handed
         assert poincare_rank(build(4)) == (256, 256)
-        assert rows_seen[-1] == (0,)
-        leads = rows_seen[:-1]
+        leads = handed["rows"]
         assert all(type(row) is int for row in leads)
-        assert kept == {lead: lead for lead in leads}
+        assert handed["kept"] == {lead: lead for lead in leads}
+        assert handed["suspended"] == [0]
         # the monomial (S, T) leads at row S, column T of the Fock basis
         index = {ann: sum(1 << (4 - m) for m in ann)
                  for cre, ann in ordered_monomials(4) if not cre}
@@ -371,12 +373,11 @@ class TestPoincare:
                                                          handed):
         # a repeated lead sends every monomial to the rank as its full
         # row, and the rank eliminates
-        rows_seen, _ = handed
         doubled = GeneratorSet(
             (lastf2.creators[1], lastf2.creators[1]), lastf2.annihilators)
         assert poincare_rank(doubled)[0] < 16
-        assert rows_seen[:-1] == plain_rows(doubled)
-        assert max(len(row) for row in rows_seen[:-1]) > 1
+        assert handed["rows"] == plain_rows(doubled)
+        assert max(len(row) for row in handed["rows"]) > 1
 
     def test_rank_invariant_under_conjugation(self, lastf2):
         conj = conjugate_realization(lastf2, q_exponent((1, 0)))
