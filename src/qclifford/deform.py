@@ -69,8 +69,8 @@ from .fock import build_generators, read_operator
 from .linalg import (SparseMatrix, json_field, json_int, json_object,
                      rank as exact_rank, row_product)
 from .report import RelationReport
-from .rmatrix import RMatrix, affine, build_rhat_sl, projector_sl
-from .scalar import ONE, PoleError, Q, q_power
+from .rmatrix import RMatrix, build_rhat_sl, projector_sl
+from .scalar import ONE, PoleError, Q
 
 
 class GeneratorSet:
@@ -162,13 +162,7 @@ def relation_residuals(gens: GeneratorSet,
     if rhat.n != gens.modes:
         raise ValueError(f"block dimension {rhat.n} does not match "
                          f"{gens.modes} modes")
-    return _relation_reports(gens, *_braid_coefficients(rhat))
-
-
-def _braid_coefficients(rhat: RMatrix) -> tuple[RMatrix, RMatrix]:
-    """P+_q and P_q = q^-1 Rhat, each written entry by entry, one product
-    per distinct value (:func:`rmatrix.affine`)."""
-    return projector_sl(rhat), affine(rhat, q_power(-1))
+    return _relation_reports(gens, projector_sl(rhat), rhat.scale(Q ** -1))
 
 
 def _relation_reports(gens: GeneratorSet, pplus: RMatrix,
@@ -264,8 +258,9 @@ def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
     sampled = gens.subst(point)
     if point == 0:
         raise PoleError(Q, point)
-    pplus, pq = _braid_coefficients(build_rhat_sl(gens.modes))
-    return _relation_reports(sampled, pplus.subst(point), pq.subst(point))
+    rhat = build_rhat_sl(gens.modes)
+    return _relation_reports(sampled, projector_sl(rhat).subst(point),
+                             rhat.scale(Q ** -1).subst(point))
 
 
 def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
@@ -420,7 +415,9 @@ def poincare_rank(gens: GeneratorSet) -> tuple[int, int]:
     of a faithful set have pairwise distinct leading columns, so the
     echelon certificate decides full rank from the bare leads alone.  A
     set whose leads repeat, or with a row of several entries, hands over
-    each monomial's full row, and the rank eliminates over Q(q).  Rank
+    each monomial's full row, and the rank eliminates over Q(q).  The
+    10-mode limit is measured on the bare leads only: the full rows are
+    all formed and held, and their elimination has no budget.  Rank
     deficiency is a result, not an error.
     """
     check_rank_modes(gens.modes)

@@ -17,8 +17,8 @@ projector onto the q-eigenspace,
 
     P+_q = (Rhat + q^-1) / (q + q^-1),
 
-which is idempotent whenever the Hecke identity holds; :func:`affine`
-writes it entry by entry, one product per distinct value.  Every check is
+which is idempotent whenever the Hecke identity holds, and which is
+written entry by entry, one product per distinct value.  Every check is
 over Q(q); substituting q = 1 into P+_q gives (1 + P)/2.  The sp
 symmetrizer expression is summed by :func:`linalg.product_sum` and its
 idempotency residual P^2 - P by the relation evaluator.
@@ -154,46 +154,37 @@ def check_braid(rhat: RMatrix) -> RelationReport:
 # symmetrizers
 # ---------------------------------------------------------------------------
 
-def affine(rhat: RMatrix, factor: RationalFunction,
-           shift: RationalFunction = ZERO) -> RMatrix:
-    """factor * (Rhat + shift), shift times the identity, written entry by
-    entry.
+def projector_sl(rhat: RMatrix) -> RMatrix:
+    """q-symmetrizer (Rhat + q^-1)/(q + q^-1) for a Hecke braid matrix.
 
-    Each entry is formed once per distinct pair (on the diagonal, value of
-    Rhat) and shared by every entry with that pair; a diagonal entry that
-    Rhat lacks has the value zero.  No identity matrix, no sum and no
-    scaled copy is formed, and an entry that cancels is not stored.
+    The input must satisfy the Hecke identity over Q(q), which is checked
+    first; the output is then idempotent, and substituting q = 1 gives
+    (1 + P)/2.  It is written entry by entry, with no identity matrix, no
+    sum and no scaled copy formed: a diagonal entry that Rhat lacks has
+    the value zero, an entry that cancels is not stored, and each entry is
+    formed once per distinct (on-diagonal, value) pair of Rhat and shared
+    by every entry with that pair, four products for every sl braid
+    matrix of N >= 2, whatever N.
     """
+    if not check_hecke(rhat).exact_zero:
+        raise ValueError("input is not an sl-type braid matrix")
+    qinv = q_power(-1)
+    factor = (Q + qinv) ** -1
     values: dict = {}
     rows = []
     for r, row in enumerate(rhat.rows):
-        if shift and r not in row:
+        if r not in row:
             row = {**row, r: ZERO}
         out = {}
         for c, v in row.items():
             key = c == r, v
             value = values.get(key)
             if value is None:
-                value = values[key] = (v + shift if c == r else v) * factor
+                value = values[key] = (v + qinv if c == r else v) * factor
             if value:
                 out[c] = value
         rows.append(out)
     return rhat._clone(rows)
-
-
-def projector_sl(rhat: RMatrix) -> RMatrix:
-    """q-symmetrizer (Rhat + q^-1)/(q + q^-1) for a Hecke braid matrix.
-
-    The input must satisfy the Hecke identity over Q(q), which is checked
-    first; the output is then idempotent, and substituting q = 1 gives
-    (1 + P)/2.  It is written by :func:`affine`, one product per distinct
-    (on-diagonal, value) pair of Rhat: four for every sl braid matrix of
-    N >= 2, whatever N.
-    """
-    if not check_hecke(rhat).exact_zero:
-        raise ValueError("input is not an sl-type braid matrix")
-    qinv = q_power(-1)
-    return affine(rhat, (Q + qinv) ** -1, qinv)
 
 
 def projector_sp(rhat: RMatrix) -> tuple[RMatrix, RelationReport]:

@@ -16,9 +16,8 @@ from qclifford.rmatrix import build_rhat_sl, check_braid, check_hecke
 from qclifford.report import RelationReport
 from qclifford.scalar import ONE, Poly, Q, ZERO, q_power
 
-from oracles import (composed_projector, conjugate_realization,
-                     modular_rank, ordered_monomials, plain_rows,
-                     word_to_operator)
+from oracles import (conjugate_realization, modular_rank,
+                     ordered_monomials, plain_rows, word_to_operator)
 
 
 @pytest.fixture(scope="module")
@@ -114,15 +113,6 @@ class TestRelationChecker:
         assert families == {"creator-creator", "annihilator-annihilator", "mixed"}
         indices = [r.indices for r in reports if r.family == "mixed"]
         assert indices == [(1, 1), (1, 2), (2, 1), (2, 2)]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_braid_coefficients(self, n):
-        # P+_q and P_q = q^-1 Rhat, which relation_residuals and
-        # relations_at share, equal the scaled copies
-        rhat = build_rhat_sl(n)
-        pplus, pq = deform._braid_coefficients(rhat)
-        assert pq == rhat.scale(Q ** -1)
-        assert pplus == composed_projector(rhat)
 
 
 class TestRelationKernelGcds:

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from qclifford.linalg import SparseMatrix, rank
-from qclifford.rmatrix import (RMatrix, affine, build_permutation,
-                               build_rhat_sl, check_braid, check_hecke,
-                               projector_sl, projector_sp)
+from qclifford.rmatrix import (RMatrix, build_permutation, build_rhat_sl,
+                               check_braid, check_hecke, projector_sl,
+                               projector_sp)
 from qclifford.scalar import (ONE, PoleError, Q, ZERO, RationalFunction,
                               parse_rational, q_power)
 
@@ -153,27 +153,17 @@ class TestSymmetrizer:
             counts.append(len(calls))
         assert counts[0] == counts[1] == 4
 
-
-class TestAffine:
-    def test_scaled_copy(self):
-        rhat = build_rhat_sl(3)
-        assert affine(rhat, q_power(-1)) == rhat.scale(q_power(-1))
-
-    def test_shift_fills_and_cancels_the_diagonal(self):
-        # row 0's diagonal cancels against the shift, row 1 has none, and
-        # the off-diagonal entries are only scaled
-        m = RMatrix(2, [{0: -Q, 2: ONE}, {3: Q}, {2: Q}, {}])
-        two = ONE + ONE
-        out = affine(m, two, Q)
-        assert out == (m + m.identity_like().scale(Q)).scale(two)
-        assert out.rows[0] == {2: two} and out.rows[1] == {3: two * Q,
-                                                           1: two * Q}
-        assert type(out) is RMatrix
-
-    def test_equal_values_share_one_product(self):
-        out = affine(build_rhat_sl(4), Q + ONE, q_power(-1))
-        values = [v for row in out.rows for v in row.values()]
-        assert len({id(v) for v in values}) == len(set(values)) == 4
+    def test_missing_and_cancelled_diagonal_entries(self):
+        # diag(q, -q^-1, q, -q^-1) is Hecke: its projector keeps the
+        # q-eigenvectors and stores no entry for the cancelled ones
+        rhat = RMatrix(2, [{0: Q}, {1: -q_power(-1)}, {2: Q},
+                           {3: -q_power(-1)}])
+        p = projector_sl(rhat)
+        assert list(p.rows) == [{0: ONE}, {}, {2: ONE}, {}]
+        # a row with no diagonal entry gets q^-1 / (q + q^-1) there
+        p = projector_sl(build_rhat_sl(2))
+        assert 2 not in build_rhat_sl(2).rows[2]
+        assert p.rows[2][2] == q_power(-1) * (Q + q_power(-1)) ** -1
 
 
 class TestSpSymmetrizer:
