@@ -153,13 +153,15 @@ class TestSymmetrizer:
             counts.append(len(calls))
         assert counts[0] == counts[1] == 4
 
-    def test_missing_and_cancelled_diagonal_entries(self):
-        # diag(q, -q^-1, q, -q^-1) is Hecke: its projector keeps the
-        # q-eigenvectors and stores no entry for the cancelled ones
-        rhat = RMatrix(2, [{0: Q}, {1: -q_power(-1)}, {2: Q},
-                           {3: -q_power(-1)}])
+    def test_diagonal_entries_missing_cancelled_or_shared(self):
+        # a triangular Hecke matrix: the -q^-1 diagonal entries cancel and
+        # are not stored, and the off-diagonal q is only scaled although
+        # the value q also sits on the diagonal
+        qinv = q_power(-1)
+        rhat = RMatrix(2, [{0: Q}, {0: Q, 1: -qinv}, {2: Q}, {3: -qinv}])
         p = projector_sl(rhat)
-        assert list(p.rows) == [{0: ONE}, {}, {2: ONE}, {}]
+        assert list(p.rows) == [{0: ONE}, {0: Q * (Q + qinv) ** -1},
+                                {2: ONE}, {}]
         # a row with no diagonal entry gets q^-1 / (q + q^-1) there
         p = projector_sl(build_rhat_sl(2))
         assert 2 not in build_rhat_sl(2).rows[2]
