@@ -56,8 +56,6 @@ def _finish(doc: dict, args, reports: list[RelationReport] | None = None,
         doc["summary"] = summarize(reports)
         if exit_code is None:
             exit_code = 0 if doc["summary"]["failed"] == 0 else 1
-    if exit_code is None:
-        exit_code = 0
     doc["exit_code"] = exit_code
     if args.output == "json":
         print(json.dumps(doc, indent=2))
@@ -204,13 +202,11 @@ def cmd_verify_map(args) -> int:
         if args.n is not None and args.n != gens.modes:
             raise ValueError(f"--n {args.n} does not match the {gens.modes} "
                              f"modes of {args.input}")
-        reports = deform.relation_residuals(gens, build_rhat_sl(gens.modes))
+        reports = deform.relation_residuals(gens, build_rhat_sl(gens.modes),
+                                            q_point=point)
     else:
         gens = deform.build_deforming_map(args.n)
-        reports = deform.map_relations(gens)
-    if point is not None:
-        for rep, at_point in zip(reports, deform.relations_at(gens, point)):
-            rep.numeric_max_abs = at_point.residual.max_abs(point)
+        reports = deform.map_relations(gens, q_point=point)
     star = deform.star_compatibility(gens, q_point=point)
     reports.append(star)
     doc["star"] = star.to_json()

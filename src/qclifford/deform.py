@@ -88,12 +88,6 @@ class GeneratorSet:
                 raise ValueError("all generator matrices must share one "
                                  "dimension, 2^modes")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.creators == other.creators
-                and self.annihilators == other.annihilators)
-
     @property
     def modes(self) -> int:
         return len(self.creators)
@@ -156,13 +150,33 @@ class MapConstructionError(ValueError):
 # relation residuals
 # ---------------------------------------------------------------------------
 
-def relation_residuals(gens: GeneratorSet,
-                       rhat: RMatrix) -> list[RelationReport]:
-    """One report per index pair for each of the three relation families."""
+def relation_residuals(
+        gens: GeneratorSet, rhat: RMatrix, *,
+        q_point: Fraction | None = None) -> list[RelationReport]:
+    """One report per index pair for each of the three relation families.
+
+    When ``q_point`` is given, each report's ``numeric_max_abs`` is read
+    off the residual recomputed over Q after the substitution q := point:
+    the point goes into the generators and into the same P+_q and P_q
+    before any product is formed, so the residuals are an independent
+    check of the exact ones.  A pole at the point, of a generator entry or
+    of the relation coefficients (which carry q^-1), raises
+    :class:`PoleError` naming the vanishing denominator.
+    """
     if rhat.n != gens.modes:
         raise ValueError(f"block dimension {rhat.n} does not match "
                          f"{gens.modes} modes")
-    return _relation_reports(gens, projector_sl(rhat), rhat.scale(Q ** -1))
+    pplus, pq = projector_sl(rhat), rhat.scale(Q ** -1)
+    reports = _relation_reports(gens, pplus, pq)
+    if q_point is not None:
+        point = Fraction(q_point)
+        sampled = gens.subst(point)
+        if point == 0:
+            raise PoleError(Q, point)
+        for rep, at_point in zip(reports, _relation_reports(
+                sampled, pplus.subst(point), pq.subst(point))):
+            rep.numeric_max_abs = at_point.residual.max_abs(point)
+    return reports
 
 
 def _relation_reports(gens: GeneratorSet, pplus: RMatrix,
@@ -230,37 +244,22 @@ def build_deforming_map(n_modes: int) -> GeneratorSet:
     return GeneratorSet([c for c, _ in pairs], [a for _, a in pairs])
 
 
-def map_relations(gens: GeneratorSet) -> list[RelationReport]:
-    """The relation reports of a built deforming map, all exact zero.
+def map_relations(gens: GeneratorSet, *,
+                  q_point: Fraction | None = None) -> list[RelationReport]:
+    """The relation reports of a built deforming map, all exact zero, with
+    the spot check at ``q_point`` of :func:`relation_residuals`.
 
     Raises :class:`MapConstructionError` naming the first nonzero report,
     so a caller that needs the reports anyway checks each relation once.
     """
-    reports = relation_residuals(gens, build_rhat_sl(gens.modes))
+    reports = relation_residuals(gens, build_rhat_sl(gens.modes),
+                                 q_point=q_point)
     for rep in reports:
         if not rep.exact_zero:
             raise MapConstructionError(
                 f"deforming map violates {rep.family} relation "
                 f"{rep.indices}: worst entry {rep.worst_entry()}")
     return reports
-
-
-def relations_at(gens: GeneratorSet, point: Fraction) -> list[RelationReport]:
-    """The relation reports recomputed over Q after the substitution q := point.
-
-    P+_q and P_q are built over Q(q), and the point goes into them and
-    into the generators before any product is formed, so the residuals
-    are an independent check of the exact ones.  A pole at the point, of
-    a generator entry or of the relation coefficients (which carry q^-1),
-    raises :class:`PoleError` naming the vanishing denominator.
-    """
-    point = Fraction(point)
-    sampled = gens.subst(point)
-    if point == 0:
-        raise PoleError(Q, point)
-    rhat = build_rhat_sl(gens.modes)
-    return _relation_reports(sampled, projector_sl(rhat).subst(point),
-                             rhat.scale(Q ** -1).subst(point))
 
 
 def build_inverse_map(deformed: GeneratorSet) -> GeneratorSet:
@@ -444,7 +443,9 @@ def star_compatibility(gens: GeneratorSet, q_point=None) -> RelationReport:
     residual is the first nonzero one (or mode 1's), so it is exact zero
     iff every mode is, and its worst entry is that mode's.  When
     ``q_point`` is given (a real q > 0), ``numeric_max_abs`` is the worst
-    numeric deviation over all modes, not only the reported one.
+    numeric deviation over all modes, not only the reported one, read off
+    residuals recomputed from the generators after the substitution
+    q := point, an independent check of the exact ones.
     """
     residuals = [gens.annihilators[i].transpose() - gens.creators[i]
                  for i in range(gens.modes)]
@@ -453,5 +454,8 @@ def star_compatibility(gens: GeneratorSet, q_point=None) -> RelationReport:
         "star(A^i) = Adag_i for all modes",
         next((r for r in residuals if not r.is_zero), residuals[0]))
     if q_point is not None:
-        report.numeric_max_abs = max(r.max_abs(q_point) for r in residuals)
+        sampled = gens.subst(Fraction(q_point))
+        report.numeric_max_abs = max(
+            (ann.transpose() - cre).max_abs(q_point)
+            for ann, cre in zip(sampled.annihilators, sampled.creators))
     return report

@@ -101,12 +101,11 @@ class Poly:
 
     @property
     def order(self) -> int:
-        """Index of the lowest nonzero coefficient (the power of q dividing
-        the polynomial); -1 for the zero polynomial."""
+        """Index of the lowest nonzero coefficient of a nonzero polynomial
+        (the power of q dividing it)."""
         for k, c in enumerate(self.coeffs):
             if c:
                 return k
-        return -1
 
     @property
     def is_monomial(self) -> bool:
@@ -265,14 +264,6 @@ class Poly:
             result = result * x + c
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __str__(self):
         return _poly_text(self)
 
@@ -331,9 +322,9 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = _as_poly(num)
-        den = Poly.const(1) if den is None else _as_poly(den)
+    def __init__(self, num: Poly, den: Poly | None = None):
+        if den is None:
+            den = Poly.const(1)
         if den.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if num.is_zero:
@@ -367,8 +358,6 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num.coeffs:
-            return self
         if not self.num.coeffs:
             return other
         return RationalFunction(self.num * other.den + other.num * self.den,
@@ -382,12 +371,6 @@ class RationalFunction:
             return NotImplemented
         return RationalFunction(self.num * other.den - other.num * self.den,
                                 self.den * other.den)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -425,12 +408,6 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         # -num/den is canonical whenever num/den is: no gcd to take
         out = object.__new__(RationalFunction)
@@ -460,14 +437,12 @@ class RationalFunction:
     def eval_at(self, point):
         """Evaluate at a numeric point.
 
-        Exact (returns a Fraction) for int/Fraction points; float/complex
+        Exact (returns a Fraction) for Fraction points; float/complex
         points give float/complex results.  Raises :class:`PoleError`,
         naming the vanishing denominator, when the point is a root of it,
         and ``ValueError`` before an exact value of more than
         ``_MAX_VALUE_BITS`` (the degree times the bits of the point).
         """
-        if isinstance(point, int):
-            point = Fraction(point)
         if isinstance(point, Fraction):
             bits = max(abs(point.numerator), point.denominator).bit_length()
             degree = max(self.num.degree, self.den.degree)
@@ -488,23 +463,11 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-def _as_poly(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, int):
-        return Poly.const(x)
-    if isinstance(x, (tuple, list)):
-        return Poly(x)
-    raise TypeError(f"cannot build a Poly from {type(x).__name__}")
-
-
 def _coerce(x):
     if isinstance(x, RationalFunction):
         return x
     if isinstance(x, int):
         return RationalFunction(Poly.const(x))
-    if isinstance(x, Fraction):
-        return RationalFunction.from_fraction(x)
     return NotImplemented
 
 

@@ -175,7 +175,7 @@ def test_criterion_12_scalar_identities():
                        "q=1 for all m <= 8"):
         assert gamma_ratio(2) == parse_rational("(2)/(q^2 + 1)")
         for m in range(9):
-            assert gamma_ratio(m).eval_at(1) == 1
+            assert gamma_ratio(m).eval_at(Fraction(1)) == 1
 
 
 def test_criterion_13_chain_degenerations():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qclifford import chain, cli, deform, fock, scalar
+from qclifford import chain, cli, deform, fock, rmatrix, scalar
 from qclifford.cli import main
 from qclifford.deform import (MapConstructionError, build_deforming_map,
                               undeformed_set)
@@ -72,6 +72,31 @@ class TestVerifyMap:
         assert code == 1
         for rel in doc["relations"]:
             assert (rel["numeric_max_abs"] == 0.0) == rel["exact_zero"]
+
+    @pytest.mark.parametrize("source", ["--n", "--input"])
+    def test_numeric_point_checks_each_relation_once(self, capsys, tmp_path,
+                                                     monkeypatch, source):
+        # the exact and the numeric residuals share one Rhat, P+_q and P_q
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(build_deforming_map(3).to_json()))
+        calls = []
+
+        def spy(name, original):
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(rmatrix, "check_hecke",
+                            spy("check_hecke", rmatrix.check_hecke))
+        monkeypatch.setattr(deform, "projector_sl",
+                            spy("projector_sl", deform.projector_sl))
+        code, doc, _ = run_json(capsys, "verify-map", source,
+                                "3" if source == "--n" else str(path),
+                                "--q-numeric", "1.3")
+        assert code == 0
+        assert all(rel["numeric_max_abs"] == 0.0 for rel in doc["relations"])
+        assert sorted(calls) == ["check_hecke", "projector_sl"]
 
     def test_user_generator_set_input(self, capsys, tmp_path):
         path = tmp_path / "gens.json"
@@ -728,7 +753,8 @@ class TestHarness:
         # program, not bad input: exit 3 with the traceback, not 2
         original = deform.relation_residuals
         monkeypatch.setattr(deform, "relation_residuals",
-                            lambda gens, rhat: original(gens, rhat, Q))
+                            lambda gens, rhat, **kwargs:
+                            original(gens, rhat, Q))
         code, out, err = run(capsys, "poincare", "--n", "3")
         assert code == 3 and out == ""
         assert err.startswith("internal error:\nTraceback")

@@ -387,6 +387,31 @@ class TestStarCompatibility:
     def test_undeformed_is_star_compatible(self, plain2):
         assert star_compatibility(plain2).exact_zero
 
+    def test_numeric_check_is_recomputed_at_the_point(self, lastf2,
+                                                      monkeypatch):
+        # mode 1 rescaled by 3q^2 breaks star; the value at the point is
+        # read off residuals formed from the substituted generators, whose
+        # entries are constants, not off the exact residuals
+        scale = 3 * Q * Q
+        rescaled = GeneratorSet(
+            [lastf2.creators[0].scale(scale), lastf2.creators[1]],
+            [lastf2.annihilators[0].scale(ONE / scale),
+             lastf2.annihilators[1]])
+        point = Fraction(3, 2)
+        exact = max((a.transpose() - c).max_abs(point) for a, c in
+                    zip(rescaled.annihilators, rescaled.creators))
+        original = SparseMatrix.max_abs
+
+        def constants_only(matrix, at):
+            assert all(v.num.degree <= 0 and v.den.degree <= 0
+                       for _, _, v in matrix.iter_entries())
+            return original(matrix, at)
+
+        monkeypatch.setattr(SparseMatrix, "max_abs", constants_only)
+        report = star_compatibility(rescaled, q_point=point)
+        assert not report.exact_zero
+        assert report.numeric_max_abs == exact > 0
+
 
 class TestSerialization:
     def test_generator_set_round_trip(self, lastf2):
@@ -396,7 +421,9 @@ class TestSerialization:
         assert again.annihilators == lastf2.annihilators
         assert again.modes == 2 and "provenance" not in doc
         # older files carry a provenance key, which is ignored
-        assert GeneratorSet.from_json({**doc, "provenance": "user"}) == again
+        older = GeneratorSet.from_json({**doc, "provenance": "user"})
+        assert older.creators == again.creators
+        assert older.annihilators == again.annihilators
 
     def test_length_validation(self, lastf2):
         with pytest.raises(ValueError, match="length"):

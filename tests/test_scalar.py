@@ -67,9 +67,14 @@ class TestFieldOperations:
                 assert (a * b) / a == b
 
     def test_mixed_integer_and_fraction_operands(self):
+        # an int operand is coerced on either side of + and *, and on the
+        # right of - and /; a Fraction is never
         assert 2 * Q + 1 == rf("2*q + 1")
-        assert Q - Fraction(1, 2) == rf("(2*q - 1)/(2)")
-        assert 1 / Q == q_power(-1)
+        assert Q - 1 == rf("q - 1") and Q / 2 == rf("(q)/(2)")
+        for operation in (lambda: Q - Fraction(1, 2), lambda: 1 - Q,
+                          lambda: 1 / Q):
+            with pytest.raises(TypeError):
+                operation()
 
 
 class TestQCombinatorics:
@@ -100,7 +105,7 @@ class TestQCombinatorics:
 
     def test_gamma_ratio_classical_limit(self):
         for m in range(9):
-            assert gamma_ratio(m).eval_at(1) == 1
+            assert gamma_ratio(m).eval_at(Fraction(1)) == 1
 
     def test_gamma_ratio_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -110,7 +115,7 @@ class TestQCombinatorics:
 class TestEvaluation:
     def test_exact_rational_point(self):
         f = Q + q_power(-1)
-        assert f.eval_at(1) == 2
+        assert f.eval_at(Fraction(1)) == 2
         assert f.eval_at(Fraction(13, 10)) == Fraction(13, 10) + Fraction(10, 13)
 
     def test_complex_point_root_of_numerator(self):
@@ -123,7 +128,7 @@ class TestEvaluation:
             f.eval_at(1j)
 
     def test_gamma_ratio_classical_spot(self):
-        assert gamma_ratio(2).eval_at(1) == 1
+        assert gamma_ratio(2).eval_at(Fraction(1)) == 1
 
     def test_eval_commutes_with_field_ops(self):
         rng = random.Random(777)

@@ -5,8 +5,8 @@
 shifts by a constant or monomial operand, the ``RationalFunction``
 product of two quotients of monomials takes one integer gcd and no
 ``Poly.gcd``, negation of a ``RationalFunction`` takes no gcd, and
-``RationalFunction`` addition and multiplication hand back an existing
-value when an operand is zero.  Each
+``RationalFunction`` addition hands back an existing value when its left
+operand is zero, and multiplication when either operand is.  Each
 must agree with the general definition on every input.  The truth value
 of a ``RationalFunction`` is false exactly for zero, as for a Fraction.
 Random ``RationalFunction`` values also survive the text round trip and
@@ -57,19 +57,19 @@ class TestGcd:
     @SETTINGS
     @given(monomials, polys)
     def test_monomial_against_general(self, m, f):
-        assert Poly.gcd(m, f) == sympy_gcd(m, f)
-        assert Poly.gcd(f, m) == sympy_gcd(m, f)
+        assert Poly.gcd(m, f).coeffs == sympy_gcd(m, f).coeffs
+        assert Poly.gcd(f, m).coeffs == sympy_gcd(m, f).coeffs
 
     @SETTINGS
     @given(polys, polys)
     def test_general_pairs(self, a, b):
-        assert Poly.gcd(a, b) == sympy_gcd(a, b)
+        assert Poly.gcd(a, b).coeffs == sympy_gcd(a, b).coeffs
 
     @SETTINGS
     @given(polys, polys, nonzero_polys)
     def test_common_factor_found(self, a, b, common):
         g = Poly.gcd(a * common, b * common)
-        assert g == sympy_gcd(a * common, b * common)
+        assert g.coeffs == sympy_gcd(a * common, b * common).coeffs
 
 
 def schoolbook_product(a: Poly, b: Poly) -> Poly:
@@ -98,20 +98,20 @@ class TestMul:
     def test_against_schoolbook(self, a, b):
         expected = schoolbook_product(a, b)
         for got in (a * b, b * a):
-            assert got == expected
+            assert got.coeffs == expected.coeffs
             assert not got.coeffs or got.coeffs[-1] != 0
 
     @SETTINGS
     @given(mul_operands, wide_coefficient)
     def test_integer_operand(self, a, c):
-        assert a * c == schoolbook_product(a, Poly.const(c))
+        assert (a * c).coeffs == schoolbook_product(a, Poly.const(c)).coeffs
 
 
 class TestDivExact:
     @SETTINGS
     @given(polys, nonzero_polys)
     def test_product_divides_back(self, a, b):
-        assert (a * b).div_exact(b) == a
+        assert (a * b).div_exact(b).coeffs == a.coeffs
 
     @SETTINGS
     @given(polys, nonzero_polys)
@@ -120,7 +120,7 @@ class TestDivExact:
         divisible = rem.is_zero and all(sympy.Rational(c).q == 1
                                         for c in quot.all_coeffs())
         if divisible:
-            assert a.div_exact(b) == from_sympy(quot)
+            assert a.div_exact(b).coeffs == from_sympy(quot).coeffs
         else:
             with pytest.raises(ValueError, match="does not divide"):
                 a.div_exact(b)
