@@ -44,7 +44,7 @@ from .rmatrix import RMatrix, build_permutation, build_rhat_sl
 from .scalar import ONE, Q
 
 VARIANTS = ("diagonal-mixed", "RM-braided-mixed")
-_MAX_EXPERIMENT_MODES = 6
+_MAX_EXPERIMENT_MODES = 10
 
 
 def _copies(gens: GeneratorSet, n: int):
@@ -143,9 +143,10 @@ def scale_copies(gens: GeneratorSet, scales) -> GeneratorSet:
     if m < 1 or gens.modes % m:
         raise ValueError(f"{gens.modes} modes do not split into {m} copies")
     _, cre, ann, _ = _copies(gens, gens.modes // m)
+    inverses = [s ** -1 for s in scales]
     return GeneratorSet(
         [op.scale(scales[alpha - 1]) for (alpha, _), op in cre.items()],
-        [op.scale(scales[alpha - 1] ** -1) for (alpha, _), op in ann.items()])
+        [op.scale(inverses[alpha - 1]) for (alpha, _), op in ann.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -269,13 +269,18 @@ def cmd_chain_experiment(args) -> int:
     doc = _document(args, "chain-experiment")
     variants = chain.VARIANTS if args.variant == "both" else (args.variant,)
     scales = None
-    if args.scales:
+    if args.scales is not None:
         scales = []
         for i, text in enumerate(args.scales.split(",")):
             try:
                 scales.append(parse_rational(text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise type(exc)(f"--scales[{i}]: {exc}") from None
+        # an --m below 1 is refused by the experiment, with its own message
+        if args.m >= 1 and len(scales) != args.m:
+            raise ValueError(f"--scales: expected {args.m} scale factors, "
+                             f"one per copy of --m {args.m}, not "
+                             f"{len(scales)}")
     doc["experiment"], relations = chain.lexicographic_experiment(
         args.m, args.n, scales=scales, variants=variants)
     return _finish(doc, args, relations, exit_code=0)  # findings, never a failure

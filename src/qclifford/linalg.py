@@ -203,13 +203,24 @@ class SparseMatrix:
         return NotImplemented
 
     def scale(self, factor) -> "SparseMatrix":
+        """factor times the matrix.  Each product is formed once per
+        distinct entry value and shared by every entry equal to it."""
         scalar = _coerce(factor)
         if scalar is NotImplemented:
             raise TypeError(f"cannot scale by {type(factor).__name__}")
         if scalar.is_zero:
             return self._clone([{} for _ in range(self.dim)])
-        return self._clone([{c: v * scalar for c, v in row.items()}
-                            for row in self.rows])
+        values: dict = {}   # entry value -> entry value * scalar
+        rows = []
+        for row in self.rows:
+            out = {}
+            for c, v in row.items():
+                value = values.get(v)
+                if value is None:
+                    value = values[v] = v * scalar
+                out[c] = value
+            rows.append(out)
+        return self._clone(rows)
 
     def transpose(self) -> "SparseMatrix":
         rows: list[dict] = [{} for _ in range(self.dim)]

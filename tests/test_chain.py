@@ -289,8 +289,10 @@ class TestLexicographicExperiment:
         assert diag["chain-mixed"] != braided["chain-mixed"]
 
     def test_experiment_guard(self):
-        with pytest.raises(ValueError):
-            lexicographic_experiment(4, 2)
+        # the bound is 10 modes, the poincare limit
+        for m, n in ((11, 1), (4, 3)):
+            with pytest.raises(ValueError, match="1..10 total modes"):
+                lexicographic_experiment(m, n)
 
 
 def _plant_entry(gens: GeneratorSet) -> GeneratorSet:

@@ -606,6 +606,36 @@ class TestChainCommand:
                              "3", "--scales", "1,q,q^2")
         assert code == 2 and out == ""
         assert "expected 2 scale factors" in err
+        assert "--scales" in err and "--m 2" in err
+
+    def test_empty_scales_is_refused(self, capsys):
+        # an empty value names no factor; it is not the absent option
+        code, out, err = run(capsys, "chain-experiment", "--m", "2", "--n",
+                             "2", "--scales", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --scales")
+
+    def test_ten_modes_run_and_summaries_add_up(self, capsys):
+        code, doc, _ = run_json(capsys, "chain-experiment", "--m", "5",
+                                "--n", "2")
+        assert code == 0
+        for variant in doc["experiment"]["variants"].values():
+            families = variant["families"].values()
+            assert variant["summary"] == {
+                "total": sum(f["total"] for f in families),
+                "exact_zero": sum(f["exact_zero"] for f in families),
+                "failed": sum(len(f["failing"]) for f in families)}
+
+    @pytest.mark.parametrize("m, n", [(11, 1), (1, 11), (2, 6)])
+    def test_more_than_ten_modes_refused_before_the_map(
+            self, capsys, monkeypatch, m, n):
+        def refuse(_modes):
+            raise AssertionError("the deforming map was built")
+        monkeypatch.setattr(chain, "build_deforming_map", refuse)
+        code, out, err = run(capsys, "chain-experiment", "--m", str(m),
+                             "--n", str(n))
+        assert code == 2 and out == ""
+        assert "1..10 total modes" in err
 
     def test_parse_error_names_the_scale(self, capsys):
         code, out, err = run(capsys, "chain-experiment", "--scales", "1,q)")

@@ -64,6 +64,27 @@ class TestSparseMatrix:
         assert len(calls) == 3 and all(calls)
         assert product == left.scale(Q)
 
+    def test_scale_forms_one_product_per_distinct_value(self, monkeypatch):
+        products = []
+        real_mul = RationalFunction.__mul__
+
+        def spy(self, other):
+            products.append(self)
+            return real_mul(self, other)
+
+        # three distinct values over twelve entries; the two q^-1 entries
+        # are distinct objects with one value
+        values = [ONE, -ONE, q_power(-1), q_power(-1)]
+        assert values[2] is not values[3]
+        m = SparseMatrix(4, [{c: values[(r + c) % 4] for c in range(4)
+                              if (r + c) % 2 or r == c} for r in range(4)])
+        monkeypatch.setattr(RationalFunction, "__mul__", spy)
+        scaled = m.scale(Q + ONE)
+        monkeypatch.undo()
+        assert sorted(map(str, products)) == ["(1)/(q)", "-1", "1"]
+        assert list(scaled.rows) == [
+            {c: v * (Q + ONE) for c, v in row.items()} for row in m.rows]
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             SparseMatrix(2).identity_like() + SparseMatrix(3).identity_like()

@@ -19,7 +19,9 @@ fraction-pair kernel it replaced (``oracles.fraction_pair_rows``).  Terms
 whose words hold one to four matrices, with zero coefficients, empty
 factors and terms that cancel, once as they are and once regrouped
 around a product formed beforehand, are checked against plain products
-and sums.
+and sums.  ``SparseMatrix.scale``, which forms one product per distinct
+entry value, is checked against the product of every entry on its own,
+on operators that repeat a few values, some of them as equal copies.
 """
 
 import pytest
@@ -258,6 +260,35 @@ def assert_same_residual(got, expected):
 
 def _one_entry(value):
     return SparseMatrix(4, [{0: value}, {}, {}, {}])
+
+
+@st.composite
+def repeated_value_operators(draw):
+    """An 8 x 8 operator whose entries repeat one to three palette values,
+    each entry held by the palette's object or by an equal copy of it."""
+    values = draw(st.lists(st.sampled_from(OPERATOR_PALETTE), min_size=1,
+                           max_size=3))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7),
+                  st.sampled_from(values), st.booleans()), max_size=24))
+    rows = [{} for _ in range(8)]
+    for r, c, v, copy in cells:
+        rows[r][c] = parse_rational(str(v)) if copy else v
+    return SparseMatrix(8, rows)
+
+
+@SETTINGS
+@given(repeated_value_operators(), st.sampled_from((*COEFFICIENTS, 2, -3)))
+def test_scale_matches_entrywise_products(matrix, factor):
+    # scale forms one product per distinct value; the oracle forms one
+    # per entry
+    expected = []
+    for row in matrix.rows:
+        products = {c: v * factor for c, v in row.items()}
+        expected.append({c: p for c, p in products.items() if not p.is_zero})
+    got = matrix.scale(factor)
+    assert type(got) is SparseMatrix
+    assert list(got.rows) == expected
 
 
 #: two monomial denominators with coprime coefficients meet in entry (0, 0)
