@@ -44,7 +44,7 @@ from .rmatrix import RMatrix, build_permutation, build_rhat_sl
 from .scalar import ONE, Q
 
 VARIANTS = ("diagonal-mixed", "RM-braided-mixed")
-_MAX_EXPERIMENT_MODES = 10
+MAX_EXPERIMENT_MODES = 10
 
 
 def _copies(gens: GeneratorSet, n: int):
@@ -67,52 +67,73 @@ def ordering_residuals(gens: GeneratorSet,
     """The chain-creator and chain-annihilator reports.
 
     They read only ``rhat_n``, never the copy braid, so one evaluation
-    serves every variant of a run.
+    serves every variant of a run.  Only nonzero entries become terms:
+    the creator relation (alpha, beta, i, j) reads column (ij) of q Rn,
+    the annihilator relation row (ij), each in ascending (h, k).
     """
-    _, cre, ann, indices = _copies(gens, rhat_n.n)
+    n = rhat_n.n
+    _, cre, ann, indices = _copies(gens, n)
     q_rn = rhat_n.scale(Q)
     zero = fock.zero(gens.modes)
-    mode_pairs = list(product(range(1, rhat_n.n + 1), repeat=2))
+    # a flat index hk is the pair (hk // n + 1, hk % n + 1)
+    columns = q_rn.transpose().rows
     reports = [RelationReport(
         "chain-creator", (alpha, beta, i, j),
         f"C[{alpha}{i}] C[{beta}{j}] "
         f"+ q Rn[(hk),({i}{j})] C[{beta}h] C[{alpha}k] = 0", zero,
         [(ONE, cre[alpha, i], cre[beta, j])]
-        + [(q_rn.block(h, k, i, j), cre[beta, h], cre[alpha, k])
-           for h, k in mode_pairs])
+        + [(v, cre[beta, hk // n + 1], cre[alpha, hk % n + 1])
+           for hk, v in sorted(columns[(i - 1) * n + j - 1].items())])
         for alpha, beta, i, j in indices]
     reports += [RelationReport(
         "chain-annihilator", (alpha, beta, i, j),
         f"A[{alpha}{j}] A[{beta}{i}] "
         f"+ q Rn[({i}{j}),(hk)] A[{beta}k] A[{alpha}h] = 0", zero,
         [(ONE, ann[alpha, j], ann[beta, i])]
-        + [(q_rn.block(i, j, h, k), ann[beta, k], ann[alpha, h])
-           for h, k in mode_pairs])
+        + [(v, ann[beta, hk % n + 1], ann[alpha, hk // n + 1])
+           for hk, v in sorted(q_rn.rows[(i - 1) * n + j - 1].items())])
         for alpha, beta, i, j in indices]
     return reports
+
+
+def _block_terms(matrix: RMatrix) -> dict:
+    """(a, b) -> [(h, k, value)] for every index pair of ``matrix``: its
+    nonzero entries in rows (a h) and columns (b k), in ascending (h, k)."""
+    n = matrix.n
+    pairs = list(product(range(1, n + 1), repeat=2))
+    return {(a, b): [(h, c % n + 1, v) for h in range(1, n + 1)
+                     for c, v in sorted(matrix.rows[(a - 1) * n + h - 1].items())
+                     if c // n + 1 == b]
+            for a, b in pairs}
 
 
 def mixed_residuals(gens: GeneratorSet, rhat_n: RMatrix,
                     rhat_m: RMatrix) -> list[RelationReport]:
     """The chain-mixed reports over the copy braid ``rhat_m``: the sl(M)
-    braid matrix for RM-braided-mixed, q P_M for diagonal-mixed."""
+    braid matrix for RM-braided-mixed, q P_M for diagonal-mixed.
+
+    Only nonzero entries become terms: the relation (alpha, beta, i, j)
+    forms the coefficient u v once for each nonzero entry u of RM^-1 in
+    rows (alpha gamma) and block column beta and each nonzero entry v of
+    Rn in rows (i h) and block column j, in ascending (gamma, delta) and
+    then (h, k).
+    """
     m, cre, ann, indices = _copies(gens, rhat_n.n)
     if rhat_m.n != m:
         raise ValueError(f"rhat_m block dimension {rhat_m.n} is not "
                          f"the copy count {m}")
-    rm_inv = invert_dense(rhat_m)
+    rm_terms = _block_terms(invert_dense(rhat_m))
+    rn_terms = _block_terms(rhat_n)
     zero, minus_one = fock.zero(gens.modes), -fock.identity(gens.modes)
-    mode_pairs = list(product(range(1, rhat_n.n + 1), repeat=2))
     return [RelationReport(
         "chain-mixed", (alpha, beta, i, j),
         f"A[{alpha}{i}] C[{beta}{j}] + braided reorder "
         f"= delta_{i}{j} delta_{alpha}{beta}",
         minus_one if i == j and alpha == beta else zero,
         [(ONE, ann[alpha, i], cre[beta, j])]
-        + [(rm_inv.block(alpha, gamma, beta, delta)
-            * rhat_n.block(i, h, j, k), cre[gamma, h], ann[delta, k])
-           for gamma, delta in product(range(1, m + 1), repeat=2)
-           for h, k in mode_pairs])
+        + [(u * v, cre[gamma, h], ann[delta, k])
+           for gamma, delta, u in rm_terms[alpha, beta]
+           for h, k, v in rn_terms[i, j]])
         for alpha, beta, i, j in indices]
 
 
@@ -171,9 +192,9 @@ def lexicographic_experiment(m: int, n: int, scales=None,
     if n < 1:
         raise ValueError(f"the mode count n must be at least 1, not {n}")
     total = m * n
-    if total > _MAX_EXPERIMENT_MODES:
+    if total > MAX_EXPERIMENT_MODES:
         raise ValueError(
-            f"experiment supports 1..{_MAX_EXPERIMENT_MODES} total modes")
+            f"experiment supports 1..{MAX_EXPERIMENT_MODES} total modes")
     if scales is not None and len(scales) != m:
         raise ValueError(f"expected {m} scale factors")
     if not set(variants) <= set(VARIANTS):

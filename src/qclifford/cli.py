@@ -98,7 +98,8 @@ def _q_point(args) -> Fraction | None:
     """The --q-numeric value, bounded in size before it is built.
 
     A short text such as ``1e10000`` is refused (exit 2) before a huge
-    integer exists.
+    integer exists; a text that is not a rational number, such as ``nan``
+    or ``1/0``, exits 2 with a message that names the option and quotes it.
     """
     text = args.q_numeric
     if text is None:
@@ -114,7 +115,12 @@ def _q_point(args) -> Fraction | None:
     if digits > _MAX_POINT_DIGITS:
         raise ValueError(f"--q-numeric value is too large: its digits plus its "
                          f"decimal exponent exceed {_MAX_POINT_DIGITS}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--q-numeric {text!r} is not a rational point: "
+                         f"write an integer, a fraction a/b with b != 0 or "
+                         f"a decimal such as 1.3") from None
 
 
 def _spot_check(reports: list[RelationReport], gens: deform.GeneratorSet,
@@ -268,14 +274,24 @@ def cmd_invariants(args) -> int:
 def cmd_chain_experiment(args) -> int:
     doc = _document(args, "chain-experiment")
     variants = chain.VARIANTS if args.variant == "both" else (args.variant,)
+    # sizes below 1 are refused by the experiment, with its own messages
+    total = args.m * args.n
+    if args.m >= 1 and args.n >= 1 and total > chain.MAX_EXPERIMENT_MODES:
+        raise ValueError(f"--m {args.m} --n {args.n} asks for {total} modes; "
+                         f"experiment supports "
+                         f"1..{chain.MAX_EXPERIMENT_MODES} total modes")
     scales = None
     if args.scales is not None:
         scales = []
         for i, text in enumerate(args.scales.split(",")):
             try:
-                scales.append(parse_rational(text))
+                scale = parse_rational(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise type(exc)(f"--scales[{i}]: {exc}") from None
+            if scale.is_zero:
+                raise ValueError(f"--scales[{i}]: {text!r} is zero; scale "
+                                 f"factors must be nonzero")
+            scales.append(scale)
         # an --m below 1 is refused by the experiment, with its own message
         if args.m >= 1 and len(scales) != args.m:
             raise ValueError(f"--scales: expected {args.m} scale factors, "

@@ -29,15 +29,12 @@ from __future__ import annotations
 from .linalg import (MAX_DIM, SparseMatrix, dim_guard_error, json_field,
                      json_int, json_object, product_sum, read_rows)
 from .report import RelationReport
-from .scalar import ONE, Q, ZERO, RationalFunction, q_power
+from .scalar import ONE, Q, ZERO, q_power
 
 
 class RMatrix(SparseMatrix):
-    """Sparse dim x dim matrix over Q(q) with a block dimension tag.
-
-    dim = n^2 (the tensor square of an n-dimensional space), and
-    :meth:`block` reads an entry by its two index pairs.
-    """
+    """Sparse dim x dim matrix over Q(q) with a block dimension tag:
+    dim = n^2, the tensor square of an n-dimensional space."""
 
     __slots__ = ("n",)
 
@@ -51,11 +48,6 @@ class RMatrix(SparseMatrix):
 
     def _clone(self, rows):
         return RMatrix(self.n, rows)
-
-    def block(self, i: int, j: int, h: int, k: int) -> RationalFunction:
-        """Entry with upper (row) pair (i, j) and lower (column) pair (h, k)."""
-        n = self.n
-        return self.get((i - 1) * n + (j - 1), (h - 1) * n + (k - 1))
 
     def to_json(self, kind: str = "user-supplied") -> dict:
         """The matrix as JSON, tagged with ``kind`` (say "braid-sl"); a

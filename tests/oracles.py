@@ -10,6 +10,9 @@ public names alone:
 - the gamma-function quotient of the deforming map's normalization;
 - conjugated realizations alpha . X . alpha^-1;
 - the chain controls: copy relabelling and the q = 1 degeneration;
+- the chain relation writers as they were before they read q Rn and
+  RM^-1 by their nonzero entries: every block looked up, zero blocks
+  included, and every mixed coefficient formed as a product;
 - specialization: q = 1 substituted into symbolic residuals and into the
   Hopf data, which the package builds over Q(q) only;
 - the classical commutator action and the degree <= 2 invariant builders;
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 
 from qclifford.chain import VARIANTS, chain_residuals
 from qclifford.deform import (GeneratorSet, build_deforming_map,
@@ -37,6 +41,7 @@ from qclifford.fock import identity, zero
 from qclifford.hopf import (ANTIPODE, COPRODUCT, HopfAlgebraData,
                             InvariantElement, deformed_js, invariant_number)
 from qclifford.linalg import SparseMatrix, invert_dense
+from qclifford.report import RelationReport
 from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
 from qclifford.scalar import ONE, Q, ZERO, RationalFunction, q_number
 
@@ -326,6 +331,57 @@ def classical_chain_check(m: int, n: int,
     [reports] = chain_residuals(undeformed_set(m * n), build_rhat_sl(n),
                                 [copy_braid(m, variant)])
     return at_one(reports)
+
+
+def block(matrix: RMatrix, i: int, j: int, h: int, k: int) -> RationalFunction:
+    """The entry of ``matrix`` at upper (row) pair (i, j) and lower
+    (column) pair (h, k), zero included."""
+    n = matrix.n
+    return matrix.get((i - 1) * n + (j - 1), (h - 1) * n + (k - 1))
+
+
+def all_pairs_chain_residuals(gens: GeneratorSet, rhat_n: RMatrix,
+                              rhat_ms) -> list[list[RelationReport]]:
+    """The reports of :func:`qclifford.chain.chain_residuals`, written with
+    one term for every lower pair (h, k) and every copy pair (gamma,
+    delta): each coefficient is read with :func:`block`, zero blocks
+    included, and each mixed coefficient is the product of an RM^-1 block
+    and an Rn block."""
+    n = rhat_n.n
+    m = gens.modes // n
+    keys = list(product(range(1, m + 1), range(1, n + 1)))
+    cre = dict(zip(keys, gens.creators))
+    ann = dict(zip(keys, gens.annihilators))
+    indices = [(a, b, i, j) for a in range(1, m + 1) for b in range(a, m + 1)
+               for i, j in product(range(1, n + 1), repeat=2)]
+    mode_pairs = list(product(range(1, n + 1), repeat=2))
+    q_rn = rhat_n.scale(Q)
+    null, minus_one = zero(gens.modes), -identity(gens.modes)
+    ordering = [RelationReport(
+        "chain-creator", (alpha, beta, i, j), "", null,
+        [(ONE, cre[alpha, i], cre[beta, j])]
+        + [(block(q_rn, h, k, i, j), cre[beta, h], cre[alpha, k])
+           for h, k in mode_pairs])
+        for alpha, beta, i, j in indices]
+    ordering += [RelationReport(
+        "chain-annihilator", (alpha, beta, i, j), "", null,
+        [(ONE, ann[alpha, j], ann[beta, i])]
+        + [(block(q_rn, i, j, h, k), ann[beta, k], ann[alpha, h])
+           for h, k in mode_pairs])
+        for alpha, beta, i, j in indices]
+    out = []
+    for rhat_m in rhat_ms:
+        rm_inv = invert_dense(rhat_m)
+        out.append(ordering + [RelationReport(
+            "chain-mixed", (alpha, beta, i, j), "",
+            minus_one if i == j and alpha == beta else null,
+            [(ONE, ann[alpha, i], cre[beta, j])]
+            + [(block(rm_inv, alpha, gamma, beta, delta)
+                * block(rhat_n, i, h, j, k), cre[gamma, h], ann[delta, k])
+               for gamma, delta in product(range(1, m + 1), repeat=2)
+               for h, k in mode_pairs])
+            for alpha, beta, i, j in indices])
+    return out
 
 
 def hopf_data_at(data: HopfAlgebraData, point) -> HopfAlgebraData:

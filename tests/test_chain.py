@@ -1,18 +1,20 @@
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qclifford import chain, deform, fock, linalg
+from qclifford import chain, cli, deform, fock, linalg
 from qclifford.chain import (VARIANTS, chain_residuals,
                              lexicographic_experiment, mixed_residuals,
                              scale_copies)
 from qclifford.deform import (GeneratorSet, build_deforming_map,
                               relation_residuals, undeformed_set)
 from qclifford.report import RelationReport
-from qclifford.rmatrix import build_permutation, build_rhat_sl
+from qclifford.rmatrix import RMatrix, build_permutation, build_rhat_sl
 from qclifford.scalar import ONE, Q, RationalFunction, parse_rational
 
-from oracles import at_one, classical_chain_check, copy_braid, relabel_copies
+from oracles import (all_pairs_chain_residuals, at_one, block,
+                     classical_chain_check, copy_braid, relabel_copies)
 
 
 class TestSpecValidation:
@@ -321,7 +323,7 @@ def _diagonal_mixed_reference(gens: GeneratorSet, rn, m: int) -> list:
                     res = ann[a, i] * cre[b, j]
                     for h in range(1, n + 1):
                         for k in range(1, n + 1):
-                            coeff = Q ** -1 * rn.block(i, h, j, k)
+                            coeff = Q ** -1 * block(rn, i, h, j, k)
                             res = res + (cre[b, h] * ann[a, k]).scale(coeff)
                     if i == j and a == b:
                         res = res - res.identity_like()
@@ -356,3 +358,68 @@ def test_diagonal_mixed_is_the_braided_formula_over_q_permutation(
             assert rep.residual.subst(point) == res.subst(point)
     if planted:
         assert any(not rep.exact_zero for rep in braided)
+
+
+SCALE_TEXTS = {"m2n3": "(q + 2)/(3*q + 1),(2*q^2 + 1)/(q + 3)",
+               "m3n2": "(q^2 + 3)/(3*q + 1),(2*q^2 + q + 3)/(q + 2),q"}
+
+
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("shape", ["m2n3", "m3n2"])
+def test_no_product_has_a_zero_operand(monkeypatch, capsys, shape, scaled):
+    # the relation writers read q Rn and RM^-1 by their nonzero entries,
+    # so no Q(q) product of the command has a zero operand
+    products = []
+    real_mul = RationalFunction.__mul__
+
+    def spy(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    argv = ["chain-experiment", "--m", shape[1], "--n", shape[3]]
+    if scaled:
+        argv += ["--scales", SCALE_TEXTS[shape]]
+    monkeypatch.setattr(RationalFunction, "__mul__", spy)
+    code = cli.main(argv)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 0 and products
+    assert not [pair for pair in products if not all(pair)]
+
+
+SCALE_PALETTE = ["1", "-1", "2", "q", "q^-2", "-3*q^2", "q + 1", "1/(q - 2)",
+                 "(q^2 + 3)/(3*q + 1)", "(2*q^2 + q + 3)/(q + 2)"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(m, n) for m in range(1, 7) for n in range(1, 7)
+                        if m * n <= 6]), st.data())
+def test_nonzero_entry_writers_match_the_all_pairs_reference(shape, data):
+    # every report of both copy braids, failing ones included, agrees with
+    # the writers that look up every block, zero blocks included, over the
+    # sl braid matrix and over a copy with one entry planted off the
+    # diagonal, which is not symmetric, so that rows and columns differ
+    m, n = shape
+    scales = data.draw(st.lists(st.sampled_from(SCALE_PALETTE),
+                                min_size=m, max_size=m))
+    gens = scale_copies(build_deforming_map(m * n),
+                        [parse_rational(text) for text in scales])
+    rn = build_rhat_sl(n)
+    rows = [dict(row) for row in rn.rows]
+    if n > 1:
+        r, c = data.draw(st.sampled_from(
+            [(r, c) for r in range(n * n) for c in range(n * n) if r != c]))
+        rows[r][c] = parse_rational(data.draw(st.sampled_from(
+            SCALE_PALETTE[1:])))
+        assert rows[r][c] != rows[c].get(r)
+    braids = [copy_braid(m, variant) for variant in VARIANTS]
+
+    def digest(reports):
+        return [(rep.family, rep.indices, rep.exact_zero, rep.worst_entry())
+                for rep in reports]
+
+    for rhat_n in (rn, RMatrix(n, rows)):
+        assert ([digest(reports) for reports
+                 in chain_residuals(gens, rhat_n, braids)]
+                == [digest(reports) for reports
+                    in all_pairs_chain_residuals(gens, rhat_n, braids)])

@@ -636,6 +636,21 @@ class TestChainCommand:
                              "--n", str(n))
         assert code == 2 and out == ""
         assert "1..10 total modes" in err
+        assert f"--m {m} --n {n} asks for {m * n} modes" in err
+
+    @pytest.mark.parametrize("scales, position, text", [
+        ("2,0", 1, "0"), ("0,q", 0, "0"), ("q,q - q", 1, "q - q")],
+        ids=["second", "first", "cancelling"])
+    def test_zero_scale_names_its_position_before_the_map(
+            self, capsys, monkeypatch, scales, position, text):
+        def refuse(_modes):
+            raise AssertionError("the deforming map was built")
+        monkeypatch.setattr(chain, "build_deforming_map", refuse)
+        code, out, err = run(capsys, "chain-experiment", "--m", "2",
+                             "--n", "2", "--scales", scales)
+        assert code == 2 and out == ""
+        assert err == (f"error: --scales[{position}]: {text!r} is zero; "
+                       f"scale factors must be nonzero\n")
 
     def test_parse_error_names_the_scale(self, capsys):
         code, out, err = run(capsys, "chain-experiment", "--scales", "1,q)")
@@ -768,6 +783,15 @@ class TestEvalCommand:
         code, doc, _ = run_json(capsys, "eval", "q^3", *argv)
         assert code == 0
         assert doc["value"]["exact"] == exact
+
+    @pytest.mark.parametrize("command", [("eval", "q"), ("verify-map",)],
+                             ids=["eval", "verify-map"])
+    @pytest.mark.parametrize("point", ["1/0", "nan", "inf", "0x10"])
+    def test_unreadable_point_names_the_option(self, capsys, command, point):
+        code, out, err = run(capsys, *command, "--q-numeric", point)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --q-numeric {point!r} is not a "
+                              f"rational point")
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "eval", "q +")

@@ -178,7 +178,7 @@ class TestInversion:
         assert m * invert_dense(m) == m.identity_like()
         rhat = RMatrix(1, ({0: Q},))
         inv = invert_dense(rhat)
-        assert isinstance(inv, RMatrix) and inv.block(1, 1, 1, 1) == Q ** -1
+        assert isinstance(inv, RMatrix) and inv.get(0, 0) == Q ** -1
 
 
 def expected_worst(residual: SparseMatrix) -> str:
