@@ -483,5 +483,5 @@ def test_q_scalar_scan_sees_each_form(tmp_path):
 
 def test_rmatrix_is_the_one_sparse_matrix_subclass():
     # a Fock-space operator is a plain SparseMatrix of dimension 2^N; only
-    # RMatrix adds something, the pair indexing that block() reads
+    # RMatrix adds something, the block dimension n of its index pairs
     assert sparse_matrix_subclasses() == ["RMatrix"]
