@@ -273,8 +273,9 @@ def check_covariance(gens: GeneratorSet,
     """Transformation law of the generators under the adjoint action.
 
     Creators must satisfy x |> Adag_i = rho(x)^j_i Adag_j and
-    annihilators x |> A^i = rho(S x)^i_j A^j.  The undeformed generators
-    are expected to fail this for generic q (negative control).
+    annihilators x |> A^i = rho(S x)^i_j A^j, with a term for each
+    nonzero entry of rho(x) and rho(S x).  The undeformed generators are
+    expected to fail this for generic q (negative control).
     """
     if gens.modes != 2:
         raise ValueError("covariance checking is built for two modes")
@@ -287,8 +288,8 @@ def check_covariance(gens: GeneratorSet,
                 "covariance-creator", (x, i),
                 f"{x} |> Adag_{i} = rho({x})^j_{i} Adag_j", zero,
                 _action_terms(data, (x,), gens.creators[i - 1])
-                + [(-rho_x.get(j - 1, i - 1), gens.creators[j - 1])
-                   for j in (1, 2)]))
+                + [(-v, gens.creators[j - 1])
+                   for j in (1, 2) if (v := rho_x.get(j - 1, i - 1))]))
         sign, s_word = data.antipode_word((x,))
         rho_sx = data.rho_word(s_word)
         for i in (1, 2):
@@ -296,8 +297,8 @@ def check_covariance(gens: GeneratorSet,
                 "covariance-annihilator", (x, i),
                 f"{x} |> A^{i} = rho(S {x})^{i}_j A^j", zero,
                 _action_terms(data, (x,), gens.annihilators[i - 1])
-                + [(-sign * rho_sx.get(i - 1, j - 1), gens.annihilators[j - 1])
-                   for j in (1, 2)]))
+                + [(-sign * v, gens.annihilators[j - 1])
+                   for j in (1, 2) if (v := rho_sx.get(i - 1, j - 1))]))
     return reports
 
 

@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over Q(q).
 
 Provides the shared :class:`SparseMatrix` container (dict-of-columns per
-row, zero entries never stored), the fraction-free sum-of-products
-kernel over terms (coeff, F1, ..., Fk), each a coefficient times a word
-of matrices, which reads each matrix in its cleared form (rows over Z[q]
-over one common denominator, derived once per matrix), and one sparse forward
-elimination over a field behind the exact rank over Q(q), the rank over
+row, zero entries never stored) and its one sparse row product,
+:func:`row_product`, which multiplies rows over Q(q) and over Z[q] alike.
+The fraction-free sum-of-products kernel over terms (coeff, F1, ..., Fk),
+each a coefficient times a word of matrices, reads each matrix in its
+cleared form: rows of :class:`Poly` values over one common denominator,
+derived once per matrix.  One sparse forward elimination over a field is
+behind the exact rank over Q(q), the rank over
 :class:`fractions.Fraction` entries and the inverse.
 Rows whose leading (lowest) columns are pairwise distinct are linearly
 independent over any field, and the elimination keeps such rows without
@@ -101,13 +103,22 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
 
 def row_product(arow: dict, brows) -> dict:
     """The row arow of a matrix times the matrix with rows brows, as a
-    sparse row: every sum that cancels to zero is dropped."""
-    out: dict[int, RationalFunction] = {}
+    sparse row, over Q(q) or over Z[q] alike.
+
+    An entry's first product is stored as it is, since a product of two
+    nonzero values is nonzero in either ring; each later product is added
+    to it, and a sum that cancels to zero is dropped.
+    """
+    out: dict = {}
     for k, av in arow.items():
         for c, bv in brows[k].items():
-            s = out.get(c, ZERO) + av * bv
+            s = out.get(c)
+            if s is None:
+                out[c] = av * bv
+                continue
+            s = s + av * bv
             if s.is_zero:
-                out.pop(c, None)
+                del out[c]
             else:
                 out[c] = s
     return out
@@ -158,17 +169,15 @@ class SparseMatrix:
         """The matrix as (d, rows) with X = rows / d: d, the lcm of the
         entry denominators in the split form of :func:`_split` (None for a
         matrix with no entries), and rows over Z[q], each mapping a column
-        to a field element with denominator 1.
+        to a nonzero :class:`Poly`.
 
         Derived on the first call and kept on the matrix, so it lives as
-        long as the matrix does.  A matrix with no entries or with every
-        denominator 1 is its own cleared form: its rows are returned as
-        they are, with no arithmetic.
+        long as the matrix does.  A matrix with no entries keeps its empty
+        rows; one with every denominator 1 has its numerators read once.
         """
         if self._cleared is None:
             self._cleared = _clear(self.rows)
-        den, rows = self._cleared
-        return den, self.rows if rows is None else rows
+        return self._cleared
 
     # -- arithmetic -----------------------------------------------------------
     def _check_dim(self, other):
@@ -273,7 +282,7 @@ class SparseMatrix:
 _UNIT = (0, 1, None)
 
 #: the zero of Z[q], to which each entry's first product is added, and
-#: the one, the denominator of every entry of a cleared form
+#: the one, the entry of the unit rows that stand for an empty product
 _ZERO, _ONE = Poly(), Poly((1,))
 
 
@@ -341,23 +350,16 @@ def _den_poly(den: tuple) -> Poly:
     return _shift(p, k, c)
 
 
-def _over_one(num: Poly) -> RationalFunction:
-    """num as the field element num/1, which is canonical with no gcd."""
-    out = object.__new__(RationalFunction)
-    out.num, out.den = num, _ONE
-    return out
-
-
 def _clear(rows) -> tuple:
-    """(d, rows over Z[q]) of :meth:`SparseMatrix.cleared`, rows None for
-    a matrix that is its own cleared form: one with no entries (d None) or
-    with every denominator 1.  Otherwise each numerator is multiplied by
-    its denominator's cofactor in d, q^j * s * (d's p part / its own)."""
+    """(d, rows over Z[q]) of :meth:`SparseMatrix.cleared`.  A matrix with
+    no entries keeps its rows (d None), and one with every denominator 1
+    has its numerators read (d 1).  Otherwise each numerator is multiplied
+    by its denominator's cofactor in d, q^j * s * (d's p part / its own)."""
     dens = {v.den.coeffs for row in rows for v in row.values()}
     if not dens:
-        return None, None
+        return None, rows
     if dens == {(1,)}:
-        return _UNIT, None
+        return _UNIT, [{c: v.num for c, v in row.items()} for row in rows]
     parts = {cs: _split(cs) for cs in dens}
     dk, dc, dp = _UNIT
     for k, c, p in parts.values():
@@ -368,31 +370,13 @@ def _clear(rows) -> tuple:
              for cs, (k, c, p) in parts.items()}
     cleared = []
     for row in rows:
-        out = {} if row else row
+        out = {}
         for col, v in row.items():
             j, s, quo = lifts[v.den.coeffs]
             num = v.num if quo is None else v.num * quo
-            out[col] = _over_one(_shift(num, j, s) if j or s != 1 else num)
+            out[col] = _shift(num, j, s) if j or s != 1 else num
         cleared.append(out)
     return (dk, dc, dp), cleared
-
-
-def _cleared_product(xrows, yrows) -> list:
-    """The product of two matrices given by rows over Z[q], each entry a
-    field element over 1, in the same form.  Only Poly products and sums
-    are formed, and a sum that cancels is dropped."""
-    product = []
-    for row in xrows:
-        out = {}
-        for k, xv in row.items():
-            for c, yv in yrows[k].items():
-                total = out.get(c, _ZERO) + xv.num * yv.num
-                if total.coeffs:
-                    out[c] = total
-                else:
-                    out.pop(c, None)
-        product.append({c: _over_one(v) for c, v in out.items()})
-    return product
 
 
 def product_sum_rows(start: SparseMatrix, terms):
@@ -403,19 +387,19 @@ def product_sum_rows(start: SparseMatrix, terms):
     denominator den of the whole sum.
 
     Every factor is read in its cleared form (:meth:`SparseMatrix.cleared`:
-    F = F~/d_F with F~ over Z[q], each entry read through its numerator),
-    so a term has the one denominator D = coeff.den * d_F1 * ... * d_Fk,
-    and den is the lcm L of start's d and of every D, in the split form of
+    F = F~/d_F with F~ over Z[q], each entry a :class:`Poly`), so a term
+    has the one denominator D = coeff.den * d_F1 * ... * d_Fk, and den is
+    the lcm L of start's d and of every D, in the split form of
     :func:`_split`.  The term table (m, X~ rows, Y~ rows) with
     m = coeff.num * L / D is built once, with zero coefficients and terms
     with an empty factor dropped, and no product is formed for a unit
     factor.  Y~ is the word's last factor and X~ the product of the
-    others, formed over Z[q] by :func:`_cleared_product` as the factors
-    are read, with no product for a word of two; for a word of one matrix
-    X~ is the unit rows.  Each row of L * residual is
-    then finished over every term before it is yielded, and no row after
-    it is read until the next one is requested: m * X~[r, k] * Y~[k, c]
-    is added to its entry in term order with Poly additions only.  An
+    others, formed over Z[q] row by row by :func:`row_product` as the
+    factors are read, with no product for a word of two; for a word of
+    one matrix X~ is the unit rows.  Each row of L * residual is then
+    finished over every term before it is yielded, and no row after it is
+    read until the next one is requested: m * X~[r, k] * Y~[k, c] is
+    added to its entry in term order with Poly additions only.  An
     entry X~[r, k] whose Y~ row k is empty contributes nothing and is
     skipped before m * X~[r, k] is formed; on the deforming map about
     45 % of the X entries meet an empty row, since each generator's
@@ -444,7 +428,7 @@ def product_sum_rows(start: SparseMatrix, terms):
                 k, c, p = k + d[0], c * d[1], _times(p, d[2])
             if yrows is not None:
                 xrows = (yrows if xrows is None
-                         else _cleared_product(xrows, yrows))
+                         else [row_product(row, yrows) for row in xrows])
             yrows = rows
         else:
             if k > dk:
@@ -454,7 +438,7 @@ def product_sum_rows(start: SparseMatrix, terms):
             if p is not None and p is not dp:
                 dp = _lcm_poly(dp, p)
             if xrows is None:
-                xrows = [{r: ONE} for r in range(dim)]
+                xrows = [{r: _ONE} for r in range(dim)]
             table.append((num, k, c, p, xrows, yrows))
     den = dk, dc, dp
     table = [(num if k == dk and c == dc and p is dp
@@ -462,16 +446,15 @@ def product_sum_rows(start: SparseMatrix, terms):
              for num, k, c, p, xrows, yrows in table]
     lift = sden and _cofactor(den, *sden)
     for r, srow in enumerate(srows):
-        out = {c: v.num if lift is None else v.num * lift
-               for c, v in srow.items()}
+        out = {c: v if lift is None else v * lift for c, v in srow.items()}
         for m, xrows, yrows in table:
             for k, xv in xrows[r].items():
                 yrow = yrows[k]
                 if not yrow:
                     continue
-                xm = m * xv.num
+                xm = m * xv
                 for c, yv in yrow.items():
-                    total = out.get(c, _ZERO) + xm * yv.num
+                    total = out.get(c, _ZERO) + xm * yv
                     if total.coeffs:
                         out[c] = total
                     else:

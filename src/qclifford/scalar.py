@@ -376,10 +376,6 @@ class RationalFunction:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.num.coeffs:
-            return self
-        if not other.num.coeffs:
-            return other
         a, b = self.num.coeffs, self.den.coeffs
         c, d = other.num.coeffs, other.den.coeffs
         i, j, k, m = len(a) - 1, len(b) - 1, len(c) - 1, len(d) - 1

@@ -1,5 +1,5 @@
-"""A time limit for every test, and a fixture that forbids int() in the
-scalar module.
+"""A time limit for every test, a fixture that forbids int() in the
+scalar module and one that records every product in Q(q).
 
 ``pytest-timeout`` is not a dependency, so each test runs under
 :func:`faulthandler.dump_traceback_later`: a test still running after
@@ -53,3 +53,21 @@ def int_never_called(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"int{args} was called")
     monkeypatch.setattr(scalar, "int", refuse, raising=False)
+
+
+@pytest.fixture
+def q_products(monkeypatch):
+    """The operand pairs (self, other) of every product in Q(q) formed
+    while the test runs, in order.  Both ``RationalFunction.__mul__`` and
+    ``__rmul__`` are recorded: ``__rmul__`` is bound to the original
+    function, and an int on the left, as in ``-1 * value``, reaches it."""
+    products = []
+    real_mul = scalar.RationalFunction.__mul__
+
+    def spy(self, other):
+        products.append((self, other))
+        return real_mul(self, other)
+
+    monkeypatch.setattr(scalar.RationalFunction, "__mul__", spy)
+    monkeypatch.setattr(scalar.RationalFunction, "__rmul__", spy)
+    return products

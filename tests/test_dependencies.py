@@ -211,10 +211,12 @@ KEPT = {
                      "scalar.Poly.gcd", "linalg.SparseMatrix.scale"],
                     "a zero operand, which no command meets but the "
                     "arithmetic must handle"),
-    **dict.fromkeys(["scalar.RationalFunction.__mul__", "linalg.row_product",
-                     "linalg._cleared_product"],
-                    "terms that cancel, which no command meets but the "
-                    "arithmetic must handle"),
+    "scalar.RationalFunction.__mul__":
+        "the integer gcd of a product of Laurent monomials that is not 1 "
+        "(num // g), which no command meets but the arithmetic must handle",
+    "linalg.row_product":
+        "a second product in one entry, and a sum that cancels, which no "
+        "command's matrix product meets but the arithmetic must handle",
     **dict.fromkeys(
         ["scalar.Poly.__repr__", "scalar.RationalFunction.__repr__",
          "linalg.SparseMatrix.__repr__", "rmatrix.RMatrix.__repr__"],

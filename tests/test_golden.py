@@ -104,6 +104,15 @@ def test_report_is_byte_identical(case):
     assert code == json.loads(expected)["exit_code"]
 
 
+def test_no_product_has_a_zero_operand(q_products):
+    # every relation writer adds terms for nonzero entries only, so no
+    # golden command line forms a product in Q(q) with a zero operand
+    for argv in CASES.values():
+        run_case(argv)
+    assert q_products
+    assert [pair for pair in q_products if not all(pair)] == []
+
+
 @pytest.mark.parametrize("seed", ["0", "12345"])
 def test_reports_do_not_depend_on_the_hash_seed(seed):
     package_root = str(Path(qclifford.__file__).parents[1])

@@ -64,24 +64,16 @@ class TestSparseMatrix:
         assert len(calls) == 3 and all(calls)
         assert product == left.scale(Q)
 
-    def test_scale_forms_one_product_per_distinct_value(self, monkeypatch):
-        products = []
-        real_mul = RationalFunction.__mul__
-
-        def spy(self, other):
-            products.append(self)
-            return real_mul(self, other)
-
+    def test_scale_forms_one_product_per_distinct_value(self, q_products):
         # three distinct values over twelve entries; the two q^-1 entries
         # are distinct objects with one value
         values = [ONE, -ONE, q_power(-1), q_power(-1)]
         assert values[2] is not values[3]
         m = SparseMatrix(4, [{c: values[(r + c) % 4] for c in range(4)
                               if (r + c) % 2 or r == c} for r in range(4)])
-        monkeypatch.setattr(RationalFunction, "__mul__", spy)
+        q_products.clear()
         scaled = m.scale(Q + ONE)
-        monkeypatch.undo()
-        assert sorted(map(str, products)) == ["(1)/(q)", "-1", "1"]
+        assert sorted(str(a) for a, _ in q_products) == ["(1)/(q)", "-1", "1"]
         assert list(scaled.rows) == [
             {c: v * (Q + ONE) for c, v in row.items()} for row in m.rows]
 
@@ -222,15 +214,76 @@ class TestProductSumRows:
         assert rows == [] and calls == []
 
 
+def plain(rows) -> list:
+    """Cleared rows with each Poly read as its coefficient tuple."""
+    return [{c: v.coeffs for c, v in row.items()} for row in rows]
+
+
+class TestCleared:
+    def test_unit_denominators_give_their_numerators(self):
+        x = SparseMatrix(3, ({1: Q + ONE}, {}, {0: -ONE, 2: Q * Q}))
+        cleared = x.cleared()
+        den, rows = cleared
+        assert den == (0, 1, None)
+        assert plain(rows) == [{1: (1, 1)}, {}, {0: (-1,), 2: (0, 0, 1)}]
+        assert all(type(v) is Poly for row in rows for v in row.values())
+        assert x.cleared() is cleared
+
+    def test_mixed_denominators_share_their_lcm(self):
+        # q^-1, 1/(q + 1), 3/2 and 1: the lcm is 2 q (q + 1)
+        x = SparseMatrix(2, ({0: q_power(-1), 1: (Q + ONE) ** -1},
+                             {0: RationalFunction(Poly((3,)), Poly((2,))),
+                              1: ONE}))
+        cleared = x.cleared()
+        den, rows = cleared
+        assert den[:2] == (1, 2) and den[2].coeffs == (1, 1)
+        assert plain(rows) == [{0: (2, 2), 1: (0, 2)}, {0: (0, 3, 3),
+                                                        1: (0, 2, 2)}]
+        assert all(type(v) is Poly for row in rows for v in row.values())
+        d = linalg._den_poly(den)
+        assert all(RationalFunction(rows[r][c], d) == v
+                   for r, c, v in x.iter_entries())
+        assert x.cleared() is cleared
+
+    def test_empty_matrix_keeps_its_rows(self):
+        x = SparseMatrix(3)
+        cleared = x.cleared()
+        assert cleared == (None, x.rows) and cleared[1] is x.rows
+        assert x.cleared() is cleared
+
+    def test_word_of_three_drops_a_cancelled_entry(self, monkeypatch):
+        # F1~ F2~ row 0 is q - q in column 0 and q + 1 in column 1 over
+        # the denominator q + 1: the shared row_product drops column 0 on
+        # the Z[q] rows, and the residual is F1 F2 F3 itself
+        f1 = SparseMatrix(2, ({0: ONE, 1: ONE}, {}))
+        s = (Q + ONE) ** -1
+        f2 = SparseMatrix(2, ({0: Q * s}, {0: -Q * s, 1: ONE}))
+        f3 = SparseMatrix(2, ({1: Q}, {0: ONE}))
+        products = []
+        real_product = linalg.row_product
+
+        def spy(arow, brows):
+            products.append(real_product(arow, brows))
+            return products[-1]
+
+        monkeypatch.setattr(linalg, "row_product", spy)
+        got = product_sum(SparseMatrix(2), [(ONE, f1, f2, f3)])
+        assert [plain([row]) for row in products] == [[{1: (1, 1)}], [{}]]
+        assert type(products[0][1]) is Poly
+        monkeypatch.undo()
+        assert got == f1 * f2 * f3 == SparseMatrix(2, ({0: ONE}, {}))
+
+
 class TestReports:
     def test_failing_report_reads_no_row_after_its_first(self):
-        # row 0 survives; rows 2 and 3 fail too but are read only when the
-        # residual is requested
+        # row 0 survives; rows 2 and 3 fail too but the kernel reads them
+        # only when the residual is requested
         x = SparseMatrix(4, ({1: Q}, {}, {0: ONE}, {3: Q - ONE}))
         y = x.identity_like()
         expected = product_sum(SparseMatrix(4), [(ONE, x, y)])
         reads = []
-        x.rows = RecordingRows(x.rows, reads)
+        den, rows = x.cleared()
+        x._cleared = den, RecordingRows(rows, reads)
         rep = RelationReport("f", (), "X = 0", SparseMatrix(4), [(ONE, x, y)])
         assert not rep.exact_zero and rep.worst_entry() == "q at (0, 1)"
         assert reads == [0]
@@ -242,7 +295,8 @@ class TestReports:
     def test_passing_report_reads_every_row(self):
         x = SparseMatrix(3, ({1: Q}, {}, {0: ONE}))
         reads = []
-        x.rows = RecordingRows(x.rows, reads)
+        den, rows = x.cleared()
+        x._cleared = den, RecordingRows(rows, reads)
         y = SparseMatrix(3).identity_like()
         rep = RelationReport("f", (), "X - X = 0", SparseMatrix(3),
                              [(ONE, x, y), (-ONE, x, y)])
