@@ -441,18 +441,25 @@ def star_compatibility(gens: GeneratorSet, q_point=None) -> RelationReport:
     At real q star fixes the scalars: it is the plain transpose.  The one
     report covers the N per-mode residuals star(A^i) - Adag_i: its
     residual is the first nonzero one (or mode 1's), so it is exact zero
-    iff every mode is, and its worst entry is that mode's.  When
-    ``q_point`` is given (a real q > 0), ``numeric_max_abs`` is the worst
-    numeric deviation over all modes, not only the reported one, read off
-    residuals recomputed from the generators after the substitution
-    q := point, an independent check of the exact ones.
+    iff every mode is, and its worst entry is that mode's.  Each
+    annihilator is transposed once, and the reported mode is the first
+    whose transpose differs from its creator (mode 1 if none does), a
+    matrix comparison that is exact because canonical forms in Q(q) are
+    unique and that forms no Q(q) value.  Only that mode's residual goes
+    to the relation evaluator, as the start (A^i)^T and the one term
+    (-1, Adag_i).  When ``q_point`` is given (a real q > 0),
+    ``numeric_max_abs`` is the worst numeric deviation over all modes,
+    not only the reported one, read off residuals recomputed from the
+    generators after the substitution q := point, an independent check
+    of the exact ones.
     """
-    residuals = [gens.annihilators[i].transpose() - gens.creators[i]
-                 for i in range(gens.modes)]
+    pairs = [(ann.transpose(), cre)
+             for ann, cre in zip(gens.annihilators, gens.creators)]
+    start, creator = next((pair for pair in pairs if pair[0] != pair[1]),
+                          pairs[0])
     report = RelationReport(
         "star", tuple(range(1, gens.modes + 1)),
-        "star(A^i) = Adag_i for all modes",
-        next((r for r in residuals if not r.is_zero), residuals[0]))
+        "star(A^i) = Adag_i for all modes", start, [(-ONE, creator)])
     if q_point is not None:
         sampled = gens.subst(Fraction(q_point))
         report.numeric_max_abs = max(

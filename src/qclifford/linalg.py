@@ -71,7 +71,9 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
     list of two integer indices inside the matrix and a string value, at
     a position no earlier entry holds, and an error names it as
     ``field[i]`` (a repeated position names both entries), as does an
-    error in its text.  A zero value is not stored.
+    error in its text.  Each distinct text is parsed once, at its first
+    entry, and equal texts share that one value.  A zero value is not
+    stored.
     """
     if not isinstance(entries, list):
         raise ValueError(f"{field} must be a list of [row, col, text] entries")
@@ -91,11 +93,14 @@ def read_rows(entries, dim: int, field: str = "entries") -> list[dict]:
             raise ValueError(f"{field}[{i}] repeats the position [{r}, {c}] "
                              f"of {field}[{first}]")
     rows: list[dict] = [{} for _ in range(dim)]
+    values: dict[str, RationalFunction] = {}   # entry text -> its value
     for i, (r, c, text) in enumerate(entries):
-        try:
-            value = parse_rational(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise type(exc)(f"{field}[{i}]: {exc}") from None
+        value = values.get(text)
+        if value is None:
+            try:
+                value = values[text] = parse_rational(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise type(exc)(f"{field}[{i}]: {exc}") from None
         if not value.is_zero:
             rows[r][c] = value
     return rows
@@ -157,10 +162,6 @@ class SparseMatrix:
         for r, row in enumerate(self.rows):
             for c in sorted(row):
                 yield r, c, row[c]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not row for row in self.rows)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)

@@ -9,6 +9,8 @@ public names alone:
   of the Fock representation makes :func:`word_to_operator` its oracle;
 - the gamma-function quotient of the deforming map's normalization;
 - conjugated realizations alpha . X . alpha^-1;
+- the star residual as it was formed before the relation evaluator
+  decided it: every per-mode residual subtracted as a matrix;
 - the chain controls: copy relabelling and the q = 1 degeneration;
 - the chain relation writers as they were before they read q Rn and
   RM^-1 by their nonzero entries: every block looked up, zero blocks
@@ -281,6 +283,14 @@ def conjugate_realization(gens: GeneratorSet,
         raise ValueError("alpha is singular (exact determinant zero)") from None
     return GeneratorSet([alpha * op * alpha_inv for op in gens.creators],
                         [alpha * op * alpha_inv for op in gens.annihilators])
+
+
+def star_by_subtraction(gens: GeneratorSet) -> SparseMatrix:
+    """The star residual formed by N matrix subtractions: the first
+    nonzero star(A^i) - Adag_i, or mode 1's when every one vanishes."""
+    residuals = [ann.transpose() - cre
+                 for ann, cre in zip(gens.annihilators, gens.creators)]
+    return next((r for r in residuals if r.nnz()), residuals[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ and only a repeated lead, sends them to the dict rows.  Their rank is
 compared only when the leads are distinct: with a repeated lead, an
 exact elimination over Q(q) of such rows, with coefficients 2 and 3 on
 full permutations, can run for minutes at N = 3.
+
+The star report is compared with the residual formed by matrix
+subtraction (``oracles.star_by_subtraction``) on the deforming map with
+each mode's creator and annihilator rescaled by random Laurent
+monomials, equal ones where the mode keeps its star.
 """
 
 from collections import Counter
@@ -33,12 +38,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from qclifford import deform, fock  # noqa: E402
 from qclifford.deform import (GeneratorSet, build_deforming_map,  # noqa: E402
-                              poincare_rank)
+                              poincare_rank, star_compatibility)
 from qclifford.linalg import SparseMatrix, rank  # noqa: E402
 from qclifford.scalar import ONE, Q, q_power  # noqa: E402
 
 from oracles import (conjugate_realization, modular_rank,  # noqa: E402
-                     plain_rows)
+                     plain_rows, star_by_subtraction)
 
 #: entry values: unit and opposite entries make sums of products cancel
 PALETTE = (ONE, -ONE, ONE, Q, -Q, q_power(-1), Q - ONE, ONE + ONE)
@@ -167,3 +172,38 @@ def test_bare_leads_give_the_rank_of_the_plain_rows(gens):
     if bare:
         # distinct leads: both ranks are counts, with no elimination
         assert poincare_rank(gens) == (rank(rows), 4 ** gens.modes)
+
+
+MAPS = {n: build_deforming_map(n) for n in range(1, 5)}
+
+#: Laurent monomials c q^k
+MONOMIALS = st.builds(lambda c, k: q_power(k) * c,
+                      st.sampled_from((1, -1, 2, -3)),
+                      st.integers(min_value=-3, max_value=3))
+
+
+@st.composite
+def star_rescalings(draw):
+    """The deforming map at N <= 4 with mode i's creator times a Laurent
+    monomial s_i and its annihilator times t_i: t_i = s_i keeps the
+    mode's star, another monomial breaks it."""
+    built = MAPS[draw(st.integers(min_value=1, max_value=4))]
+    creators, annihilators = [], []
+    for cre, ann in zip(built.creators, built.annihilators):
+        s = draw(MONOMIALS)
+        t = s if draw(st.booleans()) else draw(MONOMIALS)
+        creators.append(cre.scale(s))
+        annihilators.append(ann.scale(t))
+    return GeneratorSet(creators, annihilators)
+
+
+@settings(max_examples=60, deadline=None)
+@given(star_rescalings())
+def test_star_report_equals_the_subtraction_oracle(gens):
+    report = star_compatibility(gens)
+    expected = star_by_subtraction(gens)
+    first = expected.first_nonzero()
+    assert report.exact_zero == (first is None)
+    assert report.worst_entry() == ("0" if first is None else
+                                    f"{first[2]} at ({first[0]}, {first[1]})")
+    assert report.residual == expected

@@ -202,10 +202,6 @@ KEPT = {
         "read by the tests as the residual's first entry",
     "linalg.SparseMatrix.nnz":
         "read by the tests and by SparseMatrix.__repr__",
-    "linalg.SparseMatrix.__eq__": "the tests compare matrices",
-    "scalar.RationalFunction.__eq__":
-        "the tests compare values, and projector_sl's memo compares equal "
-        "values that are distinct objects",
     "scalar._poly_text": "str() of the zero value",
     **dict.fromkeys(["scalar.Poly.__mul__", "scalar.Poly.div_exact",
                      "scalar.Poly.gcd", "linalg.SparseMatrix.scale"],

@@ -31,7 +31,7 @@ def car_residuals(n):
 class TestGenerators:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_car_exactly_zero(self, n):
-        assert all(res.is_zero for res in car_residuals(n))
+        assert all(res.nnz() == 0 for res in car_residuals(n))
 
     def test_single_mode_matrix(self):
         creator = build_generators(1)[0][0]

@@ -5,7 +5,7 @@ Every residual of ``check_module_algebra``, ``check_covariance``,
 ``check_braid`` and ``projector_sp`` is a term table summed by the
 ``report.RelationReport`` constructor.  Each report must equal a
 reference report built here with plain matrix operations (``act``,
-``*``, ``-``, ``is_zero``, ``first_nonzero``): the same family, indices,
+``*``, ``-``, ``nnz``, ``first_nonzero``): the same family, indices,
 relation text, exact-zero flag and worst entry, and a residual of the
 same class equal to the reference residual with no stored zero.  Inputs
 are the deforming map, the undeformed set, either of them with one
@@ -56,7 +56,7 @@ PALETTE = (ONE, -ONE, Q, q_power(-1), -q_power(-2), parse_rational("2*q^-3"),
 @dataclass
 class Reference:
     """A report read off a residual formed with plain matrix operations:
-    its flag is the residual's ``is_zero`` and its worst entry the
+    its flag is the residual's ``nnz() == 0`` and its worst entry the
     residual's ``first_nonzero``, independent of the relation kernel."""
 
     family: str
@@ -66,7 +66,7 @@ class Reference:
 
     @property
     def exact_zero(self) -> bool:
-        return self.residual.is_zero
+        return self.residual.nnz() == 0
 
     def worst_entry(self) -> str:
         first = self.residual.first_nonzero()

@@ -8,9 +8,11 @@ from qclifford.linalg import (SparseMatrix, _echelon, invert_dense,
                               product_sum, product_sum_rows, rank,
                               rank_numeric)
 from qclifford.report import CONVENTIONS, RelationReport, summarize
+from qclifford.deform import GeneratorSet, build_deforming_map
 from qclifford.fock import identity
 from qclifford.rmatrix import RMatrix, build_rhat_sl
-from qclifford.scalar import ONE, Poly, Q, RationalFunction, ZERO, q_power
+from qclifford.scalar import (ONE, Poly, Q, RationalFunction, ZERO,
+                              parse_rational, q_power)
 
 
 def random_rf(rng, max_deg=2, span=3):
@@ -38,7 +40,7 @@ class TestSparseMatrix:
     def test_add_cancellation_prunes_zeros(self):
         m = SparseMatrix(2, ({0: Q}, {1: ONE}))
         diff = m - m
-        assert diff.is_zero and diff.nnz() == 0
+        assert diff.nnz() == 0 and diff == SparseMatrix(2)
 
     def test_transpose_of_product(self):
         rng = random.Random(7)
@@ -83,8 +85,57 @@ class TestSparseMatrix:
 
     def test_numeric_entry_evaluation(self):
         m = SparseMatrix(2, ({0: Q - q_power(-1)}, {}))
-        assert m.subst(Fraction(1)).is_zero
+        assert m.subst(Fraction(1)).nnz() == 0
         assert m.max_abs(2.0) == pytest.approx(1.5)
+
+
+class TestReadRows:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The texts handed to the parser that read_rows calls."""
+        texts = []
+
+        def spy(text):
+            texts.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(linalg, "parse_rational", spy)
+        return texts
+
+    def test_each_distinct_text_is_parsed_once(self, parsed):
+        built = build_deforming_map(3)
+        scale = 2 * Q
+        doc = GeneratorSet([op.scale(scale) for op in built.creators],
+                           [op.scale(ONE / scale)
+                            for op in built.annihilators]).to_json()
+        repeats = 0
+        for op in doc["creators"] + doc["annihilators"]:
+            parsed.clear()
+            rows = linalg.read_rows(op["entries"], op["dim"])
+            texts = {text for _, _, text in op["entries"]}
+            repeats += len(op["entries"]) - len(texts)
+            assert sorted(parsed) == sorted(texts)
+            expected = [{} for _ in range(op["dim"])]
+            for r, c, text in op["entries"]:
+                expected[r][c] = parse_rational(text)
+            assert rows == expected
+            # equal texts share one value
+            assert len({id(v) for row in rows for v in row.values()}) == len(
+                texts)
+        assert repeats > 0
+
+    def test_a_repeated_unreadable_text_names_its_first_entry(self, parsed):
+        entries = [[0, 0, "q"], [0, 1, "q^^2"], [1, 1, "q^^2"]]
+        with pytest.raises(ValueError) as direct:
+            parse_rational("q^^2")
+        with pytest.raises(ValueError) as read:
+            linalg.read_rows(entries, 2)
+        assert str(read.value) == f"entries[1]: {direct.value}"
+
+    def test_a_repeated_zero_stores_nothing(self, parsed):
+        entries = [[0, 0, "0"], [1, 0, "q"], [1, 1, "0"], [0, 1, "0"]]
+        assert linalg.read_rows(entries, 2) == [{}, {0: Q}]
+        assert parsed == ["0", "q"]
 
 
 class TestRank:
@@ -175,7 +226,7 @@ class TestInversion:
 
 def expected_worst(residual: SparseMatrix) -> str:
     """The worst-entry text read off a residual by its own row-major scan."""
-    if residual.is_zero:
+    if residual.nnz() == 0:
         return "0"
     r, c, v = residual.first_nonzero()
     return f"{v} at ({r}, {c})"
@@ -305,7 +356,7 @@ class TestReports:
 
     def test_worst_entry_of_zero_residual(self):
         rep = RelationReport("f", (1,), "x = 0", SparseMatrix(2))
-        assert rep.exact_zero and rep.residual.is_zero
+        assert rep.exact_zero and rep.residual.nnz() == 0
         assert rep.worst_entry() == "0"
         assert "numeric_max_abs" not in rep.to_json()
 
@@ -315,7 +366,7 @@ class TestReports:
         residual = SparseMatrix(2, ({}, {1: Q - ONE, 0: Q}))
         rep = RelationReport("f", (1, 2), "x = 0", SparseMatrix(2),
                              [(ONE, residual, residual.identity_like())])
-        assert rep.exact_zero == residual.is_zero
+        assert rep.exact_zero == (residual.nnz() == 0)
         assert rep.worst_entry() == expected_worst(residual) == "q at (1, 0)"
         assert rep.residual == residual
         rep.numeric_max_abs = 0.3
