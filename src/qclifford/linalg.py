@@ -282,9 +282,9 @@ class SparseMatrix:
 #: the denominator 1 in split form (see :func:`_split`)
 _UNIT = (0, 1, None)
 
-#: the zero of Z[q], to which each entry's first product is added, and
-#: the one, the entry of the unit rows that stand for an empty product
-_ZERO, _ONE = Poly(), Poly((1,))
+#: the one of Z[q], the entry of the unit rows that stand for an empty
+#: product
+_ONE = Poly((1,))
 
 
 def _split(cs: tuple) -> tuple:
@@ -355,29 +355,41 @@ def _clear(rows) -> tuple:
     """(d, rows over Z[q]) of :meth:`SparseMatrix.cleared`.  A matrix with
     no entries keeps its rows (d None), and one with every denominator 1
     has its numerators read (d 1).  Otherwise each numerator is multiplied
-    by its denominator's cofactor in d, q^j * s * (d's p part / its own)."""
+    by its denominator's cofactor in d, q^j * s * (d's p part / its own).
+    Either way each distinct entry value is cleared once, and every entry
+    equal to it shares that one :class:`Poly`, so the kernel can form one
+    product per distinct cleared value."""
     dens = {v.den.coeffs for row in rows for v in row.values()}
     if not dens:
         return None, rows
-    if dens == {(1,)}:
-        return _UNIT, [{c: v.num for c, v in row.items()} for row in rows]
-    parts = {cs: _split(cs) for cs in dens}
-    dk, dc, dp = _UNIT
-    for k, c, p in parts.values():
-        dk, dc = max(dk, k), _int_lcm(dc, c)
-        if p is not None:
-            dp = _lcm_poly(dp, p)
-    lifts = {cs: (dk - k, dc // c, _cofactor((0, 1, dp), 0, 1, p))
-             for cs, (k, c, p) in parts.items()}
+    lifts = None
+    if dens != {(1,)}:
+        parts = {cs: _split(cs) for cs in dens}
+        dk, dc, dp = _UNIT
+        for k, c, p in parts.values():
+            dk, dc = max(dk, k), _int_lcm(dc, c)
+            if p is not None:
+                dp = _lcm_poly(dp, p)
+        lifts = {cs: (dk - k, dc // c, _cofactor((0, 1, dp), 0, 1, p))
+                 for cs, (k, c, p) in parts.items()}
+    nums: dict = {}   # entry value -> its cleared numerator
     cleared = []
     for row in rows:
         out = {}
         for col, v in row.items():
-            j, s, quo = lifts[v.den.coeffs]
-            num = v.num if quo is None else v.num * quo
-            out[col] = _shift(num, j, s) if j or s != 1 else num
+            num = nums.get(v)
+            if num is None:
+                num = v.num
+                if lifts is not None:
+                    j, s, quo = lifts[v.den.coeffs]
+                    if quo is not None:
+                        num = num * quo
+                    if j or s != 1:
+                        num = _shift(num, j, s)
+                nums[v] = num
+            out[col] = num
         cleared.append(out)
-    return (dk, dc, dp), cleared
+    return _UNIT if lifts is None else (dk, dc, dp), cleared
 
 
 def product_sum_rows(start: SparseMatrix, terms):
@@ -399,14 +411,19 @@ def product_sum_rows(start: SparseMatrix, terms):
     factors are read, with no product for a word of two; for a word of
     one matrix X~ is the unit rows.  Each row of L * residual is then
     finished over every term before it is yielded, and no row after it is
-    read until the next one is requested: m * X~[r, k] * Y~[k, c] is
-    added to its entry in term order with Poly additions only.  An
-    entry X~[r, k] whose Y~ row k is empty contributes nothing and is
-    skipped before m * X~[r, k] is formed; on the deforming map about
-    45 % of the X entries meet an empty row, since each generator's
-    nonzero rows are half of the basis.  An entry whose sum cancels is the
-    exact zero and is dropped at once, so the residual is zero iff no row
-    is yielded, and an entry's value is RationalFunction(sum, L).
+    read until the next one is requested: m * X~[r, k] * Y~[k, c] goes to
+    its entry in term order.  Each term forms m * X~[r, k] once per
+    distinct X~ value, in a dict local to the call: equal cleared entries
+    are one shared Poly, as are the unit rows' ones, and a Poly compares
+    by identity.  An entry's first product is stored as it is, since a
+    product of two nonzero polynomials is nonzero in Z[q]; each later
+    product is added to it.  An entry X~[r, k] whose Y~ row k is empty
+    contributes nothing and is skipped before m * X~[r, k] is formed; on
+    the deforming map about 45 % of the X entries meet an empty row, since
+    each generator's nonzero rows are half of the basis.  An entry whose
+    sum cancels is the exact zero and is dropped at once, so the residual
+    is zero iff no row is yielded, and an entry's value is
+    RationalFunction(sum, L).
     """
     dim = start.dim
     sden, srows = start.cleared()
@@ -443,23 +460,29 @@ def product_sum_rows(start: SparseMatrix, terms):
             table.append((num, k, c, p, xrows, yrows))
     den = dk, dc, dp
     table = [(num if k == dk and c == dc and p is dp
-              else _cofactor(den, k, c, p, num), xrows, yrows)
+              else _cofactor(den, k, c, p, num), xrows, yrows, {})
              for num, k, c, p, xrows, yrows in table]
     lift = sden and _cofactor(den, *sden)
     for r, srow in enumerate(srows):
         out = {c: v if lift is None else v * lift for c, v in srow.items()}
-        for m, xrows, yrows in table:
+        for m, xrows, yrows, multiples in table:
             for k, xv in xrows[r].items():
                 yrow = yrows[k]
                 if not yrow:
                     continue
-                xm = m * xv
+                xm = multiples.get(xv)
+                if xm is None:
+                    xm = multiples[xv] = m * xv
                 for c, yv in yrow.items():
-                    total = out.get(c, _ZERO) + xm * yv
-                    if total.coeffs:
-                        out[c] = total
+                    s = out.get(c)
+                    if s is None:
+                        out[c] = xm * yv
+                        continue
+                    s = s + xm * yv
+                    if s.coeffs:
+                        out[c] = s
                     else:
-                        out.pop(c, None)
+                        del out[c]
         if out:
             yield r, out, den
 

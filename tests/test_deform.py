@@ -115,6 +115,20 @@ class TestRelationChecker:
         indices = [r.indices for r in reports if r.family == "mixed"]
         assert indices == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
+    def test_no_sum_starts_from_the_zero_polynomial(self, monkeypatch):
+        # an entry's first product is stored as it is, not added to zero
+        gens = build_deforming_map(3)
+        sums, add = [], Poly.__add__
+
+        def counting_add(a, b):
+            sums.append(a)
+            return add(a, b)
+
+        monkeypatch.setattr(Poly, "__add__", counting_add)
+        reports = deform.map_relations(gens)
+        assert len(reports) == 27 and all(r.exact_zero for r in reports)
+        assert sums and not any(a.is_zero for a in sums)
+
 
 class TestRelationKernelGcds:
     """The relation kernel sums over one common denominator, so deciding a

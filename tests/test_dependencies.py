@@ -383,8 +383,10 @@ def test_package_holds_only_command_code():
                             ROOT / "src", GOLDEN)
     assert codes == [code for _, code in runs]
     unrun, stale = unrun_statements(statements, ran, KEPT)
-    assert stale == [], f"KEPT names functions with no unrun line: {stale}"
-    assert unrun == {}, f"no command runs these lines:\n{to_do(unrun)}"
+    # one assertion, so that neither list hides the other
+    assert (stale, unrun) == ([], {}), (
+        f"KEPT names functions with no unrun line: {stale}\n"
+        f"no command runs these lines:\n{to_do(unrun)}")
 
 
 def test_line_scan_sees_each_form(tmp_path):

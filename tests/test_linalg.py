@@ -14,6 +14,8 @@ from qclifford.rmatrix import RMatrix, build_rhat_sl
 from qclifford.scalar import (ONE, Poly, Q, RationalFunction, ZERO,
                               parse_rational, q_power)
 
+from oracles import fraction_pair_residual
+
 
 def random_rf(rng, max_deg=2, span=3):
     num = Poly([rng.randint(-span, span) for _ in range(max_deg + 1)])
@@ -264,6 +266,59 @@ class TestProductSumRows:
         rows = list(product_sum_rows(SparseMatrix(2), [(Q, x, y)]))
         assert rows == [] and calls == []
 
+    def test_each_term_forms_one_multiple_per_distinct_value(self,
+                                                             monkeypatch):
+        # X holds two distinct values over eight entries, each met by a
+        # nonempty Y row; with unit denominators each term's multiplier
+        # is its coefficient's numerator, the left operand of m * X~
+        x = SparseMatrix(4, [{r: 2 * Q, (r + 1) % 4: Q + ONE}
+                             for r in range(4)])
+        y = SparseMatrix(4, [{c: Q ** c + ONE for c in range(4) if c != r}
+                             for r in range(4)])
+        terms = [(Q + 2 * ONE, x, y), (Q + 3 * ONE, x, y)]
+        multipliers = [coeff.num for coeff, _, _ in terms]
+        calls = []
+        mul = Poly.__mul__
+
+        def counting_mul(a, b):
+            calls.append(a)
+            return mul(a, b)
+
+        monkeypatch.setattr(Poly, "__mul__", counting_mul)
+        got = product_sum(SparseMatrix(4), terms)
+        monkeypatch.undo()
+        assert [sum(a is m for a in calls) for m in multipliers] == [2, 2]
+        assert got == fraction_pair_residual(SparseMatrix(4), terms)
+
+    def test_cancelled_entry_refilled_by_a_later_product(self):
+        # entry (0, 0) receives q / (q + 1), then its negative, which
+        # drops it, then q^2 / (q + 1), which stores it again
+        x = SparseMatrix(2, ({1: Q}, {}))
+        y = SparseMatrix(2, ({}, {0: (Q + ONE) ** -1}))
+        terms = [(ONE, x, y), (-ONE, x, y), (Q, x, y)]
+        start = SparseMatrix(2, ({1: ONE}, {}))
+        got = product_sum(start, terms)
+        assert got == fraction_pair_residual(start, terms)
+        assert got == SparseMatrix(2, ({0: Q * Q / (Q + ONE), 1: ONE}, {}))
+
+    def test_entries_of_distinct_values_match_the_oracle(self):
+        # every entry of both factors is its own value, so no cleared
+        # numerator and no multiple is shared
+        x = SparseMatrix(4, [{c: (Q + (4 * r + c + 1) * ONE) / (r + 2)
+                              for c in range(4)} for r in range(4)])
+        y = SparseMatrix(4, [{c: q_power(r - c) * (4 * r + c + 20)
+                              for c in range(4) if (r + c) % 3}
+                             for r in range(4)])
+        for m in (x, y):
+            values = [v for row in m.rows for v in row.values()]
+            _, rows = m.cleared()
+            assert len(set(values)) == len(values) == len(
+                {id(v) for row in rows for v in row.values()})
+        start = -identity(2)
+        terms = [(Q, x, y), (-ONE, y, x), (q_power(-1), x, x)]
+        got = product_sum(start, terms)
+        assert got == fraction_pair_residual(start, terms)
+
 
 def plain(rows) -> list:
     """Cleared rows with each Poly read as its coefficient tuple."""
@@ -295,6 +350,31 @@ class TestCleared:
         assert all(RationalFunction(rows[r][c], d) == v
                    for r, c, v in x.iter_entries())
         assert x.cleared() is cleared
+
+    def test_clear_forms_one_numerator_per_distinct_value(self, monkeypatch):
+        # creator 1 holds 1, q^-1 twice and q^-2 over d = q^2, creator 2
+        # holds 1, -1, q^-1 and -q^-1 over d = q, and creator 3 holds 1
+        # and -1 twice over d = 1: only 1 and q^-1 of creator 1 and 1 and
+        # -1 of creator 2 are shifted, each once
+        shifts = []
+        real_shift = linalg._shift
+
+        def spy(p, k, c):
+            shifts.append((k, c))
+            return real_shift(p, k, c)
+
+        monkeypatch.setattr(linalg, "_shift", spy)
+        for op in build_deforming_map(3).creators:
+            (dk, dc, dp), rows = linalg._clear(op.rows)
+            d = real_shift(dp, dk, dc)   # the denominator, unrecorded
+            numerators = {}
+            for row, out in zip(op.rows, rows):
+                for c, v in row.items():
+                    assert numerators.setdefault(v, out[c]) is out[c]
+                    assert RationalFunction(out[c], d) == v
+            assert len({id(v) for row in rows for v in row.values()}) == len(
+                numerators)
+        assert sorted(shifts) == [(1, 1), (1, 1), (1, 1), (2, 1)]
 
     def test_empty_matrix_keeps_its_rows(self):
         x = SparseMatrix(3)
